@@ -48,6 +48,7 @@ Core::switchTo(ProcessContext *proc, Cycles now, bool charge_switch)
     } else {
         run_resume_at_ = now;
     }
+    wake(WakeReason::Dispatch);
 }
 
 void
@@ -71,6 +72,7 @@ Core::detachCurrent()
     if (proc_->state == ProcState::Running)
         proc_->state = ProcState::Ready;
     proc_ = nullptr;
+    wake(WakeReason::Dispatch);
 }
 
 void
@@ -363,6 +365,7 @@ Core::onLineInvalidated(Addr pblock)
         if (e.speculative && e.mem_issued && !e.violated &&
             e.pblock == pblock) {
             e.violated = true;
+            wake(WakeReason::Poke);
         }
     }
 }
@@ -810,6 +813,8 @@ Core::tick(Cycles now)
 {
     mem_retry_at_ = kNever;
     progress_ = false;
+    armed_ = false;
+    kick_ = false;
     ++stats_.run_cycles;
     completeStage(now);
     retireStage(now);
@@ -869,6 +874,56 @@ Core::debugString() const
 Cycles
 Core::nextEvent(Cycles now) const
 {
+    bool overdue = false;
+    return scanNextEvent(now, &overdue);
+}
+
+Cycles
+Core::arm(Cycles now)
+{
+    if (armed_)
+        return next_event_;
+    bool overdue = false;
+    next_event_ = scanNextEvent(now, &overdue);
+    wake_at_ = next_event_;
+    wake_reason_ = WakeReason::Event;
+    // Work the next tick does that nextEvent() does not announce: a
+    // refused access retries at every tick, and a hint that fired after
+    // completeStage completes at the next one.  Either way the core is
+    // due at the next iteration, whenever the run loop places it.
+    if (wake_at_ > now + 1 && (mem_retry_at_ != kNever || overdue)) {
+        wake_at_ = now + 1;
+        wake_reason_ = mem_retry_at_ != kNever ? WakeReason::Retry
+                                               : WakeReason::Hint;
+    }
+    armed_ = true;
+    return next_event_;
+}
+
+void
+Core::wake(WakeReason why)
+{
+    kick_ = true;
+    kick_reason_ = why;
+}
+
+const char *
+wakeReasonName(WakeReason r)
+{
+    switch (r) {
+      case WakeReason::Event:    return "event";
+      case WakeReason::Retry:    return "retry";
+      case WakeReason::Hint:     return "hint";
+      case WakeReason::Poke:     return "poke";
+      case WakeReason::Dispatch: return "dispatch";
+      case WakeReason::Start:    return "start";
+    }
+    return "?";
+}
+
+Cycles
+Core::scanNextEvent(Cycles now, bool *overdue) const
+{
     Cycles next = kNever;
     auto consider = [&next, now](Cycles t) {
         if (t > now && t < next)
@@ -888,8 +943,11 @@ Core::nextEvent(Cycles now) const
                 consider(now + 1);
             continue;
         }
-        if (e.issued && !e.completed)
+        if (!e.completed) {
             consider(e.complete_at);
+            if (e.complete_at <= now)
+                *overdue = true;
+        }
         if (e.issued && trace::isMemory(e.rec.op)) {
             if (!e.mem_issued) {
                 consider(e.addr_ready_at);
@@ -1067,6 +1125,9 @@ Core::restoreState(snap::Reader &r,
         wb_.push_back(e);
     }
     wmb_epoch_ = r.u32();
+
+    armed_ = false;
+    wake(WakeReason::Start);
 
     breakdown_.restoreState(r);
     stats_.instructions = r.u64();

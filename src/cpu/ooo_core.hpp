@@ -82,10 +82,23 @@ struct CoreStats
     Cycles run_cycles = 0; ///< cycles accounted (incl. idle)
 };
 
+/** Why a core is due to tick (the wake contract, DESIGN.md §5a). */
+enum class WakeReason : std::uint8_t
+{
+    Event,    ///< its cached next event has arrived
+    Retry,    ///< a refused memory access retries every iteration
+    Hint,     ///< a hint's completion lands on the next tick
+    Poke,     ///< an invalidation flagged a speculative load
+    Dispatch, ///< a process was switched in, detached or preempted
+    Start,    ///< first iteration of a run, or a restored core
+};
+
+const char *wakeReasonName(WakeReason r);
+
 /**
  * The processor core.  The owner (sim::Node / sim::System) supplies a
  * memory interface, an environment interface, and process contexts, and
- * drives the core via tick() / skipTo().
+ * drives the core via tick() / accountStall().
  */
 class Core
 {
@@ -129,6 +142,37 @@ class Core
      * Returns kNever when the core is idle with no pending events.
      */
     Cycles nextEvent(Cycles now) const;
+
+    // ----------------------------------------------------------------
+    // Wake contract (DESIGN.md §5a)
+    // ----------------------------------------------------------------
+
+    /**
+     * True when tick(@p now) may do more than account one stalled
+     * cycle.  A core that is not due is left to accountStall(now,
+     * now + 1), which leaves it in exactly the state tick(now) would.
+     * Ticking a core that is not due is always safe.
+     */
+    bool
+    due(Cycles now) const
+    {
+        return !armed_ || kick_ || now >= wake_at_;
+    }
+
+    /**
+     * Call after tick(@p now): caches nextEvent(now) and the cycle at
+     * which the core is next due.  Returns the cached next event; a
+     * core that has not ticked since the last call returns it without
+     * rescanning its window.
+     */
+    Cycles arm(Cycles now);
+
+    /** Make the core due at the next iteration (run start, restore). */
+    void wake(WakeReason why);
+
+    /** Cycle at which the core is next due, and why (diagnostics). */
+    Cycles wakeAt() const { return kick_ || !armed_ ? 0 : wake_at_; }
+    WakeReason wakeReason() const { return kick_ ? kick_reason_ : wake_reason_; }
 
     /** Notification: physical line @p pblock was invalidated/evicted. */
     void onLineInvalidated(Addr pblock);
@@ -223,6 +267,7 @@ class Core
     std::uint32_t minUnperformedEpoch() const;
     const WindowEntry *entryFor(std::uint64_t seq) const;
     std::uint32_t memOpsInFlight() const;
+    Cycles scanNextEvent(Cycles now, bool *overdue) const;
 
     CpuId id_;
     CoreParams params_;
@@ -257,6 +302,15 @@ class Core
     // write buffer
     std::deque<WbEntry> wb_;
     std::uint32_t wmb_epoch_ = 0;
+
+    // wake state: derived from the pipeline state above, so it is not
+    // serialized (a restored core is simply due)
+    bool armed_ = false;        ///< arm() has run since the last tick
+    Cycles next_event_ = kNever; ///< nextEvent() as of the last arm()
+    Cycles wake_at_ = 0;
+    WakeReason wake_reason_ = WakeReason::Start;
+    bool kick_ = true;          ///< made due from outside since the last tick
+    WakeReason kick_reason_ = WakeReason::Start;
 
     Breakdown breakdown_;
     CoreStats stats_;

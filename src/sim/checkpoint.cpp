@@ -236,6 +236,7 @@ System::deserializeState(snap::Reader &r)
         p->restoreState(r);
     for (const auto &s : sources_)
         s->restoreState(r);
+    sched_.recountIncomplete();
 
     carry_valid_ = true;
 }

@@ -146,6 +146,25 @@ cyclesFromEnv(const char *name)
     return static_cast<Cycles>(v);
 }
 
+namespace {
+
+/** "wake=<cycle|now|never>(<reason>)": when a core next ticks, and why. */
+void
+writeWake(std::ostream &os, const System &sys, const cpu::Core &core)
+{
+    const Cycles at = core.wakeAt();
+    os << "wake=";
+    if (at == kNever)
+        os << "never";
+    else if (at <= sys.now())
+        os << "now";
+    else
+        os << at;
+    os << "(" << cpu::wakeReasonName(core.wakeReason()) << ")";
+}
+
+} // namespace
+
 std::string
 progressLine(const System &sys)
 {
@@ -154,7 +173,9 @@ progressLine(const System &sys)
     for (std::uint32_t i = 0; i < sys.numNodes(); ++i) {
         const cpu::Core &core = sys.core(i);
         os << " cpu" << i << "(" << (core.current() ? "run" : "idle") << ","
-           << stallCatName(core.headCat()) << ") " << core.debugString();
+           << stallCatName(core.headCat()) << ") ";
+        writeWake(os, sys, core);
+        os << " " << core.debugString();
     }
     return os.str();
 }
@@ -177,6 +198,8 @@ machineStateDump(const System &sys)
         } else {
             os << "idle";
         }
+        os << "\n        ";
+        writeWake(os, sys, core);
         os << "\n        sched: ready=" << sched.readyCount(i)
            << " blocked=" << sched.blockedCount(i);
         const Cycles wake = sched.nextWake(i);

@@ -25,6 +25,7 @@ Scheduler::addProcess(ProcessContext *proc, CpuId cpu)
     proc->state = ProcState::Ready;
     queues_[cpu].ready.push_back(proc);
     queues_[cpu].all.push_back(proc);
+    ++incomplete_;
 }
 
 CpuId
@@ -81,26 +82,22 @@ Scheduler::block(ProcessContext *proc, Cycles wake_at)
 void
 Scheduler::finish(ProcessContext *proc)
 {
+    if (proc->state != ProcState::Done)
+        --incomplete_;
     proc->state = ProcState::Done;
 }
 
-bool
-Scheduler::anyIncomplete(CpuId cpu) const
+void
+Scheduler::recountIncomplete()
 {
-    const CpuQueue &q = queues_[cpu];
-    return std::any_of(q.all.begin(), q.all.end(),
-                       [](const ProcessContext *p) {
-                           return p->state != ProcState::Done;
-                       });
-}
-
-bool
-Scheduler::anyIncomplete() const
-{
-    for (CpuId c = 0; c < queues_.size(); ++c)
-        if (anyIncomplete(c))
-            return true;
-    return false;
+    incomplete_ = 0;
+    for (const CpuQueue &q : queues_) {
+        incomplete_ += static_cast<std::uint32_t>(
+            std::count_if(q.all.begin(), q.all.end(),
+                          [](const ProcessContext *p) {
+                              return p->state != ProcState::Done;
+                          }));
+    }
 }
 
 Cycles

@@ -55,11 +55,15 @@ class Scheduler
     /** Mark @p proc finished. */
     void finish(cpu::ProcessContext *proc);
 
-    /** Any process (Ready or Blocked) still incomplete on @p cpu? */
-    bool anyIncomplete(CpuId cpu) const;
+    /** Any incomplete process anywhere?  O(1): a maintained count. */
+    bool anyIncomplete() const { return incomplete_ != 0; }
 
-    /** Any incomplete process anywhere? */
-    bool anyIncomplete() const;
+    /**
+     * Recount the incomplete processes from their states.  Process
+     * states restore after the scheduler does, so the machine's restore
+     * calls this once they are in place.
+     */
+    void recountIncomplete();
 
     /**
      * Earliest wake time among blocked processes of @p cpu (kNever if
@@ -134,6 +138,7 @@ class Scheduler
     std::vector<CpuQueue> queues_;
     std::vector<CpuId> affinity_; ///< indexed by ProcId; kNoAffinity = unset
     std::uint64_t block_seq_ = 0; ///< tie-break for simultaneous wakes
+    std::uint32_t incomplete_ = 0; ///< registered processes not Done
 };
 
 } // namespace dbsim::sim

@@ -407,6 +407,11 @@ System::run(std::uint64_t max_instructions,
     carry_valid_ = false;
     const Cycles deadline = now_ + params_.max_cycles;
 
+    // Nothing is known about what happened to the cores since the last
+    // run() (or a restore): every one ticks at the first iteration.
+    for (auto &cs : cpus_)
+        cs.core->wake(cpu::WakeReason::Start);
+
     // Optional progress tracing: DBSIM_DEBUG=<cycle interval>.
     const Cycles dbg_every = cyclesFromEnv("DBSIM_DEBUG");
     Cycles dbg_next = dbg_every;
@@ -434,7 +439,10 @@ System::run(std::uint64_t max_instructions,
     const bool ckpt_on_unwind = !params_.checkpoint_path.empty();
     bool stopped_early = false;
 
-    while (sched_.anyIncomplete() && totalRetired() < max_instructions) {
+    // Retired-instruction total, refreshed once per iteration after the
+    // ticks (nothing else retires instructions).
+    std::uint64_t retired = totalRetired();
+    while (sched_.anyIncomplete() && retired < max_instructions) {
         // Early stop for bisection / restore tests: capture the state
         // at the top of this iteration, before any epoch hashing or
         // machine activity, so a restored run resumes at exactly the
@@ -501,7 +509,6 @@ System::run(std::uint64_t max_instructions,
                         " cycles); machine state dumped to stderr");
         }
         if (params_.watchdog_cycles) {
-            const std::uint64_t retired = totalRetired();
             if (retired != wd_last_retired_) {
                 wd_last_retired_ = retired;
                 wd_last_progress_ = now_;
@@ -534,9 +541,15 @@ System::run(std::uint64_t max_instructions,
             }
         }
 
-        // One cycle of execution on every core.
-        for (auto &cs : cpus_)
-            cs.core->tick(now_);
+        // One cycle of execution on every core that is due; the others
+        // would only account a stalled cycle (wake contract, DESIGN.md
+        // §5a).
+        for (auto &cs : cpus_) {
+            if (cs.core->due(now_))
+                cs.core->tick(now_);
+            else
+                cs.core->accountStall(now_, now_ + 1);
+        }
 
         // Scheduling actions requested during the tick.
         for (auto &cs : cpus_)
@@ -560,7 +573,8 @@ System::run(std::uint64_t max_instructions,
             }
         }
 
-        if (!warmed_ && totalRetired() >= warmup_instructions) {
+        retired = totalRetired();
+        if (!warmed_ && retired >= warmup_instructions) {
             resetStats();
             warmed_ = true;
         }
@@ -569,11 +583,14 @@ System::run(std::uint64_t max_instructions,
         Cycles next = kNever;
         for (std::uint32_t i = 0; i < cpus_.size(); ++i) {
             CpuState &cs = cpus_[i];
+            // Every core re-arms (a no-op unless it ticked); an idle one
+            // still drains its write buffer when its event comes.
+            const Cycles core_next = cs.core->arm(now_);
             Cycles e;
             if (!cs.core->current()) {
                 e = sched_.hasReady(i) ? now_ + 1 : sched_.nextWake(i);
             } else {
-                e = cs.core->nextEvent(now_);
+                e = core_next;
                 if (sched_.hasReady(i)) {
                     // A waiting process bounds the skip at the quantum.
                     e = std::min(e, cs.run_start + params_.sched_quantum);

@@ -291,6 +291,10 @@ runFuzzCase(const FuzzOptions &opts, std::uint32_t index)
     try {
         base = engine->execute(cfg);
         have_base = true;
+        const std::string render = renderArtifacts(base);
+        r.artifacts_digest = snap::fnv1a(
+            reinterpret_cast<const std::uint8_t *>(render.data()),
+            render.size());
         ++r.oracles_run; // the implicit crash oracle passed
     } catch (const std::exception &e) {
         r.failures.push_back(crashVerdict(e));
@@ -467,6 +471,15 @@ renderFuzzReport(const FuzzOptions &opts, const FuzzReport &rep)
         w.kv("first_index", b.first_index);
         w.kv("detail", b.detail);
         w.kv("repro", b.repro_path);
+        w.endObject();
+    }
+    w.endArray();
+    w.key("cases").beginArray();
+    for (const FuzzCaseResult &c : rep.cases) {
+        w.beginObject();
+        w.kv("index", c.index);
+        w.kv("config_signature", "0x" + hex16(c.config_signature));
+        w.kv("artifacts_digest", "0x" + hex16(c.artifacts_digest));
         w.endObject();
     }
     w.endArray();

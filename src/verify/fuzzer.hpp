@@ -84,6 +84,9 @@ struct FuzzCaseResult
     std::uint32_t index = 0;
     std::uint64_t case_seed = 0;
     std::uint64_t config_signature = 0;
+    /** FNV-1a 64 of renderArtifacts() of the base run (0 if it died):
+     *  two builds ran a case identically iff their digests agree. */
+    std::uint64_t artifacts_digest = 0;
     std::uint32_t oracles_run = 0;
     std::vector<OracleVerdict> failures; ///< empty = case passed
 
@@ -135,7 +138,8 @@ FuzzReport runFuzz(const FuzzOptions &opts, std::ostream *log = nullptr);
 
 /**
  * Canonical JSON render (schema dbsim-fuzz-v1) of a campaign: options
- * echo, pass/fail counts, triage buckets, and per-failure detail.
+ * echo, pass/fail counts, triage buckets, every case's config signature
+ * and artifacts digest, and per-failure detail.
  * Contains no wall-clock, job-count, or host-dependent fields.
  */
 std::string renderFuzzReport(const FuzzOptions &opts, const FuzzReport &rep);

@@ -197,6 +197,50 @@ TEST(Checkpoint, RestoredRunMatchesUninterrupted)
     }
 }
 
+/**
+ * The cores' wake state (DESIGN.md §5a) is not checkpointed: a restored
+ * core is simply due.  Stop a 4-node OLTP run at an iteration where the
+ * run loop would skip some core; the restored run ticks that core
+ * instead, and must still finish exactly as the uninterrupted run does.
+ */
+TEST(Checkpoint, RestoreWhileACoreIsSkippedMatchesUninterrupted)
+{
+    const SimConfig base = smallConfig(WorkloadKind::Oltp, 4);
+    Simulation ref(base);
+    FullRun a;
+    a.result = ref.run();
+    a.dump = sim::machineStateDump(ref.system());
+    a.state_hash = ref.system().stateHash();
+    const Cycles final_cycle = ref.system().now();
+
+    const std::string ckpt = tmpPath("dbsim_ckpt_skipped_core.ckpt");
+    bool skipped = false;
+    for (Cycles stop = final_cycle / 2; stop < final_cycle && !skipped;
+         stop += 101) {
+        std::remove(ckpt.c_str());
+        SimConfig stop_cfg = base;
+        stop_cfg.system.stop_at_cycle = stop;
+        stop_cfg.system.checkpoint_path = ckpt;
+        Simulation stopped(stop_cfg);
+        stopped.run();
+        const sim::System &sys = stopped.system();
+        for (std::uint32_t i = 0; i < sys.numNodes(); ++i)
+            skipped |= !sys.core(i).due(sys.now());
+    }
+    ASSERT_TRUE(skipped) << "no stop cycle found with a core not due";
+
+    Simulation resumed(base);
+    ASSERT_TRUE(resumed.restoreFromCheckpoint(ckpt));
+    for (std::uint32_t i = 0; i < resumed.system().numNodes(); ++i)
+        EXPECT_TRUE(resumed.system().core(i).due(resumed.system().now()));
+    FullRun b;
+    b.result = resumed.run();
+    b.dump = sim::machineStateDump(resumed.system());
+    b.state_hash = resumed.system().stateHash();
+    expectSameOutcome(a, b);
+    std::remove(ckpt.c_str());
+}
+
 /** Periodic checkpointing must be observation-only: the run's results
  *  are bit-identical with and without it, at any interval, and the
  *  leftover checkpoint restores to the same final state. */

@@ -330,6 +330,10 @@ TEST(FuzzCampaign, ReportIsByteIdenticalAcrossJobCounts)
     const std::string render8 = renderFuzzReport(opts, wide);
     EXPECT_TRUE(serial.ok()) << render1;
     EXPECT_EQ(render1, render8);
+    // Every case carries the digest two builds' corpora are diffed by.
+    for (const FuzzCaseResult &c : serial.cases)
+        EXPECT_NE(c.artifacts_digest, 0u);
+    EXPECT_NE(render1.find("\"artifacts_digest\""), std::string::npos);
 }
 
 TEST(FuzzCampaign, SeededFaultShrinksAndReplaysIdentically)

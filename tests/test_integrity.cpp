@@ -597,6 +597,9 @@ TEST(Diagnostics, MachineStateDumpCoversEveryCpuAndTheDirectory)
     EXPECT_NE(dump.find("directory:"), std::string::npos) << dump;
     EXPECT_NE(dump.find("sched:"), std::string::npos) << dump;
     EXPECT_NE(dump.find("locks:"), std::string::npos) << dump;
+    // Each CPU's wake cycle and the reason it is due (DESIGN.md §5a).
+    EXPECT_NE(dump.find("wake="), std::string::npos) << dump;
+    EXPECT_NE(sim::progressLine(sys).find("wake="), std::string::npos);
 }
 
 // The machine-state dump renders unordered containers (the lock table,

@@ -87,7 +87,7 @@ TEST_F(SchedFixture, FinishRemovesFromScheduling)
     auto *p = sched.pickNext(0, 0);
     sched.finish(p);
     EXPECT_EQ(p->state, ProcState::Done);
-    EXPECT_FALSE(sched.anyIncomplete(0));
+    EXPECT_FALSE(sched.anyIncomplete());
     EXPECT_EQ(sched.pickNext(0, 100), nullptr);
 }
 
@@ -97,10 +97,26 @@ TEST_F(SchedFixture, AnyIncompleteAcrossCpus)
     sched.addProcess(procs[1].get(), 1);
     EXPECT_TRUE(sched.anyIncomplete());
     sched.finish(procs[0].get());
-    EXPECT_FALSE(sched.anyIncomplete(0));
+    EXPECT_TRUE(sched.anyIncomplete());
+    sched.finish(procs[0].get()); // finishing twice counts once
     EXPECT_TRUE(sched.anyIncomplete());
     sched.finish(procs[1].get());
     EXPECT_FALSE(sched.anyIncomplete());
+}
+
+TEST_F(SchedFixture, RecountIncompleteFollowsRestoredStates)
+{
+    // A restore writes process states behind the scheduler's back.
+    sched.addProcess(procs[0].get(), 0);
+    sched.addProcess(procs[1].get(), 1);
+    procs[0]->state = ProcState::Done;
+    procs[1]->state = ProcState::Done;
+    EXPECT_TRUE(sched.anyIncomplete());
+    sched.recountIncomplete();
+    EXPECT_FALSE(sched.anyIncomplete());
+    procs[1]->state = ProcState::Blocked;
+    sched.recountIncomplete();
+    EXPECT_TRUE(sched.anyIncomplete());
 }
 
 TEST_F(SchedFixture, NextWakeNeverWhenNoneBlocked)
