@@ -8,9 +8,7 @@
  * adaptive migratory protocol (paper footnote 2) under RC and SC.
  *
  * Usage: ablation_migratory [--jobs N] [--json PATH]
- *        plus the shared fault-tolerance flags (bench_util.hpp):
- *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <iostream>

@@ -11,9 +11,7 @@
  * doubles the coherence granularity -- noted in EXPERIMENTS.md).
  *
  * Usage: ablation_streambuffer [--jobs N] [--json PATH]
- *        plus the shared fault-tolerance flags (bench_util.hpp):
- *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <cstdio>

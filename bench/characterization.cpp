@@ -14,9 +14,7 @@
  *
  * Usage: characterization [--sharing] [--oltp] [--dss]
  *                         [--jobs N] [--json PATH]
- *        plus the shared fault-tolerance flags (bench_util.hpp):
- *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <iostream>
@@ -37,10 +35,9 @@ characterizeOne(bench::BenchContext &ctx, core::WorkloadKind kind,
     const auto results =
         ctx.sweep(wname, {{wname, core::makeScaledConfig(kind)}});
     if (results.empty()) {
-        // Replayed from a resume journal (or failed under collect):
-        // the JSON report still carries the numbers.
+        // Failed under collect: the JSON report records the error.
         std::cout << "(" << wname
-                  << ": no freshly-run results to print)\n";
+                  << ": no results to print)\n";
         return;
     }
     const core::SweepResult &res = results.front();

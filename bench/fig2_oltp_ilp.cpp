@@ -12,9 +12,7 @@
  *  (d)-(g) little read-miss overlap; occupancy driven by writes.
  *
  * Usage: fig2_oltp_ilp [--occupancy] [--jobs N] [--json PATH]
- *        plus the shared fault-tolerance flags (bench_util.hpp):
- *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include "ilp_figure.hpp"

@@ -11,9 +11,7 @@
  *  (--funits) 16 ALUs + 16 AGUs give ~12% further improvement.
  *
  * Usage: fig3_dss_ilp [--occupancy] [--funits] [--jobs N] [--json PATH]
- *        plus the shared fault-tolerance flags (bench_util.hpp):
- *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <iostream>

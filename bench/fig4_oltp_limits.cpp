@@ -9,9 +9,7 @@
  * window leaves dirty-miss latency as the dominant component.
  *
  * Usage: fig4_oltp_limits [--jobs N] [--json PATH]
- *        plus the shared fault-tolerance flags (bench_util.hpp):
- *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <iostream>

@@ -9,9 +9,7 @@
  * Bars are composition (percent of each system's own execution time).
  *
  * Usage: fig5_uni_vs_mp [--jobs N] [--json PATH]
- *        plus the shared fault-tolerance flags (bench_util.hpp):
- *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <iostream>

@@ -12,9 +12,7 @@
  * stall split into read and write components.
  *
  * Usage: fig6_consistency [--jobs N] [--json PATH]
- *        plus the shared fault-tolerance flags (bench_util.hpp):
- *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <cstdio>

@@ -17,9 +17,7 @@
  *     migratory read latency 40%); flush+prefetch ~12% cumulative.
  *
  * Usage: fig7_oltp_bottlenecks [--uni] [--jobs N] [--json PATH]
- *        plus the shared fault-tolerance flags (bench_util.hpp):
- *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
+ *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <cstdio>

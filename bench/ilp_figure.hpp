@@ -96,8 +96,8 @@ runIlpFigure(BenchContext &ctx, core::WorkloadKind kind,
         const auto results = ctx.sweep(
             "occupancy", {{"base", core::makeScaledConfig(kind)}});
         if (results.empty()) {
-            // Replayed from a resume journal (or failed under collect).
-            std::cout << "(occupancy: no freshly-run results to print)\n";
+            // Failed under collect: the JSON report records the error.
+            std::cout << "(occupancy: no results to print)\n";
             return;
         }
         const core::SweepResult &out = results.front();

@@ -8,12 +8,7 @@
  * second for each configuration.
  *
  * Usage: perf_smoke [--jobs N] [--json PATH]
- *        plus the shared fault-tolerance flags (bench_util.hpp):
- *        [--journal PATH|none] [--resume JOURNAL] [--on-failure abort|collect]
- *        [--max-retries N] [--item-timeout-sec S]
- *        and the checkpoint/epoch-hash flags (DESIGN.md §5g):
- *        [--checkpoint-dir DIR] [--checkpoint-interval CYCLES]
- *        [--state-hash-interval CYCLES] [--restore]
+ *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <cstdio>

@@ -8,15 +8,10 @@
  * SimInvariantError  -- an internal simulator invariant was violated
  *                       (coherence audit failure, forward-progress
  *                       watchdog, DBSIM_PANIC in throwing mode).
- * SimTimeoutError    -- a host-side per-item deadline expired while the
- *                       simulation was still running (sweep fault
- *                       isolation); carries the machine-state dump taken
- *                       at the point the deadline was noticed.
- * SimInterruptedError-- the process received SIGINT/SIGTERM while a
- *                       simulation was running and the run loop unwound
- *                       cooperatively (after writing a checkpoint when
- *                       one is configured); carries the machine-state
- *                       dump like SimTimeoutError.
+ * SimTimeoutError    -- a host-side deadline (sim::HostDeadlineScope)
+ *                       expired while the simulation was still running;
+ *                       carries the machine-state dump taken at the
+ *                       point the deadline was noticed.
  */
 
 #ifndef DBSIM_COMMON_ERRORS_HPP
@@ -63,10 +58,9 @@ class SimInvariantError : public std::runtime_error
 };
 
 /**
- * A host-side deadline (sweep --item-timeout-sec / DBSIM_ITEM_TIMEOUT)
- * expired while a simulation was still running.  Thrown from the
- * System::run loop, so every destructor on the way out runs normally
- * and the machine can be rebuilt for a retry.  The dump() is the
+ * A host-side deadline (sim::HostDeadlineScope) expired while a
+ * simulation was still running.  Thrown from the System::run loop, so
+ * every destructor on the way out runs normally.  The dump() is the
  * machineStateDump() taken when the deadline was noticed, kept separate
  * from what() so reporting layers can bound its size independently.
  */
@@ -79,27 +73,6 @@ class SimTimeoutError : public std::runtime_error
     }
 
     /** Machine state at deadline expiry (may be empty). */
-    const std::string &dump() const { return dump_; }
-
-  private:
-    std::string dump_;
-};
-
-/**
- * A termination signal (SIGINT / SIGTERM) was noticed by the run loop's
- * cooperative poll (sim/diagnostics.hpp).  Thrown from System::run
- * *after* any configured checkpoint has been written, so destructors run
- * normally and the caller can report the checkpoint path before exiting.
- */
-class SimInterruptedError : public std::runtime_error
-{
-  public:
-    SimInterruptedError(const std::string &msg, std::string dump)
-        : std::runtime_error(msg), dump_(std::move(dump))
-    {
-    }
-
-    /** Machine state at the point the signal was noticed (may be empty). */
     const std::string &dump() const { return dump_; }
 
   private:

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@ namespace {
 struct DumpEntry
 {
     int handle;
+    std::thread::id owner; ///< the registering thread
     std::string name;
     std::function<std::string()> fn;
 };
@@ -25,10 +27,12 @@ struct DumpEntry
  * The crash-dump registry as a class with a machine-checked sharing
  * contract (DESIGN.md §5j).  The sweep runner constructs and destroys
  * Systems from worker threads, and each System registers a crash dump
- * around its lifetime, so every entry-list touch holds mu_.  Dump
- * callbacks themselves are invoked under the lock: they only run on the
- * (rare) panic path, and holding the lock keeps a concurrently
- * destructing System from invalidating the entry being executed.
+ * around its lifetime, so every entry-list touch holds mu_.  A panic
+ * runs only the dumps its own thread registered: another thread's
+ * machine is live (reading it would race with its run loop) and belongs
+ * to a different sweep item.  Dump callbacks are invoked under the
+ * lock: they only run on the (rare) panic path, and holding the lock
+ * keeps a concurrently destructing System from invalidating an entry.
  */
 class CrashDumpRegistry
 {
@@ -45,7 +49,8 @@ class CrashDumpRegistry
     {
         std::lock_guard<std::mutex> lock(mu_);
         const int h = next_handle_++;
-        entries_.push_back({h, std::move(name), std::move(fn)});
+        entries_.push_back(
+            {h, std::this_thread::get_id(), std::move(name), std::move(fn)});
         return h;
     }
 
@@ -61,7 +66,7 @@ class CrashDumpRegistry
         }
     }
 
-    /** Run every registered dump; returns the concatenated text. */
+    /** Run the calling thread's dumps; returns the concatenated text. */
     std::string
     runAll()
     {
@@ -76,6 +81,8 @@ class CrashDumpRegistry
         {
             std::lock_guard<std::mutex> lock(mu_);
             for (const auto &d : entries_) {
+                if (d.owner != std::this_thread::get_id())
+                    continue;
                 all += "=== crash dump: " + d.name + " ===\n";
                 try {
                     all += d.fn();
@@ -83,8 +90,9 @@ class CrashDumpRegistry
                     all += std::string("(dump callback failed: ") +
                            e.what() + ")";
                 } catch (...) {
-                    // lint: allowed-swallow -- a throwing dump callback
-                    // must never escape the panic path itself.
+                    // dbsim-analyze: allow(convention-catch-swallow) -- a
+                    // throwing dump callback must never escape the panic
+                    // path itself.
                     all += "(dump callback failed)";
                 }
                 if (!all.empty() && all.back() != '\n')

@@ -37,7 +37,8 @@ void setPanicBehavior(PanicBehavior b);
 PanicBehavior panicBehavior();
 
 /**
- * Register a callback producing a diagnostic dump to emit on panic.
+ * Register a callback producing a diagnostic dump to emit on panic.  A
+ * panic runs only the callbacks registered by the panicking thread.
  * @param name  heading printed above the dump text
  * @param fn    returns the dump; exceptions it throws are swallowed
  * @return a handle for unregisterCrashDump()

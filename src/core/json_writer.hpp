@@ -70,9 +70,9 @@ class JsonWriter
      * Emit @p json verbatim in value position (comma/indent bookkeeping
      * still applies).  The caller vouches that @p json is one complete,
      * well-formed JSON value; the writer only rejects an empty string.
-     * This is how the sweep reporter splices journaled result lines --
-     * rendered by this same writer in an earlier process -- into a
-     * resumed report without a JSON parser.
+     * This is how the sweep report embeds each compact, single-line
+     * result entry (rendered by a second writer) in its indented
+     * document.
      */
     JsonWriter &rawValue(std::string_view json);
 

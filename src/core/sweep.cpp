@@ -6,45 +6,24 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "common/errors.hpp"
 #include "common/log.hpp"
 #include "core/json_writer.hpp"
 #include "common/breakdown.hpp"
-#include "sim/diagnostics.hpp"
 
 namespace dbsim::core {
 
 namespace {
 
-/** splitmix64 step: full-avalanche 64-bit mix for derived seeds. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 /** Ceiling on the diagnostic dump text carried by a SweepFailure. */
 constexpr std::size_t kMaxDumpExcerpt = 4000;
-
-/** Periodic checkpoint cadence used when a checkpoint directory is
- *  configured without an explicit --checkpoint-interval. */
-constexpr Cycles kDefaultCheckpointInterval = 500'000;
-
-bool
-fileExists(const std::string &path)
-{
-    return std::ifstream(path, std::ios::binary).good();
-}
 
 std::string
 truncated(std::string s)
@@ -76,29 +55,16 @@ failureKindName(FailureKind kind)
         return "config";
       case FailureKind::Invariant:
         return "invariant";
-      case FailureKind::Timeout:
-        return "timeout";
       case FailureKind::Exception:
         return "exception";
-      case FailureKind::Interrupted:
-        return "interrupted";
     }
     return "unknown";
 }
 
-// dbsim-analyze: cold(sweep-journal bookkeeping, once per sweep point)
 std::string
 FailurePolicy::describe() const
 {
-    switch (mode) {
-      case Mode::Abort:
-        return "abort";
-      case Mode::Collect:
-        return "collect";
-      case Mode::Retry:
-        return "retry:" + std::to_string(max_attempts);
-    }
-    return "unknown";
+    return mode == Mode::Collect ? "collect" : "abort";
 }
 
 std::size_t
@@ -150,101 +116,19 @@ SweepRunner::resolveJobs(unsigned cli_jobs)
     return resolved;
 }
 
-double
-SweepRunner::resolveItemTimeout(double cli_seconds)
-{
-    if (cli_seconds > 0.0)
-        return cli_seconds;
-    const char *env = std::getenv("DBSIM_ITEM_TIMEOUT");
-    if (!env || !*env)
-        return 0.0;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE ||
-        std::strchr(env, '-') != nullptr) {
-        DBSIM_WARN("DBSIM_ITEM_TIMEOUT=\"", env,
-                   "\" is not a valid timeout (expected a nonnegative "
-                   "number of seconds); ignoring it");
-        return 0.0;
-    }
-    return static_cast<double>(v);
-}
-
 SweepRunner::SweepRunner(unsigned jobs) : jobs_(resolveJobs(jobs)) {}
 
-void
-SweepRunner::setCheckpointDir(std::string dir)
-{
-    checkpoint_dir_ = std::move(dir);
-    if (!checkpoint_dir_.empty()) {
-        // Create the directory eagerly so the first mid-run periodic
-        // checkpoint never turns a healthy item into a failure.
-        std::error_code ec;
-        std::filesystem::create_directories(checkpoint_dir_, ec);
-        if (ec) {
-            DBSIM_WARN("cannot create checkpoint dir ", checkpoint_dir_,
-                       ": ", ec.message());
-        }
-    }
-}
-
-std::string
-SweepRunner::checkpointPathFor(std::size_t index) const
-{
-    if (checkpoint_dir_.empty())
-        return {};
-    return checkpoint_dir_ + "/item-" + std::to_string(index) + ".ckpt";
-}
+namespace {
 
 SweepResult
-SweepRunner::runOne(const SweepItem &item, std::size_t index,
-                    unsigned attempt) const
+runOne(const SweepItem &item)
 {
-    // The deadline covers everything below, including injected delays,
-    // so a Delay fault plus a short timeout exercises the real
-    // mid-simulation abandonment path.
-    sim::HostDeadlineScope deadline(item_timeout_sec_);
-
-    if (fault_plan_) {
-        if (const FaultSpec *f = fault_plan_->match(index, attempt)) {
-            switch (f->kind) {
-              case FaultSpec::Kind::Throw:
-                throw std::runtime_error(f->message);
-              case FaultSpec::Kind::Panic:
-                DBSIM_PANIC("injected fault: ", f->message);
-                break;
-              case FaultSpec::Kind::Delay:
-                // dbsim-analyze: allow(determinism-wallclock) -- a
-                // test-only injected host delay (exercises timeouts).
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double>(f->delay_seconds));
-                break;
-            }
-        }
-    }
-
     SweepResult out;
     out.label = item.label;
     out.cfg = item.cfg;
-    if (base_seed_ != 0) {
-        const std::uint64_t seed = mix64(base_seed_ ^ index);
-        out.cfg.oltp.seed = seed;
-        out.cfg.dss.seed = seed;
-    }
     out.config = describe(out.cfg);
     if (out.label.empty())
         out.label = out.config;
-
-    if (state_hash_interval_)
-        out.cfg.system.state_hash_interval = state_hash_interval_;
-    const std::string ckpt_path = checkpointPathFor(index);
-    if (!ckpt_path.empty()) {
-        out.cfg.system.checkpoint_path = ckpt_path;
-        out.cfg.system.checkpoint_interval =
-            checkpoint_interval_ ? checkpoint_interval_
-                                 : kDefaultCheckpointInterval;
-    }
 
     // Annotated host-timing code: wall_seconds / sim_ips report *host*
     // throughput and are excluded from determinism comparisons
@@ -252,18 +136,6 @@ SweepRunner::runOne(const SweepItem &item, std::size_t index,
     // dbsim-analyze: allow(determinism-wallclock)
     const auto t0 = std::chrono::steady_clock::now();
     Simulation simulation(out.cfg);
-    // Continue from the item's checkpoint when resuming (--restore) or
-    // retrying after a mid-flight failure; a fresh deadline plus the
-    // already-simulated prefix is what makes timeout retries able to
-    // finish instead of deterministically timing out again.
-    if ((restore_ || attempt > 1) && !ckpt_path.empty() &&
-        fileExists(ckpt_path)) {
-        if (simulation.restoreFromCheckpoint(ckpt_path)) {
-            DBSIM_WARN("sweep item ", index, " (\"", out.label,
-                       "\") restored from checkpoint ", ckpt_path,
-                       " at cycle ", simulation.system().now());
-        }
-    }
     out.run = simulation.run();
     // dbsim-analyze: allow(determinism-wallclock)
     const auto t1 = std::chrono::steady_clock::now();
@@ -302,123 +174,56 @@ SweepRunner::runOne(const SweepItem &item, std::size_t index,
     return out;
 }
 
+/** Run item @p index, capturing any exception as a structured failure. */
 SweepItemOutcome
-SweepRunner::runIsolated(const SweepItem &item, std::size_t index) const
+runIsolated(const SweepItem &item, std::size_t index)
 {
-    const unsigned max_attempts =
-        policy_.mode == FailurePolicy::Mode::Retry
-            ? std::max(1u, policy_.max_attempts)
-            : 1u;
-
     SweepItemOutcome out;
     out.index = index;
 
-    for (unsigned attempt = 1;; ++attempt) {
-        FailureKind kind = FailureKind::Exception;
-        std::string what;
-        std::string excerpt;
-        try {
-            out.result = runOne(item, index, attempt);
-            out.status = SweepItemOutcome::Status::Ok;
-            out.attempts = attempt;
-            return out;
-        } catch (const ConfigError &e) {
-            kind = FailureKind::Config;
-            what = e.what();
-            out.error = std::current_exception();
-        } catch (const SimTimeoutError &e) {
-            kind = FailureKind::Timeout;
-            what = e.what();
-            excerpt = truncated(e.dump());
-            out.error = std::current_exception();
-        } catch (const SimInterruptedError &e) {
-            // The operator asked the process to stop; retrying would
-            // fight the shutdown.  The checkpoint (written before the
-            // unwind) is recorded below for --resume --restore.
-            kind = FailureKind::Interrupted;
-            what = e.what();
-            excerpt = truncated(e.dump());
-            out.error = std::current_exception();
-        } catch (const SimInvariantError &e) {
-            // The panic path appends the crash-dump registry's text
-            // after the first line of the message; split it back apart.
-            kind = FailureKind::Invariant;
-            auto [head, rest] = splitFirstLine(e.what());
-            what = std::move(head);
-            excerpt = truncated(std::move(rest));
-            out.error = std::current_exception();
-        } catch (const std::exception &e) {
-            kind = FailureKind::Exception;
-            what = e.what();
-            out.error = std::current_exception();
-        } catch (...) {
-            kind = FailureKind::Exception;
-            what = "unknown exception";
-            out.error = std::current_exception();
-        }
-
-        // Configuration rejections are deterministic in the item, so
-        // retrying them can only reproduce the same refusal; an
-        // interrupt is the operator telling us to stop.  A timeout is
-        // only worth retrying when the item has a checkpoint to restore
-        // from -- an identical from-scratch re-run of a deterministic
-        // simulation would hit the same wall and burn max_attempts
-        // deadlines' worth of host time lying about its chances, so
-        // without checkpoints the timeout is recorded honestly with the
-        // attempts it actually consumed.
-        bool retryable = kind != FailureKind::Config &&
-                         kind != FailureKind::Interrupted;
-        if (kind == FailureKind::Timeout && checkpoint_dir_.empty()) {
-            retryable = false;
-            if (max_attempts > 1 && attempt < max_attempts) {
-                DBSIM_WARN("sweep item ", index, " (\"", item.label,
-                           "\") timed out and no --checkpoint-dir is "
-                           "configured; not retrying (a from-scratch "
-                           "re-run would time out identically)");
-            }
-        }
-        if (retryable && attempt < max_attempts) {
-            DBSIM_WARN("sweep item ", index, " (\"", item.label,
-                       "\") failed attempt ", attempt, "/", max_attempts,
-                       " [", failureKindName(kind), "]: ", what,
-                       "; retrying with identical seeds");
-            continue;
-        }
-
-        out.status = SweepItemOutcome::Status::Failed;
-        out.attempts = attempt;
-        out.failure.label =
-            item.label.empty() ? describe(item.cfg) : item.label;
-        out.failure.index = index;
-        out.failure.kind = kind;
-        out.failure.what = std::move(what);
-        out.failure.crash_dump_excerpt = std::move(excerpt);
-        out.failure.attempts = attempt;
-        if (const std::string p = checkpointPathFor(index);
-            !p.empty() && fileExists(p)) {
-            out.failure.checkpoint_path = p;
-        }
+    FailureKind kind = FailureKind::Exception;
+    std::string what;
+    std::string excerpt;
+    try {
+        out.result = runOne(item);
         return out;
+    } catch (const ConfigError &e) {
+        kind = FailureKind::Config;
+        what = e.what();
+        out.error = std::current_exception();
+    } catch (const SimInvariantError &e) {
+        // The panic path appends the crash-dump registry's text after
+        // the first line of the message; split it back apart.
+        kind = FailureKind::Invariant;
+        auto [head, rest] = splitFirstLine(e.what());
+        what = std::move(head);
+        excerpt = truncated(std::move(rest));
+        out.error = std::current_exception();
+    } catch (const std::exception &e) {
+        what = e.what();
+        out.error = std::current_exception();
+    } catch (...) {
+        what = "unknown exception";
+        out.error = std::current_exception();
     }
+    out.status = SweepItemOutcome::Status::Failed;
+    out.failure.label = item.label.empty() ? describe(item.cfg) : item.label;
+    out.failure.index = index;
+    out.failure.kind = kind;
+    out.failure.what = std::move(what);
+    out.failure.crash_dump_excerpt = std::move(excerpt);
+    return out;
 }
-
-namespace {
 
 /**
  * Collects per-item outcomes from the worker pool with a machine-checked
- * sharing contract (DESIGN.md §5j): every slot write and the completion
- * callback run under mu_, so outcomes land in input order and journaling
- * callbacks fire serialized, whatever order the workers finish in.
+ * sharing contract (DESIGN.md §5j): every slot write runs under mu_, so
+ * outcomes land in input order whatever order the workers finish in.
  */
 class SweepCollector
 {
   public:
-    SweepCollector(std::size_t n,
-                   const std::function<void(const SweepItemOutcome &)> &cb)
-        : cb_(cb)
-    {
-        items_.resize(n);
-    }
+    explicit SweepCollector(std::size_t n) { items_.resize(n); }
 
     /** Deliver the outcome of input item @p i from a worker thread. */
     void
@@ -426,9 +231,6 @@ class SweepCollector
     {
         std::lock_guard<std::mutex> lock(mu_);
         items_[i] = std::move(outcome);
-        ++delivered_;
-        if (cb_)
-            cb_(items_[i]);
     }
 
     /** Take the collected outcomes (after the pool has joined). */
@@ -439,17 +241,13 @@ class SweepCollector
         SweepOutcome out;
         out.items = std::move(items_);
         items_.clear();
-        delivered_ = 0;
         return out;
     }
 
   private:
     std::mutex mu_;
-    const std::function<void(const SweepItemOutcome &)> &cb_;
     // dbsim-analyze: guarded_by(mu_)
     std::vector<SweepItemOutcome> items_;
-    // dbsim-analyze: guarded_by(mu_)
-    std::size_t delivered_ = 0;
 };
 
 } // namespace
@@ -457,33 +255,18 @@ class SweepCollector
 SweepOutcome
 SweepRunner::runChecked(const std::vector<SweepItem> &items) const
 {
-    std::vector<std::size_t> identity(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i)
-        identity[i] = i;
-    return runChecked(items, identity);
-}
-
-SweepOutcome
-SweepRunner::runChecked(
-    const std::vector<SweepItem> &items,
-    const std::vector<std::size_t> &original_indices) const
-{
-    DBSIM_ASSERT(original_indices.size() == items.size(),
-                 "runChecked: ", items.size(), " items but ",
-                 original_indices.size(), " original indices");
-
-    // Under an isolating policy a DBSIM_PANIC anywhere in an item must
+    // Under the collect policy a DBSIM_PANIC anywhere in an item must
     // surface as a catchable SimInvariantError, not a process abort.
     // The guard is process-global; workers inherit it for the duration
-    // of the sweep.  Abort mode keeps today's semantics (a panic takes
-    // the process down unless a test installed its own guard).
+    // of the sweep.  Abort mode keeps the default semantics (a panic
+    // takes the process down unless a test installed its own guard).
     std::optional<PanicThrowGuard> guard;
     if (policy_.isolating())
         guard.emplace();
 
-    SweepCollector collector(items.size(), on_complete_);
+    SweepCollector collector(items.size());
     auto work = [&](std::size_t i) {
-        collector.deliver(i, runIsolated(items[i], original_indices[i]));
+        collector.deliver(i, runIsolated(items[i], i));
     };
 
     const unsigned workers = static_cast<unsigned>(
@@ -513,8 +296,8 @@ SweepRunner::runChecked(
 std::vector<SweepResult>
 SweepRunner::run(const std::vector<SweepItem> &items) const
 {
-    // Legacy entry point: always abort semantics, whatever policy the
-    // runner carries -- callers that want isolation use runChecked().
+    // Always abort semantics, whatever policy the runner carries --
+    // callers that want isolation use runChecked().
     SweepRunner aborting(*this);
     aborting.policy_ = FailurePolicy::abort();
     const SweepOutcome out = aborting.runChecked(items);
@@ -544,9 +327,7 @@ SweepReport::add(const std::string &section,
     for (const auto &r : results) {
         Entry e;
         e.section = section;
-        e.outcome.status = SweepItemOutcome::Status::Ok;
         e.outcome.index = entries.size();
-        e.outcome.attempts = 1;
         e.outcome.result = r;
         entries.push_back(std::move(e));
     }
@@ -563,22 +344,12 @@ SweepReport::add(const std::string &section, const SweepOutcome &outcome)
     }
 }
 
-void
-SweepReport::addReplayed(const std::string &section, std::string raw_line)
-{
-    Entry e;
-    e.section = section;
-    e.replayed = true;
-    e.raw = std::move(raw_line);
-    entries.push_back(std::move(e));
-}
-
 std::size_t
 SweepReport::failures() const
 {
     std::size_t n = 0;
     for (const auto &e : entries)
-        n += (!e.replayed && !e.outcome.ok()) ? 1 : 0;
+        n += e.outcome.ok() ? 0 : 1;
     return n;
 }
 
@@ -650,29 +421,11 @@ writeResultBody(JsonWriter &w, const SweepResult &r)
     w.key("l2_read");
     writeOccupancySeries(w, r.l2_read_occ, 8);
     w.endObject();
-
-    // Epoch state-hash series: [cycle, hash] pairs.  Hashes are 64-bit
-    // and JSON numbers are not, so they render as hex strings.  Always
-    // present (empty when state hashing is disabled), so the report
-    // schema is stable and compare_reports.py sees the field on both
-    // sides.
-    w.key("epoch_hashes").beginArray();
-    for (const sim::EpochHash &eh : r.run.epoch_hashes) {
-        std::ostringstream hex;
-        hex << "0x" << std::hex << eh.hash;
-        w.beginArray();
-        w.value(static_cast<std::uint64_t>(eh.epoch));
-        w.value(hex.str());
-        w.endArray();
-    }
-    w.endArray();
 }
 
-} // namespace
-
+/** One report entry as a compact, single-line JSON object. */
 std::string
-renderSweepEntryJson(const std::string &section,
-                     const SweepItemOutcome &outcome)
+entryJson(const std::string &section, const SweepItemOutcome &outcome)
 {
     std::ostringstream os;
     JsonWriter w(os, /*indent=*/0);
@@ -682,7 +435,6 @@ renderSweepEntryJson(const std::string &section,
                                : outcome.failure.label);
     w.kv("index", static_cast<std::uint64_t>(outcome.index));
     w.kv("status", outcome.ok() ? "ok" : "failed");
-    w.kv("attempts", static_cast<std::uint64_t>(outcome.attempts));
     if (outcome.ok()) {
         writeResultBody(w, outcome.result);
     } else {
@@ -690,31 +442,28 @@ renderSweepEntryJson(const std::string &section,
         w.kv("kind", failureKindName(outcome.failure.kind));
         w.kv("what", outcome.failure.what);
         w.kv("crash_dump_excerpt", outcome.failure.crash_dump_excerpt);
-        w.kv("checkpoint", outcome.failure.checkpoint_path);
         w.endObject();
     }
     w.endObject();
     return os.str();
 }
 
+} // namespace
+
 void
 writeSweepJson(std::ostream &os, const SweepReport &report)
 {
     JsonWriter w(os);
     w.beginObject();
-    w.kv("schema", "dbsim-bench-v2");
+    w.kv("schema", "dbsim-bench-v3");
     w.kv("bench", report.bench);
     w.kv("jobs", static_cast<std::uint64_t>(report.jobs));
     w.kv("failure_policy", report.failure_policy);
-    w.kv("item_timeout_sec", report.item_timeout_sec);
     w.kv("items", static_cast<std::uint64_t>(report.entries.size()));
     w.kv("failures", static_cast<std::uint64_t>(report.failures()));
     w.key("results").beginArray();
-    for (const auto &e : report.entries) {
-        w.rawValue(e.replayed
-                       ? e.raw
-                       : renderSweepEntryJson(e.section, e.outcome));
-    }
+    for (const auto &e : report.entries)
+        w.rawValue(entryJson(e.section, e.outcome));
     w.endArray();
     w.endObject();
     os << '\n';
@@ -735,250 +484,6 @@ writeSweepJsonFile(const std::string &path, const SweepReport &report)
         return false;
     }
     return true;
-}
-
-// ---------------------------------------------------------------------
-// Journal + resume
-// ---------------------------------------------------------------------
-
-namespace {
-
-/**
- * Extract the string value of top-level @p key from a compact JSON
- * object line produced by renderSweepEntryJson().  Escape-aware reverse
- * of jsonEscape for the common sequences; returns false when the key is
- * absent or the value is malformed (e.g. a torn line).
- */
-bool
-extractJsonString(const std::string &line, const std::string &key,
-                  std::string &out)
-{
-    const std::string needle = "\"" + key + "\":\"";
-    const std::size_t start = line.find(needle);
-    if (start == std::string::npos)
-        return false;
-    out.clear();
-    std::size_t i = start + needle.size();
-    while (i < line.size()) {
-        const char c = line[i];
-        if (c == '"')
-            return true;
-        if (c != '\\') {
-            out += c;
-            ++i;
-            continue;
-        }
-        if (i + 1 >= line.size())
-            return false;
-        const char e = line[i + 1];
-        switch (e) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case '/':
-            out += '/';
-            break;
-          case 'b':
-            out += '\b';
-            break;
-          case 'f':
-            out += '\f';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'u': {
-            if (i + 5 >= line.size())
-                return false;
-            unsigned v = 0;
-            for (int k = 2; k <= 5; ++k) {
-                const char h = line[i + k];
-                v <<= 4;
-                if (h >= '0' && h <= '9')
-                    v |= static_cast<unsigned>(h - '0');
-                else if (h >= 'a' && h <= 'f')
-                    v |= static_cast<unsigned>(h - 'a' + 10);
-                else if (h >= 'A' && h <= 'F')
-                    v |= static_cast<unsigned>(h - 'A' + 10);
-                else
-                    return false;
-            }
-            // jsonEscape only emits \u00XX for control bytes.
-            out += static_cast<char>(v & 0xff);
-            i += 4;
-            break;
-          }
-          default:
-            return false;
-        }
-        i += 2;
-    }
-    return false; // unterminated string: torn line
-}
-
-/** Structural balance outside strings: cheap complete-object check. */
-bool
-balancedObjectLine(const std::string &line)
-{
-    if (line.empty() || line.front() != '{' || line.back() != '}')
-        return false;
-    int depth = 0;
-    bool in_string = false, escaped = false;
-    for (const char c : line) {
-        if (in_string) {
-            if (escaped)
-                escaped = false;
-            else if (c == '\\')
-                escaped = true;
-            else if (c == '"')
-                in_string = false;
-            continue;
-        }
-        if (c == '"')
-            in_string = true;
-        else if (c == '{' || c == '[')
-            ++depth;
-        else if (c == '}' || c == ']') {
-            if (--depth < 0)
-                return false;
-        }
-    }
-    return depth == 0 && !in_string;
-}
-
-} // namespace
-
-bool
-SweepJournal::open(const std::string &path, bool append)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (os_.is_open())
-        os_.close();
-    // A killed writer can leave a torn final line with no newline;
-    // appending straight after it would corrupt the first new entry, so
-    // terminate the torn line first.
-    bool needs_newline = false;
-    if (append) {
-        std::ifstream existing(path, std::ios::binary | std::ios::ate);
-        if (existing && existing.tellg() > 0) {
-            existing.seekg(-1, std::ios::end);
-            needs_newline = existing.get() != '\n';
-        }
-    }
-    os_.open(path, append ? std::ios::app : std::ios::trunc);
-    if (!os_) {
-        DBSIM_WARN("cannot open sweep journal ", path,
-                   " for writing; the sweep will not be resumable");
-        path_.clear();
-        return false;
-    }
-    if (needs_newline)
-        os_ << '\n';
-    path_ = path;
-    return true;
-}
-
-void
-SweepJournal::append(const std::string &section,
-                     const SweepItemOutcome &outcome)
-{
-    appendRaw(renderSweepEntryJson(section, outcome));
-}
-
-void
-SweepJournal::appendRaw(const std::string &raw_line)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!os_.is_open())
-        return;
-    os_ << raw_line << '\n';
-    // One flush per finished item: a killed process keeps every line
-    // already written, which is the whole point of the journal.
-    os_.flush();
-    if (!os_) {
-        DBSIM_WARN("short write to sweep journal ", path_,
-                   "; resume data may be incomplete");
-    }
-}
-
-void
-SweepJournal::close()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (os_.is_open())
-        os_.close();
-}
-
-std::vector<SweepJournalEntry>
-SweepJournal::load(const std::string &path)
-{
-    std::vector<SweepJournalEntry> entries;
-    std::ifstream is(path);
-    if (!is) {
-        DBSIM_WARN("cannot read sweep journal ", path,
-                   "; nothing to resume from");
-        return entries;
-    }
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        SweepJournalEntry e;
-        e.raw = line;
-        if (!balancedObjectLine(line) ||
-            !extractJsonString(line, "section", e.section) ||
-            !extractJsonString(line, "label", e.label) ||
-            !extractJsonString(line, "status", e.status)) {
-            // Most likely a torn final line from a mid-write kill; the
-            // item it described simply re-runs.
-            DBSIM_WARN("sweep journal ", path, " line ", lineno,
-                       " is incomplete or malformed; skipping it");
-            continue;
-        }
-        entries.push_back(std::move(e));
-    }
-    return entries;
-}
-
-ResumePlan
-planResume(const std::string &section,
-           const std::vector<SweepItem> &items,
-           const std::vector<SweepJournalEntry> &entries)
-{
-    ResumePlan plan;
-    plan.replayed.resize(items.size());
-    std::vector<bool> consumed(entries.size(), false);
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const std::string label =
-            items[i].label.empty() ? describe(items[i].cfg)
-                                   : items[i].label;
-        bool found = false;
-        for (std::size_t j = 0; j < entries.size(); ++j) {
-            if (consumed[j] || !entries[j].ok() ||
-                entries[j].section != section ||
-                entries[j].label != label) {
-                continue;
-            }
-            consumed[j] = true;
-            plan.replayed[i] = entries[j].raw;
-            found = true;
-            break;
-        }
-        if (!found)
-            plan.to_run.push_back(i);
-    }
-    return plan;
 }
 
 } // namespace dbsim::core

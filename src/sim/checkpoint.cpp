@@ -15,8 +15,8 @@
  * never holds a torn file even if the writer is SIGKILLed mid-write.
  * The config signature hashes the structural configuration (machine
  * geometry + process placement) but not host observation knobs
- * (checkpoint/state-hash intervals, stop_at_cycle), so a checkpoint
- * taken at one interval restores under any other.
+ * (state-hash interval, stop_at_cycle), so a checkpoint taken at one
+ * interval restores under any other.
  */
 
 #include <cstdio>

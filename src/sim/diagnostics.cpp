@@ -1,9 +1,7 @@
 #include "sim/diagnostics.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -15,16 +13,15 @@ namespace dbsim::sim {
 
 namespace {
 
-// Annotated host-timing code: the sweep deadline layer measures the
-// *host* wall clock by design and never feeds simulated state or
-// reported statistics (a timeout becomes a structured SweepFailure).
+// Annotated host-timing code: the host deadline measures the *host*
+// wall clock by design and never feeds simulated state or reported
+// statistics (an expired deadline becomes a SimTimeoutError).
 // Every wall-clock read below goes through this one sanctioned alias.
 // dbsim-analyze: allow(determinism-wallclock)
 using HostClock = std::chrono::steady_clock;
 
-// Per-thread deadline state: each sweep worker arms its own item's
-// deadline, so concurrently running simulations cannot time each other
-// out.
+// Per-thread deadline state: each thread arms its own deadline, so
+// concurrently running simulations cannot time each other out.
 thread_local bool t_deadline_armed = false;
 thread_local double t_deadline_seconds = 0.0;
 thread_local HostClock::time_point t_deadline{};
@@ -68,63 +65,6 @@ double
 hostDeadlineSeconds()
 {
     return t_deadline_armed ? t_deadline_seconds : 0.0;
-}
-
-namespace {
-
-// Async-signal state: written only from the handler, read (and
-// consumed) from the run loop's strided poll.
-volatile std::sig_atomic_t g_signal_pending = 0;
-
-extern "C" void
-checkpointSignalTrampoline(int signo)
-{
-    g_signal_pending = signo;
-}
-
-} // namespace
-
-std::uint32_t
-deadlinePollStride()
-{
-    const Cycles v = cyclesFromEnv("DBSIM_DEADLINE_STRIDE");
-    if (v == 0)
-        return 4096;
-    return static_cast<std::uint32_t>(
-        std::min<Cycles>(v, ~std::uint32_t{0}));
-}
-
-void
-installCheckpointSignalHandler()
-{
-#ifdef _WIN32
-    std::signal(SIGINT, checkpointSignalTrampoline);
-    std::signal(SIGTERM, checkpointSignalTrampoline);
-#else
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = checkpointSignalTrampoline;
-    sigemptyset(&sa.sa_mask);
-    // One-shot: a second SIGINT/SIGTERM gets the default disposition,
-    // so an operator can still kill a process stuck before the poll.
-    sa.sa_flags = SA_RESETHAND;
-    sigaction(SIGINT, &sa, nullptr);
-    sigaction(SIGTERM, &sa, nullptr);
-#endif
-}
-
-bool
-checkpointSignalPending()
-{
-    return g_signal_pending != 0;
-}
-
-int
-consumeCheckpointSignal()
-{
-    const int signo = g_signal_pending;
-    g_signal_pending = 0;
-    return signo;
 }
 
 Cycles

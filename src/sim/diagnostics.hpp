@@ -15,13 +15,12 @@
  * System::run under DBSIM_DEBUG; cyclesFromEnv() is the hardened parser
  * for that knob (warns on garbage instead of silently reading 0).
  *
- * The host-deadline API is the cooperative half of the sweep runner's
- * per-item timeout: the thread about to run a simulation arms a
- * wall-clock deadline (thread-local, so concurrent sweep workers do not
- * interfere), and the System::run loop polls it cheaply, converting an
+ * The host-deadline API lets the thread about to run a simulation arm a
+ * wall-clock deadline (thread-local, so concurrent simulations do not
+ * interfere); the System::run loop polls it cheaply and converts an
  * expired deadline into a SimTimeoutError that carries the machine-state
- * dump -- a hung configuration becomes a structured, retryable failure
- * instead of a stuck process.
+ * dump -- a hung configuration becomes a structured failure instead of a
+ * stuck process.
  */
 
 #ifndef DBSIM_SIM_DIAGNOSTICS_HPP
@@ -87,33 +86,6 @@ class HostDeadlineScope
     HostDeadlineScope(const HostDeadlineScope &) = delete;
     HostDeadlineScope &operator=(const HostDeadlineScope &) = delete;
 };
-
-/**
- * Loop-iteration stride at which System::run polls host-side conditions
- * (the wall-clock deadline and the termination-signal flag).  Defaults
- * to 4096; overridable via the DBSIM_DEADLINE_STRIDE environment
- * variable (clamped to >= 1).  The stride only changes how fast the
- * host notices a deadline or signal -- simulated behavior and reports
- * are bitwise-identical at any stride (tested in test_checkpoint.cpp).
- */
-std::uint32_t deadlinePollStride();
-
-/**
- * Install the cooperative SIGINT/SIGTERM handler: the first signal sets
- * a flag the run loop polls (writing a checkpoint and throwing
- * SimInterruptedError); a second signal falls back to the default
- * disposition (SA_RESETHAND), so a stuck process can still be killed.
- * Opt-in: benchmarks with --checkpoint-dir install it; libraries and
- * tests that own their own signal handling are unaffected.
- */
-void installCheckpointSignalHandler();
-
-/** True when a termination signal has been received (and not consumed). */
-bool checkpointSignalPending();
-
-/** Consume the pending-signal flag; returns the signal number (0 if
- *  none was pending). */
-int consumeCheckpointSignal();
 
 /**
  * Parse a nonnegative cycle count from environment variable @p name.

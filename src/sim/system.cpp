@@ -159,20 +159,6 @@ SystemParams::validate() const
                               "); epoch hashing would be silently disabled "
                               "-- use 0 to disable explicitly");
     }
-    if (checkpoint_interval > max_cycles) {
-        throw ConfigError("system.checkpoint_interval",
-                          "interval (" + std::to_string(checkpoint_interval) +
-                              ") exceeds max_cycles (" +
-                              std::to_string(max_cycles) +
-                              "); periodic checkpointing would be silently "
-                              "disabled -- use 0 to disable explicitly");
-    }
-    if (checkpoint_interval != 0 && checkpoint_path.empty()) {
-        throw ConfigError("system.checkpoint_interval",
-                          "a checkpoint interval without a checkpoint_path "
-                          "is a silent no-op (the run loop only writes "
-                          "periodic checkpoints when a path is set)");
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -416,40 +402,26 @@ System::run(std::uint64_t max_instructions,
     const Cycles dbg_every = cyclesFromEnv("DBSIM_DEBUG");
     Cycles dbg_next = dbg_every;
 
-    // Periodic checkpoint cadence: always recomputed from the *current*
-    // interval (a checkpoint restores under any --checkpoint-interval).
-    if (params_.checkpoint_interval) {
-        ckpt_next_ =
-            (now_ / params_.checkpoint_interval + 1) *
-            params_.checkpoint_interval;
-    }
-
-    // Host-side condition polling (sweep fault isolation + cooperative
-    // SIGINT/SIGTERM).  Polling the wall clock or the signal flag every
-    // iteration would be measurable, so the checks run every
-    // deadlinePollStride() loop iterations (DBSIM_DEADLINE_STRIDE;
-    // default 4096) -- still sub-second reaction for any simulation
-    // actually making iterations.  The stride never affects simulated
-    // behavior, only how fast the host notices.
+    // Host deadline polling (sim::HostDeadlineScope).  Reading the wall
+    // clock every iteration would be measurable, so the check runs every
+    // kDeadlinePollStride loop iterations -- still sub-second reaction
+    // for any simulation actually making iterations.  The stride never
+    // affects simulated behavior, only how fast the host notices.
+    constexpr std::uint32_t kDeadlinePollStride = 4096;
     const bool deadline_armed = hostDeadlineArmed();
-    const std::uint32_t poll_stride = deadlinePollStride();
     std::uint32_t poll_count = 0;
-
-    // Whether a terminal condition should leave a checkpoint behind.
-    const bool ckpt_on_unwind = !params_.checkpoint_path.empty();
     bool stopped_early = false;
 
     // Retired-instruction total, refreshed once per iteration after the
     // ticks (nothing else retires instructions).
     std::uint64_t retired = totalRetired();
     while (sched_.anyIncomplete() && retired < max_instructions) {
-        // Early stop for bisection / restore tests: capture the state
-        // at the top of this iteration, before any epoch hashing or
-        // machine activity, so a restored run resumes at exactly the
-        // point an uninterrupted run would next act.
+        // Early stop for bisection / restore tests: leave the state of
+        // the top of this iteration, before any epoch hashing or
+        // machine activity, so a checkpoint the caller saves after
+        // run() resumes at exactly the point an uninterrupted run would
+        // next act.
         if (params_.stop_at_cycle && now_ >= params_.stop_at_cycle) {
-            if (ckpt_on_unwind)
-                saveCheckpoint(params_.checkpoint_path);
             stopped_early = true;
             break;
         }
@@ -466,37 +438,12 @@ System::run(std::uint64_t max_instructions,
             }
         }
 
-        if (params_.checkpoint_interval && ckpt_on_unwind &&
-            now_ >= ckpt_next_) {
-            saveCheckpoint(params_.checkpoint_path);
-            ckpt_next_ =
-                (now_ / params_.checkpoint_interval + 1) *
-                params_.checkpoint_interval;
-        }
-
-        if (++poll_count >= poll_stride) {
+        if (++poll_count >= kDeadlinePollStride) {
             poll_count = 0;
-            if (checkpointSignalPending()) {
-                if (ckpt_on_unwind)
-                    saveCheckpoint(params_.checkpoint_path);
-                const int signo = consumeCheckpointSignal();
-                // dbsim-analyze: allow(hotpath-string) -- termination/timeout unwind, runs once as the simulation dies
-                std::ostringstream msg;
-                msg << "termination signal " << signo
-                    << " received at cycle " << now_ << "; "
-                    << (ckpt_on_unwind ? "checkpoint written to " +
-                                             params_.checkpoint_path
-                                       : std::string("no checkpoint "
-                                                     "path configured"));
-                throw SimInterruptedError(msg.str(),
-                                          machineStateDump(*this));
-            }
             if (deadline_armed && hostDeadlineExpired()) {
-                if (ckpt_on_unwind)
-                    saveCheckpoint(params_.checkpoint_path);
-                // dbsim-analyze: allow(hotpath-string) -- termination/timeout unwind, runs once as the simulation dies
+                // dbsim-analyze: allow(hotpath-string) -- timeout unwind, runs once as the simulation dies
                 std::ostringstream msg;
-                msg << "host item deadline (" << hostDeadlineSeconds()
+                msg << "host deadline (" << hostDeadlineSeconds()
                     << "s) expired at cycle " << now_
                     << "; simulation abandoned";
                 throw SimTimeoutError(msg.str(), machineStateDump(*this));

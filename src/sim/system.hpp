@@ -70,22 +70,12 @@ struct SystemParams
     Cycles state_hash_interval = 0;
 
     /**
-     * Periodic checkpointing: every checkpoint_interval simulated
-     * cycles the run loop writes a checkpoint to checkpoint_path
-     * (atomically: tmp + rename).  Both knobs are host-side
-     * observation parameters -- they are excluded from the checkpoint
-     * config signature, so a checkpoint taken at one interval restores
-     * under any other.  0 / empty disables.
-     */
-    Cycles checkpoint_interval = 0;
-    std::string checkpoint_path;
-
-    /**
      * Stop the run loop at the first iteration where now() >= this
-     * cycle (writing a checkpoint first when checkpoint_path is set).
-     * The machine is left mid-flight: the end-of-run quiescence audit
-     * is skipped and the partial-window RunResult is returned.  Used
-     * by the restore-determinism tests and the dbsim-diverge bisector.
+     * cycle.  The machine is left mid-flight: the end-of-run quiescence
+     * audit is skipped and the partial-window RunResult is returned, so
+     * the caller can saveCheckpoint() exactly the state an
+     * uninterrupted run would next act on.  Used by the
+     * restore-determinism tests and the dbsim-diverge bisector.
      * 0 disables.
      */
     Cycles stop_at_cycle = 0;
@@ -204,7 +194,7 @@ class System : public cpu::CoreEnvIf
      * Hash of the structural configuration (machine geometry + process
      * placement).  Stored in checkpoint headers; restore refuses a
      * checkpoint whose signature disagrees.  Host observation knobs
-     * (checkpoint/state-hash intervals, stop_at_cycle, paths) are
+     * (state-hash interval, stop_at_cycle) are
      * excluded so a checkpoint restores under any of them.
      */
     std::uint64_t configSignature() const;
@@ -293,9 +283,8 @@ class System : public cpu::CoreEnvIf
     Cycles wd_last_progress_ = 0;
     bool carry_valid_ = false;
 
-    // Epoch-hash / checkpoint bookkeeping (not part of the state hash).
+    // Epoch-hash bookkeeping (not part of the state hash).
     Cycles epoch_next_ = 0;
-    Cycles ckpt_next_ = 0;
     std::vector<EpochHash> epoch_hashes_;
 };
 

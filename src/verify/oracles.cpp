@@ -495,9 +495,9 @@ checkCheckpointRoundTrip(const core::SimConfig &cfg,
     try {
         core::SimConfig stop_cfg = cfg;
         stop_cfg.system.stop_at_cycle = ref.final_cycle / 2;
-        stop_cfg.system.checkpoint_path = scratch_path;
         core::Simulation stopper(stop_cfg);
         stopper.run();
+        stopper.system().saveCheckpoint(scratch_path);
     } catch (const std::exception &e) {
         std::remove(scratch_path.c_str());
         return failVerdict(OracleKind::CheckpointRoundTrip,

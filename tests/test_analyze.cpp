@@ -405,14 +405,4 @@ TEST(Analyze, SrcOwnershipMapIsCompleteForTheMshrPath)
     }
 }
 
-TEST(Analyze, LegacySwallowMarkerStillHonored)
-{
-    // clean_legacy.cpp swallows via the python-era marker; only bad.cpp
-    // may be reported.
-    const Result r =
-        analyze("convention_catch", {"convention-catch-swallow"});
-    ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].file, "bad.cpp");
-}
-
 } // namespace

@@ -5,11 +5,8 @@
  * The contract under test: a run that is stopped at an arbitrary cycle,
  * checkpointed, and restored into a *fresh* machine must finish with a
  * final report, machine-state dump, and epoch-hash series identical to
- * an uninterrupted run's -- for both workloads, at 1 and 4 nodes, at
- * any checkpoint interval, and regardless of the host's deadline poll
- * stride.  (The cross-process version of the same property -- kill -9 a
- * sweep, restart with --resume --restore, compare reports -- runs in
- * the CI checkpoint job via tools/compare_reports.py.)
+ * an uninterrupted run's -- for both workloads, at 1 and 4 nodes, and
+ * whether or not a host deadline is being polled.
  */
 
 #include <gtest/gtest.h>
@@ -21,10 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "common/errors.hpp"
 #include "common/snapshot.hpp"
 #include "core/config.hpp"
 #include "core/simulation.hpp"
-#include "core/sweep.hpp"
 #include "sim/diagnostics.hpp"
 
 namespace {
@@ -177,9 +174,9 @@ TEST(Checkpoint, RestoredRunMatchesUninterrupted)
             // Interrupted run: stop mid-flight and checkpoint.
             SimConfig stop_cfg = base;
             stop_cfg.system.stop_at_cycle = final_cycle / 2;
-            stop_cfg.system.checkpoint_path = ckpt;
             Simulation stopped(stop_cfg);
             stopped.run();
+            stopped.system().saveCheckpoint(ckpt);
             EXPECT_LT(stopped.system().now(), final_cycle);
 
             // Fresh machine, restored, run to completion.
@@ -220,9 +217,9 @@ TEST(Checkpoint, RestoreWhileACoreIsSkippedMatchesUninterrupted)
         std::remove(ckpt.c_str());
         SimConfig stop_cfg = base;
         stop_cfg.system.stop_at_cycle = stop;
-        stop_cfg.system.checkpoint_path = ckpt;
         Simulation stopped(stop_cfg);
         stopped.run();
+        stopped.system().saveCheckpoint(ckpt);
         const sim::System &sys = stopped.system();
         for (std::uint32_t i = 0; i < sys.numNodes(); ++i)
             skipped |= !sys.core(i).due(sys.now());
@@ -241,48 +238,6 @@ TEST(Checkpoint, RestoreWhileACoreIsSkippedMatchesUninterrupted)
     std::remove(ckpt.c_str());
 }
 
-/** Periodic checkpointing must be observation-only: the run's results
- *  are bit-identical with and without it, at any interval, and the
- *  leftover checkpoint restores to the same final state. */
-TEST(Checkpoint, PeriodicCheckpointingIsObservationOnly)
-{
-    const SimConfig base = smallConfig(WorkloadKind::Oltp, 2);
-    const FullRun plain = runFull(base);
-
-    for (const Cycles interval : {1500ull, 7000ull}) {
-        SCOPED_TRACE("interval " + std::to_string(interval));
-        const std::string ckpt =
-            tmpPath("dbsim_ckpt_periodic_" + std::to_string(interval) +
-                    ".ckpt");
-        std::remove(ckpt.c_str());
-
-        SimConfig ckpt_cfg = base;
-        ckpt_cfg.system.checkpoint_path = ckpt;
-        ckpt_cfg.system.checkpoint_interval = interval;
-        const FullRun with_ckpt = runFull(ckpt_cfg);
-        expectSameOutcome(plain, with_ckpt);
-
-        // The last periodic checkpoint restores and finishes to the
-        // same final state -- even under the *other* interval.
-        const std::string resume_ckpt =
-            tmpPath("dbsim_ckpt_periodic_resume_" + std::to_string(interval) +
-                    ".ckpt");
-        SimConfig resume_cfg = base;
-        resume_cfg.system.checkpoint_path = resume_ckpt;
-        resume_cfg.system.checkpoint_interval = interval * 2;
-        Simulation resumed(resume_cfg);
-        ASSERT_TRUE(resumed.restoreFromCheckpoint(ckpt));
-        FullRun b;
-        b.result = resumed.run();
-        b.dump = sim::machineStateDump(resumed.system());
-        b.state_hash = resumed.system().stateHash();
-        EXPECT_EQ(plain.state_hash, b.state_hash);
-        EXPECT_EQ(plain.dump, b.dump);
-        std::remove(ckpt.c_str());
-        std::remove(resume_ckpt.c_str());
-    }
-}
-
 /** A checkpoint must only restore into a structurally identical
  *  machine: node count, core model, placement, ... all signed. */
 TEST(Checkpoint, ConfigSignatureMismatchIsRejected)
@@ -292,9 +247,9 @@ TEST(Checkpoint, ConfigSignatureMismatchIsRejected)
 
     SimConfig one = smallConfig(WorkloadKind::Oltp, 1);
     one.system.stop_at_cycle = 500;
-    one.system.checkpoint_path = ckpt;
     Simulation a(one);
     a.run();
+    a.system().saveCheckpoint(ckpt);
 
     SimConfig two = smallConfig(WorkloadKind::Oltp, 2);
     Simulation b(two);
@@ -315,9 +270,9 @@ TEST(Checkpoint, CorruptFileIsRejected)
 
     SimConfig cfg = smallConfig(WorkloadKind::Dss, 1);
     cfg.system.stop_at_cycle = 500;
-    cfg.system.checkpoint_path = ckpt;
     Simulation a(cfg);
     a.run();
+    a.system().saveCheckpoint(ckpt);
 
     // Flip one byte in the middle of the file.
     {
@@ -345,163 +300,29 @@ TEST(Checkpoint, CorruptFileIsRejected)
     EXPECT_FALSE(b.restoreFromCheckpoint(ckpt + ".does-not-exist"));
 }
 
-/** DBSIM_DEADLINE_STRIDE only changes how often the *host* clock and
- *  signal flag are polled; a much tighter stride must leave every
- *  simulated byte unchanged. */
+/** The run loop polls an armed host deadline every 4096 iterations;
+ *  the poll only reads the host clock, so a run under a generous
+ *  deadline is byte-identical to an unpolled one, and an expired
+ *  deadline unwinds with a SimTimeoutError carrying the machine dump. */
 TEST(Checkpoint, DeadlinePollStrideIsObservationOnly)
 {
     const SimConfig base = smallConfig(WorkloadKind::Oltp, 2);
-    const FullRun loose = runFull(base);
-
-    ::setenv("DBSIM_DEADLINE_STRIDE", "64", 1);
-    EXPECT_EQ(sim::deadlinePollStride(), 64u);
-    const FullRun tight = runFull(base);
-    ::unsetenv("DBSIM_DEADLINE_STRIDE");
-    EXPECT_EQ(sim::deadlinePollStride(), 4096u);
-
-    expectSameOutcome(loose, tight);
-}
-
-// ---------------------------------------------------------------------
-// Sweep-layer integration
-// ---------------------------------------------------------------------
-
-std::vector<core::SweepItem>
-sweepItems()
-{
-    std::vector<core::SweepItem> items;
-    SimConfig oltp = smallConfig(WorkloadKind::Oltp, 1);
-    oltp.system.state_hash_interval = 0; // the runner forwards its own
-    SimConfig dss = smallConfig(WorkloadKind::Dss, 1);
-    dss.system.state_hash_interval = 0;
-    items.push_back({"oltp-1", oltp});
-    items.push_back({"dss-1", dss});
-    return items;
-}
-
-void
-expectSameSweepOutcome(const core::SweepOutcome &a,
-                       const core::SweepOutcome &b)
-{
-    ASSERT_EQ(a.items.size(), b.items.size());
-    for (std::size_t i = 0; i < a.items.size(); ++i) {
-        SCOPED_TRACE("item " + std::to_string(i));
-        ASSERT_TRUE(a.items[i].ok());
-        ASSERT_TRUE(b.items[i].ok());
-        const core::SweepResult &ra = a.items[i].result;
-        const core::SweepResult &rb = b.items[i].result;
-        EXPECT_EQ(ra.run.cycles, rb.run.cycles);
-        EXPECT_EQ(ra.run.instructions, rb.run.instructions);
-        EXPECT_DOUBLE_EQ(ra.run.ipc, rb.run.ipc);
-        ASSERT_EQ(ra.run.epoch_hashes.size(), rb.run.epoch_hashes.size());
-        for (std::size_t k = 0; k < ra.run.epoch_hashes.size(); ++k)
-            EXPECT_EQ(ra.run.epoch_hashes[k].hash,
-                      rb.run.epoch_hashes[k].hash);
-        EXPECT_EQ(ra.fabric.totalMisses(), rb.fabric.totalMisses());
-        EXPECT_EQ(ra.context_switches, rb.context_switches);
+    const FullRun unpolled = runFull(base);
+    FullRun polled;
+    {
+        sim::HostDeadlineScope deadline(3600.0);
+        polled = runFull(base);
     }
-}
+    expectSameOutcome(unpolled, polled);
 
-TEST(SweepCheckpoint, CheckpointedSweepMatchesPlainAndRestores)
-{
-    const std::string dir = tmpPath("dbsim_sweep_ckpt");
-    const std::vector<core::SweepItem> items = sweepItems();
-
-    core::SweepRunner plain(1);
-    plain.setStateHashInterval(2500);
-    const core::SweepOutcome base = plain.runChecked(items);
-    ASSERT_TRUE(base.allOk());
-    for (const auto &o : base.items)
-        EXPECT_FALSE(o.result.run.epoch_hashes.empty())
-            << "state-hash interval was forwarded to the item config";
-
-    // Same sweep with periodic checkpointing: observation-only.
-    core::SweepRunner ckpt(1);
-    ckpt.setStateHashInterval(2500);
-    ckpt.setCheckpointDir(dir);
-    ckpt.setCheckpointInterval(1500);
-    const core::SweepOutcome with_ckpt = ckpt.runChecked(items);
-    ASSERT_TRUE(with_ckpt.allOk());
-    expectSameSweepOutcome(base, with_ckpt);
-
-    // The per-item checkpoints exist where checkpointPathFor says.
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        std::ifstream f(ckpt.checkpointPathFor(i), std::ios::binary);
-        EXPECT_TRUE(f.good()) << "missing checkpoint for item " << i;
+    sim::HostDeadlineScope expired(1e-9);
+    try {
+        runFull(base);
+        FAIL() << "expected SimTimeoutError";
+    } catch (const SimTimeoutError &e) {
+        EXPECT_NE(std::string(e.what()).find("deadline"), std::string::npos);
+        EXPECT_FALSE(e.dump().empty());
     }
-
-    // --restore: a re-run continues each item from its mid-run
-    // checkpoint and still converges to the identical final results.
-    core::SweepRunner restore(1);
-    restore.setStateHashInterval(2500);
-    restore.setCheckpointDir(dir);
-    restore.setCheckpointInterval(1500);
-    restore.setRestore(true);
-    const core::SweepOutcome resumed = restore.runChecked(items);
-    ASSERT_TRUE(resumed.allOk());
-    expectSameSweepOutcome(base, resumed);
-
-    for (std::size_t i = 0; i < items.size(); ++i)
-        std::remove(restore.checkpointPathFor(i).c_str());
-}
-
-TEST(SweepCheckpoint, ReportCarriesEpochHashesAndCheckpointPaths)
-{
-    const std::vector<core::SweepItem> items = sweepItems();
-    core::SweepRunner runner(1);
-    runner.setStateHashInterval(2500);
-    const core::SweepOutcome outcome = runner.runChecked(items);
-    ASSERT_TRUE(outcome.allOk());
-
-    const std::string json =
-        core::renderSweepEntryJson("sec", outcome.items[0]);
-    EXPECT_NE(json.find("\"epoch_hashes\""), std::string::npos);
-    EXPECT_NE(json.find("0x"), std::string::npos)
-        << "epoch hashes render as hex strings";
-
-    // A failure whose item has a checkpoint on disk records its path.
-    core::SweepItemOutcome failed;
-    failed.status = core::SweepItemOutcome::Status::Failed;
-    failed.index = 3;
-    failed.failure.label = "x";
-    failed.failure.index = 3;
-    failed.failure.kind = core::FailureKind::Timeout;
-    failed.failure.what = "deadline";
-    failed.failure.checkpoint_path = "/tmp/ckpt/item-3.ckpt";
-    const std::string failed_json =
-        core::renderSweepEntryJson("sec", failed);
-    EXPECT_NE(failed_json.find("\"checkpoint\""), std::string::npos);
-    EXPECT_NE(failed_json.find("item-3.ckpt"), std::string::npos);
-    EXPECT_NE(failed_json.find("\"timeout\""), std::string::npos);
-}
-
-/** FailurePolicy retry:N x timeout honesty (no checkpoint dir): a
- *  timed-out item must not burn retries that would deterministically
- *  time out again from scratch; attempts stays honest at 1. */
-TEST(SweepCheckpoint, TimeoutWithoutCheckpointDirIsNotRetried)
-{
-    std::vector<core::SweepItem> items = sweepItems();
-    items.resize(1);
-
-    core::FaultPlan plan;
-    core::FaultSpec delay;
-    delay.index = 0;
-    delay.attempt = 1;
-    delay.kind = core::FaultSpec::Kind::Delay;
-    delay.delay_seconds = 0.5;
-    plan.add(delay);
-
-    core::SweepRunner runner(1);
-    runner.setFailurePolicy(core::FailurePolicy::retry(3));
-    runner.setItemTimeout(0.05);
-    runner.setFaultPlan(&plan);
-    const core::SweepOutcome outcome = runner.runChecked(items);
-    ASSERT_EQ(outcome.items.size(), 1u);
-    ASSERT_FALSE(outcome.items[0].ok());
-    EXPECT_EQ(outcome.items[0].failure.kind, core::FailureKind::Timeout);
-    EXPECT_EQ(outcome.items[0].attempts, 1u)
-        << "without a checkpoint dir, a timeout retry would start from "
-           "scratch and time out again; attempts must stay honest";
 }
 
 } // namespace

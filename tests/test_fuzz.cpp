@@ -100,9 +100,8 @@ TEST(ConfigGen, SignatureIgnoresObservationKnobsOnly)
     const std::uint64_t sig = core::simConfigSignature(cfg);
 
     SimConfig obs = cfg;
-    obs.system.checkpoint_path = "somewhere.ckpt";
-    obs.system.checkpoint_interval = 5000;
     obs.system.state_hash_interval = 12345;
+    obs.system.stop_at_cycle = 777;
     obs.system.check_coherence = true;
     EXPECT_EQ(core::simConfigSignature(obs), sig)
         << "observation knobs must not change the structural signature";
@@ -149,7 +148,7 @@ TEST(FuzzSeeds, CaseSeedsAreDistinctAndCountIndependent)
 }
 
 // ---------------------------------------------------------------------
-// Config validation (silently-disabled epoch hashing / checkpointing)
+// Config validation (silently-disabled epoch hashing)
 
 TEST(ConfigValidation, RejectsStateHashIntervalBeyondRunCap)
 {
@@ -160,26 +159,6 @@ TEST(ConfigValidation, RejectsStateHashIntervalBeyondRunCap)
     cfg.system.state_hash_interval = 10000;
     EXPECT_NO_THROW(cfg.validate());
     cfg.system.state_hash_interval = 0; // explicit off stays legal
-    EXPECT_NO_THROW(cfg.validate());
-}
-
-TEST(ConfigValidation, RejectsCheckpointIntervalWithoutPath)
-{
-    SimConfig cfg = smallConfig();
-    cfg.system.checkpoint_interval = 4000;
-    EXPECT_THROW(cfg.validate(), ConfigError);
-    cfg.system.checkpoint_path = tmpPath("fuzz_cfg_valid.ckpt");
-    EXPECT_NO_THROW(cfg.validate());
-}
-
-TEST(ConfigValidation, RejectsCheckpointIntervalBeyondRunCap)
-{
-    SimConfig cfg = smallConfig();
-    cfg.system.checkpoint_path = tmpPath("fuzz_cfg_cap.ckpt");
-    cfg.system.max_cycles = 10000;
-    cfg.system.checkpoint_interval = 10001;
-    EXPECT_THROW(cfg.validate(), ConfigError);
-    cfg.system.checkpoint_interval = 5000;
     EXPECT_NO_THROW(cfg.validate());
 }
 

@@ -6,16 +6,23 @@
  * simulated statistics of a sweep are a pure function of the
  * configuration list, so running the same list with 1 job and with 8
  * jobs must produce bitwise-identical results.  Also covered: input
- * ordering, deterministic (lowest-index) error propagation, job-count
- * resolution, and the JSON writer's escaping and structure checking.
+ * ordering, deterministic (lowest-index) error propagation, per-item
+ * failure capture under the collect policy (DESIGN.md §5e), job-count
+ * resolution, the bench harness (flags, exit codes), and the JSON
+ * writer's escaping and structure checking.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "bench_util.hpp"
 #include "common/errors.hpp"
+#include "common/log.hpp"
 #include "core/json_writer.hpp"
 #include "core/sweep.hpp"
 #include "cpu/inorder_core.hpp"
@@ -181,6 +188,56 @@ expectOccupancyEq(const stats::OccupancyTracker &a,
         EXPECT_EQ(a.fracAtLeast(n), b.fracAtLeast(n)) << "n=" << n;
 }
 
+/** Every simulated statistic of two results, field for field. */
+void
+expectSameResult(const SweepResult &a, const SweepResult &b)
+{
+    EXPECT_EQ(a.run.cycles, b.run.cycles);
+    EXPECT_EQ(a.run.instructions, b.run.instructions);
+    EXPECT_EQ(a.run.ipc, b.run.ipc);
+    for (std::size_t c = 0; c < kNumStallCats; ++c) {
+        EXPECT_EQ(a.run.breakdown[static_cast<StallCat>(c)],
+                  b.run.breakdown[static_cast<StallCat>(c)])
+            << stallCatName(static_cast<StallCat>(c));
+    }
+
+    EXPECT_EQ(a.ch.l1i_miss_per_fetch, b.ch.l1i_miss_per_fetch);
+    EXPECT_EQ(a.ch.l1i_mpki, b.ch.l1i_mpki);
+    EXPECT_EQ(a.ch.l1d_miss_rate, b.ch.l1d_miss_rate);
+    EXPECT_EQ(a.ch.l2_miss_rate, b.ch.l2_miss_rate);
+    EXPECT_EQ(a.ch.branch_mispredict_rate, b.ch.branch_mispredict_rate);
+    EXPECT_EQ(a.ch.itlb_miss_rate, b.ch.itlb_miss_rate);
+    EXPECT_EQ(a.ch.dtlb_miss_rate, b.ch.dtlb_miss_rate);
+    EXPECT_EQ(a.ch.total_l2_misses, b.ch.total_l2_misses);
+    EXPECT_EQ(a.ch.dirty_misses, b.ch.dirty_misses);
+
+    EXPECT_EQ(a.node0.l1i_fetches, b.node0.l1i_fetches);
+    EXPECT_EQ(a.node0.l1i_misses, b.node0.l1i_misses);
+    EXPECT_EQ(a.node0.l1i_sbuf_hits, b.node0.l1i_sbuf_hits);
+    EXPECT_EQ(a.node0.l1d_accesses, b.node0.l1d_accesses);
+    EXPECT_EQ(a.node0.l1d_misses, b.node0.l1d_misses);
+    EXPECT_EQ(a.node0.l2_accesses, b.node0.l2_accesses);
+    EXPECT_EQ(a.node0.l2_misses, b.node0.l2_misses);
+
+    EXPECT_EQ(a.fabric.invalidations_sent, b.fabric.invalidations_sent);
+    EXPECT_EQ(a.fabric.writebacks, b.fabric.writebacks);
+    EXPECT_EQ(a.fabric.totalMisses(), b.fabric.totalMisses());
+    EXPECT_EQ(a.fabric.dirtyMisses(), b.fabric.dirtyMisses());
+    EXPECT_EQ(a.context_switches, b.context_switches);
+
+    expectOccupancyEq(a.l1d_occ, b.l1d_occ);
+    expectOccupancyEq(a.l1d_read_occ, b.l1d_read_occ);
+    expectOccupancyEq(a.l2_occ, b.l2_occ);
+    expectOccupancyEq(a.l2_read_occ, b.l2_read_occ);
+
+    EXPECT_EQ(a.migratory.shared_writes, b.migratory.shared_writes);
+    EXPECT_EQ(a.migratory.migratory_writes, b.migratory.migratory_writes);
+    EXPECT_EQ(a.migratory.dirty_reads, b.migratory.dirty_reads);
+    EXPECT_EQ(a.migratory.write_fraction, b.migratory.write_fraction);
+    EXPECT_EQ(a.migratory.line_concentration_70,
+              b.migratory.line_concentration_70);
+}
+
 TEST(SweepRunner, ParallelRunIsBitwiseDeterministic)
 {
     const auto items = determinismItems();
@@ -199,55 +256,7 @@ TEST(SweepRunner, ParallelRunIsBitwiseDeterministic)
         // Results come back in input order under both job counts.
         EXPECT_EQ(a[i].label, items[i].label);
         EXPECT_EQ(b[i].label, items[i].label);
-
-        EXPECT_EQ(a[i].run.cycles, b[i].run.cycles);
-        EXPECT_EQ(a[i].run.instructions, b[i].run.instructions);
-        EXPECT_EQ(a[i].run.ipc, b[i].run.ipc);
-        for (std::size_t c = 0; c < kNumStallCats; ++c) {
-            EXPECT_EQ(a[i].run.breakdown[static_cast<StallCat>(c)],
-                      b[i].run.breakdown[static_cast<StallCat>(c)])
-                << stallCatName(static_cast<StallCat>(c));
-        }
-
-        EXPECT_EQ(a[i].ch.l1i_miss_per_fetch, b[i].ch.l1i_miss_per_fetch);
-        EXPECT_EQ(a[i].ch.l1i_mpki, b[i].ch.l1i_mpki);
-        EXPECT_EQ(a[i].ch.l1d_miss_rate, b[i].ch.l1d_miss_rate);
-        EXPECT_EQ(a[i].ch.l2_miss_rate, b[i].ch.l2_miss_rate);
-        EXPECT_EQ(a[i].ch.branch_mispredict_rate,
-                  b[i].ch.branch_mispredict_rate);
-        EXPECT_EQ(a[i].ch.itlb_miss_rate, b[i].ch.itlb_miss_rate);
-        EXPECT_EQ(a[i].ch.dtlb_miss_rate, b[i].ch.dtlb_miss_rate);
-        EXPECT_EQ(a[i].ch.total_l2_misses, b[i].ch.total_l2_misses);
-        EXPECT_EQ(a[i].ch.dirty_misses, b[i].ch.dirty_misses);
-
-        EXPECT_EQ(a[i].node0.l1i_fetches, b[i].node0.l1i_fetches);
-        EXPECT_EQ(a[i].node0.l1i_misses, b[i].node0.l1i_misses);
-        EXPECT_EQ(a[i].node0.l1i_sbuf_hits, b[i].node0.l1i_sbuf_hits);
-        EXPECT_EQ(a[i].node0.l1d_accesses, b[i].node0.l1d_accesses);
-        EXPECT_EQ(a[i].node0.l1d_misses, b[i].node0.l1d_misses);
-        EXPECT_EQ(a[i].node0.l2_accesses, b[i].node0.l2_accesses);
-        EXPECT_EQ(a[i].node0.l2_misses, b[i].node0.l2_misses);
-
-        EXPECT_EQ(a[i].fabric.invalidations_sent,
-                  b[i].fabric.invalidations_sent);
-        EXPECT_EQ(a[i].fabric.writebacks, b[i].fabric.writebacks);
-        EXPECT_EQ(a[i].fabric.totalMisses(), b[i].fabric.totalMisses());
-        EXPECT_EQ(a[i].fabric.dirtyMisses(), b[i].fabric.dirtyMisses());
-
-        expectOccupancyEq(a[i].l1d_occ, b[i].l1d_occ);
-        expectOccupancyEq(a[i].l1d_read_occ, b[i].l1d_read_occ);
-        expectOccupancyEq(a[i].l2_occ, b[i].l2_occ);
-        expectOccupancyEq(a[i].l2_read_occ, b[i].l2_read_occ);
-
-        EXPECT_EQ(a[i].migratory.shared_writes,
-                  b[i].migratory.shared_writes);
-        EXPECT_EQ(a[i].migratory.migratory_writes,
-                  b[i].migratory.migratory_writes);
-        EXPECT_EQ(a[i].migratory.dirty_reads, b[i].migratory.dirty_reads);
-        EXPECT_EQ(a[i].migratory.write_fraction,
-                  b[i].migratory.write_fraction);
-        EXPECT_EQ(a[i].migratory.line_concentration_70,
-                  b[i].migratory.line_concentration_70);
+        expectSameResult(a[i], b[i]);
     }
 }
 
@@ -271,25 +280,141 @@ TEST(SweepRunner, LowestIndexErrorWinsUnderAnyJobCount)
     }
 }
 
-TEST(SweepRunner, BaseSeedDerivesPerItemWorkloadSeeds)
+/**
+ * Four small OLTP items; the item at each index in @p panic_windows
+ * trips the forward-progress watchdog with that window (a 50- or
+ * 60-cycle window is shorter than an OLTP L2 miss), the rest run
+ * normally.
+ */
+std::vector<SweepItem>
+watchdogItems(const std::vector<std::pair<std::size_t, std::uint64_t>>
+                  &panic_windows)
 {
-    std::vector<SweepItem> items(2,
-                                 {"seeded", quick(WorkloadKind::Oltp, 1)});
-    SweepRunner runner(1);
-    runner.setBaseSeed(12345);
-    const auto seeded = runner.run(items);
-    // Distinct derived seeds -> the two identical configs diverge.
-    EXPECT_NE(seeded[0].run.cycles, seeded[1].run.cycles);
+    std::vector<SweepItem> items;
+    for (int i = 0; i < 4; ++i)
+        items.push_back({"item" + std::to_string(i),
+                         quick(WorkloadKind::Oltp, 1)});
+    for (const auto &[index, window] : panic_windows)
+        items[index].cfg.system.watchdog_cycles = window;
+    return items;
+}
 
-    // Re-running with the same base seed reproduces the results.
-    const auto again = runner.run(items);
-    EXPECT_EQ(seeded[0].run.cycles, again[0].run.cycles);
-    EXPECT_EQ(seeded[1].run.cycles, again[1].run.cycles);
+/**
+ * Check the collected record of a watchdog panic: it names the item,
+ * is classified as an invariant failure, and carries exactly one
+ * machine dump -- this item's: the machines of the items running
+ * beside it are not its to read.
+ */
+void
+expectWatchdogRecord(const SweepItemOutcome &o, std::size_t index,
+                     const std::string &label)
+{
+    ASSERT_FALSE(o.ok()) << "item " << index;
+    EXPECT_EQ(o.index, index);
+    EXPECT_EQ(o.failure.index, index);
+    EXPECT_EQ(o.failure.label, label);
+    EXPECT_EQ(o.failure.kind, FailureKind::Invariant);
+    EXPECT_NE(o.error, nullptr);
+    EXPECT_NE(o.failure.what.find("forward-progress watchdog"),
+              std::string::npos)
+        << o.failure.what;
+    const std::string &dump = o.failure.crash_dump_excerpt;
+    const std::size_t first = dump.find("=== crash dump");
+    EXPECT_NE(first, std::string::npos);
+    EXPECT_EQ(dump.find("=== crash dump", first + 1), std::string::npos)
+        << "record " << index << " carries another item's machine";
+    EXPECT_EQ(dump.find("panic:"), std::string::npos)
+        << "another item's panic leaked into record " << index;
+}
 
-    // Without a base seed the configs' own (equal) seeds are used.
-    SweepRunner plain(1);
-    const auto unseeded = plain.run(items);
-    EXPECT_EQ(unseeded[0].run.cycles, unseeded[1].run.cycles);
+/**
+ * A real panic under the collect policy: item 1 trips the watchdog,
+ * the others run normally.  The failure becomes a structured record,
+ * and the survivors are exactly what an undisturbed run produces.  The
+ * abort policy rethrows the same panic as an exception.
+ */
+TEST(SweepFaultTolerance, CollectIsolatesPanicAsStructuredFailure)
+{
+    const auto items = watchdogItems({{1, 50}});
+    const auto undisturbed =
+        SweepRunner(1).run({items[0], items[2], items[3]});
+
+    SweepRunner runner(2);
+    runner.setFailurePolicy(FailurePolicy::collect());
+    const SweepOutcome out = runner.runChecked(items);
+    ASSERT_EQ(out.items.size(), 4u);
+    EXPECT_EQ(out.failures(), 1u);
+
+    expectWatchdogRecord(out.items[1], 1, items[1].label);
+    EXPECT_NE(out.items[1].failure.what.find("window=50"),
+              std::string::npos)
+        << out.items[1].failure.what;
+
+    ASSERT_TRUE(out.items[0].ok());
+    ASSERT_TRUE(out.items[2].ok());
+    ASSERT_TRUE(out.items[3].ok());
+    expectSameResult(out.items[0].result, undisturbed[0]);
+    expectSameResult(out.items[2].result, undisturbed[1]);
+    expectSameResult(out.items[3].result, undisturbed[2]);
+
+    // abort: the same panic, as an exception the test can see.
+    PanicThrowGuard guard;
+    try {
+        SweepRunner(2).run(items);
+        FAIL() << "expected SimInvariantError";
+    } catch (const SimInvariantError &e) {
+        const std::string msg = e.what();
+        EXPECT_EQ(msg.substr(0, msg.find('\n')),
+                  out.items[1].failure.what);
+    }
+}
+
+/**
+ * Two items panicking at once on different pool threads produce two
+ * distinct, uncorrupted records -- the crash-dump registry and the
+ * panic path are shared process state.  The records are deterministic
+ * in the item, whatever ran beside it: jobs=4 reproduces the jobs=1
+ * text exactly, and abort rethrows the lowest-index failure at both.
+ */
+TEST(SweepFaultTolerance, ConcurrentPanicsYieldDistinctRecords)
+{
+    const auto items = watchdogItems({{1, 50}, {3, 60}});
+
+    std::vector<std::string> serial_what;
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        SweepRunner runner(jobs);
+        runner.setFailurePolicy(FailurePolicy::collect());
+        const SweepOutcome out = runner.runChecked(items);
+        ASSERT_EQ(out.items.size(), 4u);
+        EXPECT_EQ(out.failures(), 2u);
+        EXPECT_TRUE(out.items[0].ok());
+        EXPECT_TRUE(out.items[2].ok());
+
+        std::vector<std::string> what;
+        for (const std::size_t i : {std::size_t{1}, std::size_t{3}}) {
+            expectWatchdogRecord(out.items[i], i, items[i].label);
+            what.push_back(out.items[i].failure.what);
+        }
+        EXPECT_NE(what[0].find("window=50"), std::string::npos) << what[0];
+        EXPECT_EQ(what[0].find("window=60"), std::string::npos)
+            << "record 1 contaminated by the other thread's panic";
+        EXPECT_NE(what[1].find("window=60"), std::string::npos) << what[1];
+        EXPECT_EQ(what[1].find("window=50"), std::string::npos)
+            << "record 3 contaminated by the other thread's panic";
+        if (serial_what.empty())
+            serial_what = what;
+        EXPECT_EQ(what, serial_what);
+
+        PanicThrowGuard guard;
+        try {
+            SweepRunner(jobs).run(items);
+            FAIL() << "expected SimInvariantError";
+        } catch (const SimInvariantError &e) {
+            const std::string msg = e.what();
+            EXPECT_EQ(msg.substr(0, msg.find('\n')), serial_what[0]);
+        }
+    }
 }
 
 TEST(SweepRunner, ResolveJobsPrecedence)
@@ -357,17 +482,19 @@ TEST(SweepReportJson, EmitsSchemaAndOneEntryPerResult)
     const std::string doc = os.str();
 
     EXPECT_TRUE(balancedJson(doc)) << doc;
-    EXPECT_NE(doc.find("\"schema\": \"dbsim-bench-v2\""),
+    EXPECT_NE(doc.find("\"schema\": \"dbsim-bench-v3\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"bench\": \"test_bench\""), std::string::npos);
-    // v2 result entries are compact single-line objects (so a journal
-    // line and its report entry are byte-identical).
+    // Result entries are compact single-line objects.
     EXPECT_NE(doc.find("\"label\":\"r0\""), std::string::npos);
     EXPECT_NE(doc.find("\"label\":\"r1\""), std::string::npos);
     EXPECT_NE(doc.find("\"status\":\"ok\""), std::string::npos);
     EXPECT_NE(doc.find("\"sim_instructions_per_host_second\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"mshr_occupancy\""), std::string::npos);
+    for (const char *gone :
+         {"item_timeout_sec", "attempts", "epoch_hashes", "checkpoint"})
+        EXPECT_EQ(doc.find(gone), std::string::npos) << gone;
     EXPECT_EQ(doc.back(), '\n');
 }
 
@@ -382,6 +509,90 @@ TEST(SweepRunner, ResolveJobsClampsAbsurdValues)
     ASSERT_EQ(setenv("DBSIM_JOBS", "999999999", 1), 0);
     EXPECT_EQ(SweepRunner::resolveJobs(0), SweepRunner::kMaxJobs);
     ASSERT_EQ(unsetenv("DBSIM_JOBS"), 0);
+}
+
+// ---------------------------------------------------------------------
+// Failure policy and the bench harness: flags and exit codes
+// ---------------------------------------------------------------------
+
+TEST(FailurePolicy, DescribeAndIsolating)
+{
+    EXPECT_EQ(FailurePolicy::abort().describe(), "abort");
+    EXPECT_EQ(FailurePolicy::collect().describe(), "collect");
+    EXPECT_FALSE(FailurePolicy::abort().isolating());
+    EXPECT_TRUE(FailurePolicy::collect().isolating());
+}
+
+TEST(SweepFaultTolerance, AbortModeRunCarriesLegacySemantics)
+{
+    std::vector<SweepItem> items(3, {"ok", quick(WorkloadKind::Oltp, 1)});
+    items[0].cfg.total_instructions = 0;
+
+    SweepRunner runner(2); // default policy: abort
+    EXPECT_THROW(runner.run(items), ConfigError);
+}
+
+bench::BenchOptions
+parse(std::vector<std::string> args)
+{
+    std::vector<char *> argv;
+    static std::string prog = "bench";
+    argv.push_back(prog.data());
+    for (auto &a : args)
+        argv.push_back(a.data());
+    return bench::parseBenchArgs(static_cast<int>(argv.size()),
+                                 argv.data());
+}
+
+TEST(BenchArgs, ParsesSharedFlagsInBothForms)
+{
+    const auto opts = parse({"--jobs", "3", "--json=out.json",
+                             "--on-failure", "collect", "--sharing"});
+    EXPECT_EQ(opts.jobs, 3u);
+    EXPECT_EQ(opts.json_path, "out.json");
+    EXPECT_TRUE(opts.collect_failures);
+    ASSERT_EQ(opts.rest.size(), 1u);
+    EXPECT_TRUE(opts.has("--sharing"));
+
+    const auto eq = parse({"--jobs=2", "--json", "r.json",
+                           "--on-failure=abort"});
+    EXPECT_EQ(eq.jobs, 2u);
+    EXPECT_EQ(eq.json_path, "r.json");
+    EXPECT_FALSE(eq.collect_failures);
+    EXPECT_TRUE(eq.rest.empty());
+}
+
+TEST(BenchArgs, RejectsBadValues)
+{
+    EXPECT_THROW(parse({"--jobs", "0"}), ConfigError);
+    EXPECT_THROW(parse({"--jobs", "banana"}), ConfigError);
+    EXPECT_THROW(parse({"--jobs", "-1"}), ConfigError);
+    EXPECT_THROW(parse({"--on-failure", "maybe"}), ConfigError);
+    EXPECT_THROW(parse({"--json"}), ConfigError); // missing value
+}
+
+TEST(BenchHarness, UnwritableReportYieldsExitOne)
+{
+    bench::BenchOptions opts;
+    opts.json_path = "/nonexistent-dir-zz/report.json";
+    bench::BenchContext ctx("ft_exit1", opts);
+    ctx.sweep("s", {{"i0", quick(WorkloadKind::Oltp, 1)}});
+    EXPECT_EQ(ctx.finish(), 1);
+}
+
+TEST(BenchHarness, CollectedFailureYieldsPartialFailureExit)
+{
+    bench::BenchOptions opts;
+    opts.collect_failures = true;
+    bench::BenchContext ctx("ft_exit4", opts);
+    std::vector<SweepItem> items(2, {"i", quick(WorkloadKind::Oltp, 1)});
+    items[0].cfg.total_instructions = 0; // config rejection, collected
+    const auto ok = ctx.sweep("s", items);
+    EXPECT_EQ(ok.size(), 1u);
+    ASSERT_EQ(ctx.report().entries.size(), 2u);
+    EXPECT_EQ(ctx.report().entries[0].outcome.failure.kind,
+              FailureKind::Config);
+    EXPECT_EQ(ctx.finish(), kSweepPartialFailureExit);
 }
 
 } // namespace

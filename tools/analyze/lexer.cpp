@@ -64,20 +64,6 @@ parseListMark(std::string_view body, std::string_view key)
 }
 
 /**
- * Scan a comment body for suppression markers.  Returns the rule names
- * found in `dbsim-analyze: allow(a, b)` clauses (possibly several per
- * comment); sets `legacy` when the python-era "lint: allowed-swallow"
- * marker appears.
- */
-std::set<std::string>
-parseAllows(std::string_view body, bool &legacy)
-{
-    if (body.find("lint: allowed-swallow") != std::string_view::npos)
-        legacy = true;
-    return parseListMark(body, "allow");
-}
-
-/**
  * True when the comment body contains a bare `dbsim-analyze: <key>` mark
  * (no argument list), e.g. `// dbsim-analyze: atomic`.
  */
@@ -200,13 +186,10 @@ lexSource(std::string rel, std::string_view text)
                       (t == ";" || t == "{" || t == "}"));
         out.tokens.push_back(Token{kind, std::move(t), at});
     };
-    auto recordAllows = [&](std::string_view body, int start_line,
-                            int end_line) {
-        bool legacy = false;
-        std::set<std::string> rules = parseAllows(body, legacy);
-        if (legacy)
-            for (int l = start_line; l <= end_line; ++l)
-                out.legacy_swallow.insert(l);
+    auto recordAllows = [&](std::string_view body, int start_line) {
+        // Suppressions: `dbsim-analyze: allow(a, b)` clauses (possibly
+        // several per comment).
+        std::set<std::string> rules = parseListMark(body, "allow");
         // Annotation marks: same-line binds to that line; a standalone
         // comment binds to the next code line and -- when a multi-line
         // declaration is still open -- to the last code line before it
@@ -278,7 +261,7 @@ lexSource(std::string rel, std::string_view text)
             const std::size_t start = i;
             while (i < n && text[i] != '\n')
                 ++i;
-            recordAllows(text.substr(start, i - start), line, line);
+            recordAllows(text.substr(start, i - start), line);
             continue;
         }
         // Block comment.
@@ -292,7 +275,7 @@ lexSource(std::string rel, std::string_view text)
                 ++i;
             }
             i = (i + 1 < n) ? i + 2 : n;
-            recordAllows(text.substr(start, i - start), start_line, line);
+            recordAllows(text.substr(start, i - start), start_line);
             continue;
         }
 

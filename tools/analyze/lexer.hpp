@@ -99,7 +99,6 @@ struct SourceFile
     std::map<int, std::string> phase_marks;   ///< line -> phase name
     std::map<int, std::string> owner_marks;   ///< line -> domain
     std::map<int, std::set<std::string>> requires_marks; ///< line -> mutexes
-    std::set<int> legacy_swallow; ///< lines with "lint: allowed-swallow"
     int last_line = 0;
 
     bool isHeader() const;

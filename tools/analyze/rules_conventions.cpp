@@ -1,7 +1,6 @@
 /**
  * @file
- * R4: repo conventions, absorbed from the python-era
- * tools/lint_conventions.py (which now just execs this tool):
+ * R4: repo conventions:
  *
  *  - no raw assert() in src/ (use DBSIM_ASSERT, on in release builds)
  *  - no stdout writes in src/ (reports own stdout; logs go to stderr)
@@ -169,12 +168,6 @@ checkCatchSwallow(const SourceFile &f, std::vector<RawFinding> &out)
                 handled = true;
         }
         if (handled)
-            continue;
-        // Legacy python-linter escape hatch anywhere in the block.
-        bool legacy = false;
-        for (int l = t[i].line; l <= end_line && !legacy; ++l)
-            legacy = f.legacy_swallow.count(l) != 0;
-        if (legacy)
             continue;
         out.push_back({kRuleCatchSwallow, f.rel, t[i].line,
                        "catch (...) swallows the exception; rethrow, wrap "

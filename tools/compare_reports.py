@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Field-exact comparison of two dbsim-bench JSON reports.
 
-Used by the CI fault-tolerance job to assert that an interrupted sweep
-resumed with --resume produces the same report as an uninterrupted run.
+Asserts that two runs of a bench simulated the same thing, e.g. before
+and after an engine change that must not move any statistic.
 Host-timing fields (wall_seconds, sim_instructions_per_host_second) are
 scrubbed before comparing -- they legitimately differ between runs; all
 simulated results (cycles, instructions, IPC, breakdowns, miss rates,
