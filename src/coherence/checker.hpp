@@ -50,8 +50,6 @@ namespace dbsim::coher {
 class CoherenceFabric;
 
 /** Aggregate checker statistics. */
-// dbsim-analyze: shared(verification overlay: aggregates audits of every node's transactions)
-// dbsim-analyze: owner(fabric)
 struct CheckerStats
 {
     std::uint64_t transactions = 0; ///< fabric transactions observed
@@ -70,8 +68,6 @@ struct CheckerStats
  * violation text is recorded (capped) for later inspection; tests use
  * this to assert on specific corruptions.
  */
-// dbsim-analyze: shared(verification overlay: observes and audits all nodes, by design not sharded)
-// dbsim-analyze: owner(fabric)
 class CoherenceChecker
 {
   public:

@@ -121,8 +121,6 @@ struct FabricResult
 };
 
 /** Aggregate fabric statistics. */
-// dbsim-analyze: shared(directory-wide accounting: one fabric serves every node)
-// dbsim-analyze: owner(fabric)
 struct FabricStats
 {
     std::uint64_t reads_local = 0;
@@ -154,8 +152,6 @@ struct FabricStats
 /**
  * The machine-wide coherence fabric.
  */
-// dbsim-analyze: shared(the coherence fabric is the machine-wide serialization point by design; ROADMAP item 2 keeps it shared)
-// dbsim-analyze: owner(fabric)
 class CoherenceFabric
 {
   public:
@@ -316,8 +312,6 @@ class CoherenceFabric
     // dbsim-analyze: allow(hotpath-map-lookup) -- the directory is sparse block-granular state; a dense array over the address space cannot exist
     DirEntry &entry(Addr block) { return dir_[block]; }
 
-    // dbsim-analyze: shared(directory-side per-home-node resources, owned and arbitrated by the fabric)
-    // dbsim-analyze: owner(fabric)
     struct NodeRes
     {
         net::Resource bus;

@@ -26,8 +26,6 @@
 namespace dbsim::coher {
 
 /** Aggregate migratory-sharing statistics. */
-// dbsim-analyze: shared(adaptive-protocol accounting aggregated at the directory)
-// dbsim-analyze: owner(fabric)
 struct MigratoryStats
 {
     std::uint64_t shared_writes = 0;        ///< GetX/upgrade to lines with prior sharers
@@ -54,8 +52,6 @@ struct MigratoryStats
 /**
  * Detector + characterization bookkeeping, owned by the coherence fabric.
  */
-// dbsim-analyze: shared(migratory detection observes the global write stream at the directory; per-node copies would miss handoffs)
-// dbsim-analyze: owner(fabric)
 class MigratoryDetector
 {
   public:

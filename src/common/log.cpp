@@ -1,7 +1,6 @@
 #include "common/log.hpp"
 
 #include <atomic>
-#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -24,8 +23,7 @@ struct DumpEntry
 };
 
 /**
- * The crash-dump registry as a class with a machine-checked sharing
- * contract (DESIGN.md §5j).  The sweep runner constructs and destroys
+ * The crash-dump registry.  The sweep runner constructs and destroys
  * Systems from worker threads, and each System registers a crash dump
  * around its lifetime, so every entry-list touch holds mu_.  A panic
  * runs only the dumps its own thread registered: another thread's
@@ -107,17 +105,13 @@ class CrashDumpRegistry
     CrashDumpRegistry() = default;
 
     std::mutex mu_;
-    // dbsim-analyze: guarded_by(mu_)
     std::vector<DumpEntry> entries_;
-    // dbsim-analyze: guarded_by(mu_)
     int next_handle_ = 1;
 };
 
 /**
  * Serialized stderr sink: concurrent warnings and panic reports from
  * sweep worker threads emit whole lines, never interleaved fragments.
- * The stream itself is guarded; the emitted-line counter is a relaxed
- * atomic so diagnostics can read it without the lock.
  */
 class LogSink
 {
@@ -136,23 +130,13 @@ class LogSink
         std::lock_guard<std::mutex> lock(mu_);
         out_ << text;
         out_.flush();
-        lines_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    linesWritten() const
-    {
-        return lines_.load(std::memory_order_relaxed);
     }
 
   private:
     LogSink() = default;
 
     std::mutex mu_;
-    // dbsim-analyze: guarded_by(mu_)
     std::ostream &out_ = std::cerr;
-    // dbsim-analyze: atomic
-    std::atomic<std::uint64_t> lines_{0};
 };
 
 std::atomic<PanicBehavior> g_panic_behavior{PanicBehavior::Abort};

@@ -216,9 +216,9 @@ runIsolated(const SweepItem &item, std::size_t index)
 }
 
 /**
- * Collects per-item outcomes from the worker pool with a machine-checked
- * sharing contract (DESIGN.md §5j): every slot write runs under mu_, so
- * outcomes land in input order whatever order the workers finish in.
+ * Collects per-item outcomes from the worker pool: every slot write runs
+ * under mu_, so outcomes land in input order whatever order the workers
+ * finish in.
  */
 class SweepCollector
 {
@@ -246,7 +246,6 @@ class SweepCollector
 
   private:
     std::mutex mu_;
-    // dbsim-analyze: guarded_by(mu_)
     std::vector<SweepItemOutcome> items_;
 };
 

@@ -29,8 +29,6 @@ namespace dbsim::sim {
 /**
  * Per-CPU run queues over externally owned ProcessContexts.
  */
-// dbsim-analyze: shared(the scheduler is the machine-wide process-placement authority (paper section 2.2); queues_ is already sharded per CPU inside it)
-// dbsim-analyze: owner(scheduler)
 class Scheduler
 {
   public:
@@ -119,8 +117,6 @@ class Scheduler
         }
     };
 
-    // dbsim-analyze: shared(per-CPU run/blocked queues, indexed by CpuId; cross-CPU wakes go through the scheduler by design)
-    // dbsim-analyze: owner(scheduler)
     struct CpuQueue
     {
         std::deque<cpu::ProcessContext *> ready;

@@ -112,8 +112,6 @@ struct RunResult
 /**
  * The simulated machine.
  */
-// dbsim-analyze: shared(System is the machine: it owns the shared fabric, page map, scheduler and lock table, and drives every node's tick)
-// dbsim-analyze: owner(coordinator)
 class System : public cpu::CoreEnvIf
 {
   public:
@@ -234,8 +232,6 @@ class System : public cpu::CoreEnvIf
   private:
     enum class Pending : std::uint8_t { None, Block, Yield, Done };
 
-    // dbsim-analyze: shared(per-CPU scheduling glue owned by System; one entry per CPU, touched only by that CPU's run-loop slice)
-    // dbsim-analyze: owner(node)
     struct CpuState
     {
         std::unique_ptr<Node> node;

@@ -8,9 +8,9 @@
  * counters, epoch-hash stream, final state hash and machine dump).
  * The serial engine wraps core::Simulation; a mutant engine seeds one
  * verify::ProtocolBug through the real decision points (the same
- * attachment idiom as tools/dbsim-diverge).  The future event-driven
- * and sharded engines (ROADMAP items 1-2) implement the same interface
- * and inherit the entire fuzz corpus as a differential test bed.
+ * attachment idiom as tools/dbsim-diverge).  Any alternative engine
+ * implements the same interface and inherits the entire fuzz corpus as
+ * a differential test bed.
  *
  * Oracles return a structured OracleVerdict instead of asserting, so
  * the fuzzer can triage failures into buckets by signature and the

@@ -1,13 +1,18 @@
 /**
  * @file
  * Unit tests for common utilities: types helpers, deterministic RNG,
- * histograms and occupancy trackers.
+ * histograms, occupancy trackers and the log sink.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -211,6 +216,55 @@ TEST(OccupancyTracker, ResetClears)
 TEST(Log, FatalThrows)
 {
     EXPECT_THROW(DBSIM_FATAL("bad config ", 42), std::runtime_error);
+}
+
+TEST(LogSink, ConcurrentWarningsComeOutAsWholeLines)
+{
+    // Sweep workers warn concurrently; the sink must emit each warning
+    // as one whole line.  Under TSan this also exercises the sink lock.
+    constexpr int kThreads = 8;
+    constexpr int kPerThread = 200;
+    testing::internal::CaptureStderr();
+    {
+        std::vector<std::thread> workers;
+        for (int t = 0; t < kThreads; ++t)
+            workers.emplace_back([t] {
+                for (int m = 0; m < kPerThread; ++m)
+                    DBSIM_WARN("t", t, " m", m);
+            });
+        for (std::thread &w : workers)
+            w.join();
+    }
+    const std::string captured = testing::internal::GetCapturedStderr();
+
+    std::istringstream in(captured);
+    std::string line;
+    std::set<std::pair<int, int>> seen;
+    int lines = 0;
+    while (std::getline(in, line)) {
+        ++lines;
+        // warn: t<i> m<j> (<file>:<line>)
+        std::istringstream ls(line);
+        std::string tag, ti, mj, where;
+        ls >> tag >> ti >> mj >> where;
+        ASSERT_EQ(tag, "warn:") << line;
+        ASSERT_TRUE(ti.size() > 1 && ti[0] == 't') << line;
+        ASSERT_TRUE(mj.size() > 1 && mj[0] == 'm') << line;
+        ASSERT_TRUE(where.size() > 2 && where.front() == '(' &&
+                    where.back() == ')')
+            << line;
+        const int i = std::stoi(ti.substr(1));
+        const int j = std::stoi(mj.substr(1));
+        ASSERT_TRUE(i >= 0 && i < kThreads && j >= 0 && j < kPerThread)
+            << line;
+        EXPECT_TRUE(seen.insert({i, j}).second) << "duplicate: " << line;
+        EXPECT_EQ(ti + " " + mj, "t" + std::to_string(i) + " m" +
+                                     std::to_string(j))
+            << line;
+    }
+    EXPECT_EQ(lines, kThreads * kPerThread);
+    EXPECT_EQ(seen.size(),
+              static_cast<std::size_t>(kThreads * kPerThread));
 }
 
 TEST(Stats, PctFormatting)

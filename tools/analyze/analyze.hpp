@@ -30,33 +30,11 @@ struct Finding
     std::string message;
 };
 
-/**
- * One entry of the shard-ownership map: a member that tick-reachable
- * code mutates, with its classification.  `ownership` is "node-local"
- * (contained only under per-node state) or "shared" (annotated with
- * `// dbsim-analyze: shared(<reason>)`); unclassified members become
- * shard-ownership findings instead of map entries.
- */
-struct OwnershipEntry
-{
-    std::string cls;       ///< owning class (bare name)
-    std::string field;     ///< member name
-    std::string ownership; ///< "node-local" or "shared"
-    std::string reason;    ///< shared() annotation reason ("" if none)
-    std::string file;      ///< declaring file (corpus-root-relative)
-    int line = 0;          ///< declarator line
-    /// Structured sync contract (map v2, DESIGN.md §5j): rendered as
-    /// "guarded_by(<mutex>)", "atomic", "phase(<name>)" or
-    /// "owner(<domain>)"; "" when the field carries none (which the
-    /// sync-unannotated-shared rule flags for shared rows).
-    std::string sync;
-};
-
 struct RuleInfo
 {
     const char *id;
     const char *family; ///< "determinism", "accounting", "layering",
-                        ///< "conventions"
+                        ///< "conventions", "checkpoint", "hotpath"
     const char *description;
 };
 
@@ -87,9 +65,6 @@ struct Result
     /// Surviving findings: not suppressed inline, not in the baseline.
     /// Sorted by (file, line, rule, message).
     std::vector<Finding> findings;
-    /// Tick-path ownership map (filled when the shard-ownership rule
-    /// runs).  Sorted by (cls, field).
-    std::vector<OwnershipEntry> ownership;
     std::size_t suppressed = 0;
     std::size_t baselined = 0;
     std::size_t files_scanned = 0;
@@ -106,14 +81,6 @@ void writeText(std::ostream &os, const Result &r);
 /// SARIF 2.1.0 document covering the full rule catalog and the
 /// surviving findings.
 void writeSarif(std::ostream &os, const Result &r);
-
-/// Tab-separated ownership map: class, field, ownership, sync contract,
-/// file:line, reason -- one row per tick-mutated member, sorted.
-void writeOwnershipMap(std::ostream &os, const Result &r);
-
-/// Ownership map as JSON (stable key order, deterministic formatting --
-/// the committed tools/analyze/ownership_map.json is diffed in CI).
-void writeOwnershipMapJson(std::ostream &os, const Result &r);
 
 } // namespace dbsim::analyze
 

@@ -1,7 +1,5 @@
 #include "decls.hpp"
 
-#include <algorithm>
-
 namespace dbsim::analyze {
 
 namespace {
@@ -21,18 +19,6 @@ skipBraces(const std::vector<Token> &t, std::size_t &i)
             return;
         }
     }
-}
-
-bool
-isTypeKeyword(const std::string &s)
-{
-    return s == "std" || s == "const" || s == "mutable" ||
-           s == "volatile" || s == "constexpr" || s == "inline" ||
-           s == "unsigned" || s == "signed" || s == "short" ||
-           s == "long" || s == "int" || s == "char" || s == "bool" ||
-           s == "auto" || s == "double" || s == "float" || s == "void" ||
-           s == "struct" || s == "class" || s == "enum" ||
-           s == "typename" || s == "explicit";
 }
 
 bool
@@ -100,7 +86,6 @@ struct CallableInfo
     std::string cls; ///< from a Qual::name qualifier ("" if none)
     int line = 0;
     bool is_virtual = false;
-    bool is_const = false;
     std::size_t params_end = 0; ///< statement index past the ')'
     bool has_init_list = false; ///< ctor ':' after the parameter list
 };
@@ -124,117 +109,17 @@ parseCallable(const Stmt &s)
     out.is_virtual = s.contains("virtual");
     out.params_end = closeOfParen(s, p);
     for (std::size_t k = out.params_end; k < s.size(); ++k) {
-        if (s[k].kind == Tok::Punct && s[k].text == "->")
-            break; // trailing return type: stop scanning qualifiers
-        if (s[k].kind == Tok::Punct && s[k].text == ":") {
+        if (s[k].kind != Tok::Punct)
+            continue;
+        if (s[k].text == "->")
+            break; // trailing return type: no initializer list
+        if (s[k].text == ":") {
             out.has_init_list = true;
             break;
         }
-        if (s[k].kind == Tok::Ident && s[k].text == "const")
-            out.is_const = true;
     }
     out.valid = true;
     return out;
-}
-
-/**
- * Parse a field declaration statement (no parentheses) into the class.
- * Declarator names are identifiers directly followed by '=', ',' or the
- * statement end, considered only before the first '='.
- */
-void
-parseFields(const Stmt &s, ClassDecl &cls, int end_line)
-{
-    if (s.size() == 0)
-        return;
-    for (std::size_t k = 0; k < s.size(); ++k) {
-        const std::string &w = s[k].text;
-        if (s[k].kind == Tok::Ident &&
-            (w == "using" || w == "typedef" || w == "friend" ||
-             w == "static" || w == "template" || w == "enum"))
-            return;
-    }
-    std::size_t first_eq = s.size();
-    for (std::size_t k = 0; k < s.size(); ++k)
-        if (s[k].kind == Tok::Punct && s[k].text == "=") {
-            first_eq = k;
-            break;
-        }
-
-    bool owned = true;
-    for (std::size_t k = 0; k < first_eq; ++k)
-        if (s[k].kind == Tok::Punct &&
-            (s[k].text == "*" || s[k].text == "&"))
-            owned = false;
-    if (s.contains("unique_ptr"))
-        owned = true;
-
-    std::vector<std::size_t> declarators;
-    for (std::size_t k = 0; k < first_eq; ++k) {
-        if (s[k].kind != Tok::Ident || isTypeKeyword(s[k].text))
-            continue;
-        const bool at_end = k + 1 == s.size();
-        const std::string next = at_end ? std::string(";") : s[k + 1].text;
-        if (next == "=" || next == "," || next == ";")
-            declarators.push_back(k);
-    }
-    if (declarators.empty())
-        return;
-
-    std::vector<std::string> type_idents;
-    for (std::size_t k = 0; k < first_eq; ++k) {
-        if (s[k].kind != Tok::Ident || isTypeKeyword(s[k].text))
-            continue;
-        if (std::find(declarators.begin(), declarators.end(), k) !=
-            declarators.end())
-            continue;
-        type_idents.push_back(s[k].text);
-    }
-    for (std::size_t k : declarators) {
-        FieldDecl f;
-        f.name = s[k].text;
-        f.line = s[k].line;
-        f.decl_line = s[0].line;
-        f.end_line = end_line;
-        f.type_idents = type_idents;
-        f.owned = owned;
-        cls.fields.push_back(std::move(f));
-    }
-}
-
-/// Parse base-class names out of a class-head statement, given the
-/// statement index of the class name.
-std::vector<std::string>
-parseBases(const Stmt &s, std::size_t name_idx)
-{
-    std::vector<std::string> bases;
-    std::size_t k = name_idx + 1;
-    while (k < s.size() && s[k].text != ":")
-        ++k;
-    if (k >= s.size())
-        return bases;
-    int angle = 0;
-    for (++k; k < s.size(); ++k) {
-        if (s[k].kind == Tok::Punct) {
-            if (s[k].text == "<")
-                ++angle;
-            else if (s[k].text == ">")
-                --angle;
-            else if (s[k].text == ">>")
-                angle -= 2;
-            continue;
-        }
-        if (angle > 0 || s[k].kind != Tok::Ident)
-            continue;
-        const std::string &w = s[k].text;
-        if (isAccessSpecifier(w) || w == "virtual" || w == "final")
-            continue;
-        // `coher::CacheSite`: skip the qualifier, keep the last part.
-        if (k + 1 < s.size() && s[k + 1].text == "::")
-            continue;
-        bases.push_back(w);
-    }
-    return bases;
 }
 
 void
@@ -271,18 +156,11 @@ scanFile(const SourceFile &f, int file_idx, DeclIndex &out)
         if (tk.kind == Tok::Punct && tk.text == ";") {
             const Stmt s{t, stmt_idx};
             const int ci = currentClass();
-            if (ci >= 0 && s.size() > 0) {
-                if (s.contains("(")) {
-                    const CallableInfo info = parseCallable(s);
-                    if (info.valid && info.name[0] != '~' &&
-                        info.cls.empty())
-                        out.classes[ci].methods.push_back(
-                            {info.name, info.line,
-                             s.size() > 0 ? s[0].line : info.line,
-                             tk.line, info.is_virtual, info.is_const});
-                } else {
-                    parseFields(s, out.classes[ci], tk.line);
-                }
+            if (ci >= 0 && s.contains("(")) {
+                const CallableInfo info = parseCallable(s);
+                if (info.valid && info.name[0] != '~' && info.cls.empty())
+                    out.classes[ci].methods.push_back(
+                        {info.name, info.line, info.is_virtual});
             }
             stmt_idx.clear();
             ++i;
@@ -332,20 +210,15 @@ scanFile(const SourceFile &f, int file_idx, DeclIndex &out)
                     if (fn.cls.empty() && ci >= 0)
                         fn.cls = out.classes[ci].name;
                     fn.name = info.name;
-                    fn.file = f.rel;
                     fn.line = info.line;
                     fn.decl_line = s.size() > 0 ? s[0].line : info.line;
-                    fn.end_line = t[body_open].line;
                     fn.file_idx = file_idx;
                     fn.body_begin = body_open + 1;
                     fn.body_end = i > 0 ? i - 1 : 0;
                     out.functions.push_back(std::move(fn));
                     if (ci >= 0 && info.cls.empty())
                         out.classes[ci].methods.push_back(
-                            {info.name, info.line,
-                             s.size() > 0 ? s[0].line : info.line,
-                             t[body_open].line, info.is_virtual,
-                             info.is_const});
+                            {info.name, info.line, info.is_virtual});
                 }
                 stmt_idx.clear();
                 continue;
@@ -359,17 +232,7 @@ scanFile(const SourceFile &f, int file_idx, DeclIndex &out)
                     kw = k;
             if (kw != s.size() && kw + 1 < s.size() &&
                 s[kw + 1].kind == Tok::Ident) {
-                ClassDecl cd;
-                cd.name = s[kw + 1].text;
-                const int ci = currentClass();
-                cd.qualified = ci >= 0
-                                   ? out.classes[ci].name + "::" + cd.name
-                                   : cd.name;
-                cd.file = f.rel;
-                cd.line = s[kw + 1].line;
-                cd.file_idx = file_idx;
-                cd.bases = parseBases(s, kw + 1);
-                out.classes.push_back(std::move(cd));
+                out.classes.push_back({s[kw + 1].text, f.rel, {}});
                 scopes.push_back(
                     {true, static_cast<int>(out.classes.size()) - 1});
                 stmt_idx.clear();
@@ -396,29 +259,9 @@ buildDecls(const Corpus &corpus, DeclIndex &out)
 {
     for (std::size_t i = 0; i < corpus.files.size(); ++i)
         scanFile(corpus.files[i], static_cast<int>(i), out);
-    for (std::size_t i = 0; i < out.classes.size(); ++i)
-        out.class_by_name[out.classes[i].name].push_back(
-            static_cast<int>(i));
     for (std::size_t i = 0; i < out.functions.size(); ++i)
         out.fn_by_name[out.functions[i].name].push_back(
             static_cast<int>(i));
-}
-
-int
-resolveClass(const DeclIndex &d, int from, const std::string &name)
-{
-    const auto it = d.class_by_name.find(name);
-    if (it == d.class_by_name.end())
-        return -1;
-    if (from >= 0) {
-        const std::string nested = d.classes[from].name + "::" + name;
-        for (int ci : it->second)
-            if (d.classes[ci].qualified == nested)
-                return ci;
-    }
-    if (it->second.size() == 1)
-        return it->second[0];
-    return -1; // ambiguous bare name: degrade by not resolving
 }
 
 } // namespace dbsim::analyze

@@ -7,7 +7,6 @@
 #include <set>
 #include <tuple>
 
-#include "core/json_writer.hpp"
 #include "corpus.hpp"
 #include "rules.hpp"
 
@@ -15,10 +14,10 @@ namespace dbsim::analyze {
 
 namespace {
 
+/// One rule-family pass and the rule ids it produces.
 struct Family
 {
-    const char *name;
-    void (*pass)(const PassContext &, std::vector<RawFinding> &, Result &);
+    void (*pass)(const PassContext &, std::vector<RawFinding> &);
     std::vector<const char *> rules;
 };
 
@@ -26,22 +25,18 @@ const std::vector<Family> &
 families()
 {
     static const std::vector<Family> kFamilies = {
-        {"determinism", runDeterminismRules,
+        {runDeterminismRules,
          {kRuleUnorderedIter, kRuleWallclock, kRuleRand,
           kRulePointerFormat}},
-        {"accounting", runAccountingRules,
+        {runAccountingRules,
          {kRuleCounterCoverage, kRuleSwitchExhaustive, kRuleCounterReach}},
-        {"layering", runLayeringRules, {kRuleLayerCycle, kRuleLayerOrder}},
-        {"conventions", runConventionRules,
+        {runLayeringRules, {kRuleLayerCycle, kRuleLayerOrder}},
+        {runConventionRules,
          {kRuleAssert, kRuleStdout, kRuleIncludeGuard, kRuleCatchSwallow}},
-        {"checkpoint", runCheckpointRules, {kRuleCheckpointPurity}},
-        {"ownership", runOwnershipRules, {kRuleShardOwnership}},
-        {"hotpath", runHotpathRules,
+        {runCheckpointRules, {kRuleCheckpointPurity}},
+        {runHotpathRules,
          {kRuleHotpathAlloc, kRuleHotpathMapLookup, kRuleHotpathVirtual,
           kRuleHotpathString}},
-        {"sync", runSyncRules,
-         {kRuleSyncGuarded, kRuleSyncRequires, kRuleSyncLockOrder,
-          kRuleSyncAtomicRmw, kRuleSyncUnannotated}},
     };
     return kFamilies;
 }
@@ -135,10 +130,6 @@ ruleCatalog()
          "A counter whose only write sites are unreachable from the tick "
          "path (and not cold) is dead accounting: the measured run never "
          "produces it."},
-        {kRuleShardOwnership, "ownership",
-         "Every member mutated by tick-reachable code must be contained "
-         "under a per-node shard or carry a "
-         "// dbsim-analyze: shared(<reason>) contract (DESIGN.md §5h)."},
         {kRuleHotpathAlloc, "hotpath",
          "No heap allocation (new/make_unique/local owning containers) "
          "on the tick path; allocate at setup or pool."},
@@ -151,24 +142,6 @@ ruleCatalog()
         {kRuleHotpathString, "hotpath",
          "No string construction/formatting on the tick path; move it "
          "behind a cold(<reason>) boundary."},
-        {kRuleSyncGuarded, "sync",
-         "Every read/write of a guarded_by(<mutex>) field needs the "
-         "mutex in the effective lockset, and phase-confined fields may "
-         "only be touched from that phase (DESIGN.md §5j)."},
-        {kRuleSyncRequires, "sync",
-         "A caller must hold every mutex a callee declares with "
-         "// dbsim-analyze: requires(<mutex>)."},
-        {kRuleSyncLockOrder, "sync",
-         "The global lock-acquisition-order graph must be acyclic, and "
-         "no non-recursive mutex may be re-acquired while held -- the "
-         "static deadlock guard for the sharded engine."},
-        {kRuleSyncAtomicRmw, "sync",
-         "Fields marked atomic must be std::atomic and updated with "
-         "single atomic RMW operations, not load-modify-store."},
-        {kRuleSyncUnannotated, "sync",
-         "Every shared row of the ownership map must carry a structured "
-         "contract (guarded_by/atomic/phase/owner), not just the prose "
-         "shared() reason."},
     };
     return kCatalog;
 }
@@ -208,26 +181,13 @@ runAnalysis(const Options &opt, Result &out, std::string &error)
     buildDecls(corpus, decls);
     CallGraph graph;
     buildCallGraph(corpus, decls, graph);
-    SyncIndex sync;
-    buildSyncIndex(corpus, decls, graph, sync);
-    const PassContext ctx{corpus, decls, graph, sync};
-
-    // sync-unannotated-shared consumes the ownership classification, so
-    // the ownership pass must run whenever any sync rule is enabled;
-    // its own findings are still rule-filtered below.
-    const bool sync_enabled = std::any_of(
-        families().back().rules.begin(), families().back().rules.end(),
-        [&](const char *id) { return enabled(id); });
+    const PassContext ctx{corpus, decls, graph};
 
     std::vector<RawFinding> raw;
     for (const Family &fam : families()) {
-        const bool any = std::any_of(
-            fam.rules.begin(), fam.rules.end(),
-            [&](const char *id) { return enabled(id); });
-        const bool forced =
-            sync_enabled && std::string(fam.name) == "ownership";
-        if (any || forced)
-            fam.pass(ctx, raw, out);
+        if (std::any_of(fam.rules.begin(), fam.rules.end(),
+                        [&](const char *id) { return enabled(id); }))
+            fam.pass(ctx, raw);
     }
 
     std::vector<Finding> surviving;
@@ -296,41 +256,6 @@ writeText(std::ostream &os, const Result &r)
     os << "dbsim-analyze: " << r.files_scanned << " files, "
        << r.findings.size() << " finding(s) (" << r.suppressed
        << " suppressed, " << r.baselined << " baselined)\n";
-}
-
-void
-writeOwnershipMap(std::ostream &os, const Result &r)
-{
-    os << "# dbsim-analyze ownership map: members mutated by "
-          "tick-reachable code.\n"
-          "# class\tfield\townership\tsync\tlocation\treason\n";
-    for (const OwnershipEntry &e : r.ownership)
-        os << e.cls << "\t" << e.field << "\t" << e.ownership << "\t"
-           << (e.sync.empty() ? "-" : e.sync) << "\t" << e.file << ":"
-           << e.line << "\t" << e.reason << "\n";
-}
-
-void
-writeOwnershipMapJson(std::ostream &os, const Result &r)
-{
-    core::JsonWriter w(os);
-    w.beginObject()
-        .kv("schema", "dbsim-ownership-map-v2")
-        .key("rows")
-        .beginArray();
-    for (const OwnershipEntry &e : r.ownership) {
-        w.beginObject()
-            .kv("class", e.cls)
-            .kv("field", e.field)
-            .kv("ownership", e.ownership)
-            .kv("sync", e.sync)
-            .kv("file", e.file)
-            .kv("line", std::int64_t{e.line})
-            .kv("reason", e.reason)
-            .endObject();
-    }
-    w.endArray().endObject();
-    os << "\n";
 }
 
 } // namespace dbsim::analyze

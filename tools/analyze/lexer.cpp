@@ -64,26 +64,6 @@ parseListMark(std::string_view body, std::string_view key)
 }
 
 /**
- * True when the comment body contains a bare `dbsim-analyze: <key>` mark
- * (no argument list), e.g. `// dbsim-analyze: atomic`.
- */
-bool
-parseBareMark(std::string_view body, std::string_view key)
-{
-    std::string needle = "dbsim-analyze: ";
-    needle += key;
-    std::size_t pos = 0;
-    while ((pos = body.find(needle, pos)) != std::string_view::npos) {
-        const std::size_t after = pos + needle.size();
-        if (after >= body.size() ||
-            (!identChar(body[after]) && body[after] != '('))
-            return true;
-        pos = after;
-    }
-    return false;
-}
-
-/**
  * Extract the reason of a `dbsim-analyze: <key>(<reason>)` marker from a
  * comment body.  Returns false when the marker is absent.  The reason is
  * everything up to the first ')' (so it may not contain one), trimmed.
@@ -137,18 +117,10 @@ lexSource(std::string rel, std::string_view text)
     std::size_t i = 0;
     const std::size_t n = text.size();
     bool line_has_code = false;       // a code token emitted on this line
-    int last_code_line = 0;           // line of the last emitted token
-    bool stmt_open = false;           // last token did not close a stmt
     std::set<std::string> pending;    // allows waiting for the next code line
-    // Annotation marks waiting for the next code line; the bool
+    // A cold() mark waiting for the next code line; the bool
     // distinguishes an absent mark from an empty reason.
-    std::pair<bool, std::string> pending_shared{false, {}};
     std::pair<bool, std::string> pending_cold{false, {}};
-    std::pair<bool, std::string> pending_guarded{false, {}};
-    std::pair<bool, std::string> pending_phase{false, {}};
-    std::pair<bool, std::string> pending_owner{false, {}};
-    bool pending_atomic = false;
-    std::set<std::string> pending_requires;
 
     auto newline = [&] {
         ++line;
@@ -159,83 +131,24 @@ lexSource(std::string rel, std::string_view text)
             out.allows[at].insert(pending.begin(), pending.end());
             pending.clear();
         }
-        auto flush = [&](std::pair<bool, std::string> &p,
-                         std::map<int, std::string> &dest) {
-            if (p.first) {
-                dest[at] = p.second;
-                p = {false, {}};
-            }
-        };
-        flush(pending_shared, out.shared_marks);
-        flush(pending_cold, out.cold_marks);
-        flush(pending_guarded, out.guarded_marks);
-        flush(pending_phase, out.phase_marks);
-        flush(pending_owner, out.owner_marks);
-        if (pending_atomic) {
-            out.atomic_marks.insert(at);
-            pending_atomic = false;
-        }
-        if (!pending_requires.empty()) {
-            out.requires_marks[at].insert(pending_requires.begin(),
-                                          pending_requires.end());
-            pending_requires.clear();
+        if (pending_cold.first) {
+            out.cold_marks[at] = std::move(pending_cold.second);
+            pending_cold = {false, {}};
         }
         line_has_code = true;
-        last_code_line = at;
-        stmt_open = !(kind == Tok::Punct &&
-                      (t == ";" || t == "{" || t == "}"));
         out.tokens.push_back(Token{kind, std::move(t), at});
     };
     auto recordAllows = [&](std::string_view body, int start_line) {
+        std::string reason;
+        if (parseReasonMark(body, "cold", reason)) {
+            if (line_has_code)
+                out.cold_marks[start_line] = reason;
+            else
+                pending_cold = {true, reason};
+        }
         // Suppressions: `dbsim-analyze: allow(a, b)` clauses (possibly
         // several per comment).
-        std::set<std::string> rules = parseListMark(body, "allow");
-        // Annotation marks: same-line binds to that line; a standalone
-        // comment binds to the next code line and -- when a multi-line
-        // declaration is still open -- to the last code line before it
-        // as well, so mid-declaration marks stay inside the decl range.
-        auto place = [&](const std::string &val,
-                         std::map<int, std::string> &dest,
-                         std::pair<bool, std::string> &p) {
-            if (line_has_code) {
-                dest[start_line] = val;
-                return;
-            }
-            if (stmt_open && last_code_line > 0)
-                dest[last_code_line] = val;
-            p = {true, val};
-        };
-        std::string reason;
-        if (parseReasonMark(body, "shared", reason))
-            place(reason, out.shared_marks, pending_shared);
-        if (parseReasonMark(body, "cold", reason))
-            place(reason, out.cold_marks, pending_cold);
-        if (parseReasonMark(body, "guarded_by", reason))
-            place(reason, out.guarded_marks, pending_guarded);
-        if (parseReasonMark(body, "phase", reason))
-            place(reason, out.phase_marks, pending_phase);
-        if (parseReasonMark(body, "owner", reason))
-            place(reason, out.owner_marks, pending_owner);
-        if (parseBareMark(body, "atomic")) {
-            if (line_has_code) {
-                out.atomic_marks.insert(start_line);
-            } else {
-                if (stmt_open && last_code_line > 0)
-                    out.atomic_marks.insert(last_code_line);
-                pending_atomic = true;
-            }
-        }
-        std::set<std::string> req = parseListMark(body, "requires");
-        if (!req.empty()) {
-            if (line_has_code) {
-                out.requires_marks[start_line].insert(req.begin(), req.end());
-            } else {
-                if (stmt_open && last_code_line > 0)
-                    out.requires_marks[last_code_line].insert(req.begin(),
-                                                              req.end());
-                pending_requires.insert(req.begin(), req.end());
-            }
-        }
+        const std::set<std::string> rules = parseListMark(body, "allow");
         if (rules.empty())
             return;
         if (line_has_code)

@@ -53,37 +53,16 @@ struct PpDirective
 };
 
 /**
- * A lexed source file.  `allows` maps a source line to the set of rule
- * ids suppressed on that line via `// dbsim-analyze: allow(rule, ...)`.
- * A suppression comment applies to the line it shares with code, or --
- * when it stands alone -- to the next line that has code.
- *
- * `shared_marks` and `cold_marks` carry the ownership/reachability
- * annotations consumed by the call-graph rule families:
- *     // dbsim-analyze: shared(<reason>)   on a member (or its class)
- *     // dbsim-analyze: cold(<reason>)     on a function definition
- * with the same same-line-or-next-code-line placement as allow().  The
+ * A lexed source file.  Two mark kinds live in comments:
+ *     // dbsim-analyze: allow(<rule>[, <rule>...])  suppress findings
+ *     // dbsim-analyze: cold(<reason>)              on a function
+ *                                                   definition: the
+ *                                                   tick-path call
+ *                                                   graph stops there
+ * A mark sharing a line with code applies to that line; a standalone
+ * mark applies to the next line that has code.  `allows` maps a line to
+ * its suppressed rule ids, `cold_marks` a line to its reason.  The
  * reason text may not contain ')'.
- *
- * The structured concurrency-contract marks (DESIGN.md §5j) use the
- * same placement, one mark per `dbsim-analyze:` clause:
- *     // dbsim-analyze: guarded_by(<mutex-member>)  field: held for R/W
- *     // dbsim-analyze: atomic                      field: std::atomic
- *     // dbsim-analyze: phase(<name>)               field/function: only
- *                                                   reachable in <name>
- *                                                   phase (e.g. serial)
- *     // dbsim-analyze: owner(<domain>)             field: confined to a
- *                                                   serialization domain
- *     // dbsim-analyze: requires(<m>[, <m>...])     function: caller must
- *                                                   hold these mutexes
- *
- * Placement: a mark sharing a line with code binds to that line.  A
- * standalone mark comment binds to the next line with code, and -- when
- * it appears *inside* a declaration that spans multiple lines (the
- * statement is still open) -- also to the last code line before it, so
- * multi-line declarations never silently detach their annotations.
- * allow() keeps the original next-code-line-only placement, since its
- * suppression scope is line-anchored.
  */
 struct SourceFile
 {
@@ -92,13 +71,7 @@ struct SourceFile
     std::vector<IncludeDirective> includes;
     std::vector<PpDirective> directives;
     std::map<int, std::set<std::string>> allows;
-    std::map<int, std::string> shared_marks; ///< line -> reason
-    std::map<int, std::string> cold_marks;   ///< line -> reason
-    std::map<int, std::string> guarded_marks; ///< line -> mutex member
-    std::set<int> atomic_marks;               ///< lines marked atomic
-    std::map<int, std::string> phase_marks;   ///< line -> phase name
-    std::map<int, std::string> owner_marks;   ///< line -> domain
-    std::map<int, std::set<std::string>> requires_marks; ///< line -> mutexes
+    std::map<int, std::string> cold_marks; ///< line -> reason
     int last_line = 0;
 
     bool isHeader() const;

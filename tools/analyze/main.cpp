@@ -37,10 +37,6 @@ usage(std::ostream &os, int code)
           "findings\n"
           "  --sarif FILE       also write a SARIF 2.1.0 report ('-' = "
           "stdout)\n"
-          "  --ownership-map FILE  write the tick-path shard-ownership "
-          "map ('-' = stdout)\n"
-          "  --ownership-map-format text|json  ownership-map format "
-          "(default text)\n"
           "  --quiet            suppress the summary line on success\n"
           "exit status: 0 clean, 1 findings, 2 usage/IO error\n";
     return code;
@@ -69,8 +65,6 @@ main(int argc, char **argv)
     std::string src;
     std::string baseline;
     std::string sarif_path;
-    std::string ownership_path;
-    std::string ownership_format = "text";
     bool baseline_set = false;
     bool quiet = false;
     Options opt;
@@ -101,16 +95,6 @@ main(int argc, char **argv)
             opt.write_baseline = true;
         else if (arg == "--sarif")
             sarif_path = next();
-        else if (arg == "--ownership-map")
-            ownership_path = next();
-        else if (arg == "--ownership-map-format") {
-            ownership_format = next();
-            if (ownership_format != "text" && ownership_format != "json") {
-                std::cerr << "dbsim-analyze: --ownership-map-format must "
-                             "be text or json\n";
-                return 2;
-            }
-        }
         else if (arg == "--quiet")
             quiet = true;
         else if (arg == "--list-rules") {
@@ -163,26 +147,6 @@ main(int argc, char **argv)
                 return 2;
             }
             writeSarif(out, result);
-        }
-    }
-
-    if (!ownership_path.empty()) {
-        const auto write = [&](std::ostream &os) {
-            if (ownership_format == "json")
-                writeOwnershipMapJson(os, result);
-            else
-                writeOwnershipMap(os, result);
-        };
-        if (ownership_path == "-") {
-            write(std::cout);
-        } else {
-            std::ofstream out(ownership_path);
-            if (!out) {
-                std::cerr << "dbsim-analyze: cannot write "
-                          << ownership_path << "\n";
-                return 2;
-            }
-            write(out);
         }
     }
 

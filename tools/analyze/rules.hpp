@@ -15,7 +15,6 @@
 #include "callgraph.hpp"
 #include "corpus.hpp"
 #include "decls.hpp"
-#include "locksets.hpp"
 
 namespace dbsim::analyze {
 
@@ -45,17 +44,11 @@ inline constexpr char kRuleStdout[] = "convention-stdout";
 inline constexpr char kRuleIncludeGuard[] = "convention-include-guard";
 inline constexpr char kRuleCatchSwallow[] = "convention-catch-swallow";
 inline constexpr char kRuleCheckpointPurity[] = "checkpoint-purity";
-inline constexpr char kRuleShardOwnership[] = "shard-ownership";
 inline constexpr char kRuleHotpathAlloc[] = "hotpath-allocation";
 inline constexpr char kRuleHotpathMapLookup[] = "hotpath-map-lookup";
 inline constexpr char kRuleHotpathVirtual[] = "hotpath-virtual";
 inline constexpr char kRuleHotpathString[] = "hotpath-string";
 inline constexpr char kRuleCounterReach[] = "accounting-counter-reachability";
-inline constexpr char kRuleSyncGuarded[] = "sync-guarded-access";
-inline constexpr char kRuleSyncRequires[] = "sync-requires-violation";
-inline constexpr char kRuleSyncLockOrder[] = "sync-lock-order";
-inline constexpr char kRuleSyncAtomicRmw[] = "sync-atomic-rmw";
-inline constexpr char kRuleSyncUnannotated[] = "sync-unannotated-shared";
 
 /**
  * Everything a rule pass may consult: the lexed corpus plus the
@@ -67,30 +60,18 @@ struct PassContext
     const Corpus &corpus;
     const DeclIndex &decls;
     const CallGraph &graph;
-    const SyncIndex &sync;
 };
 
 void runDeterminismRules(const PassContext &ctx,
-                         std::vector<RawFinding> &out, Result &res);
+                         std::vector<RawFinding> &out);
 void runAccountingRules(const PassContext &ctx,
-                        std::vector<RawFinding> &out, Result &res);
-void runLayeringRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                      Result &res);
+                        std::vector<RawFinding> &out);
+void runLayeringRules(const PassContext &ctx, std::vector<RawFinding> &out);
 void runConventionRules(const PassContext &ctx,
-                        std::vector<RawFinding> &out, Result &res);
+                        std::vector<RawFinding> &out);
 void runCheckpointRules(const PassContext &ctx,
-                        std::vector<RawFinding> &out, Result &res);
-void runOwnershipRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                       Result &res);
-void runHotpathRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                     Result &res);
-void runSyncRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                  Result &res);
-
-/// Shared helper: true when the identifier at token `i` is mutated
-/// (assignment, compound assignment, ++/--), looking through member
-/// chains and subscripts the way rules_accounting does.
-bool isWriteContext(const std::vector<Token> &t, std::size_t i);
+                        std::vector<RawFinding> &out);
+void runHotpathRules(const PassContext &ctx, std::vector<RawFinding> &out);
 
 } // namespace dbsim::analyze
 

@@ -16,6 +16,11 @@
 
 namespace dbsim::analyze {
 
+namespace {
+
+/// True when the identifier at token `i` is mutated (assignment,
+/// compound assignment, ++/--), looking through member chains and
+/// subscripts.
 bool
 isWriteContext(const std::vector<Token> &t, std::size_t i)
 {
@@ -59,8 +64,6 @@ isWriteContext(const std::vector<Token> &t, std::size_t i)
         return true;
     return false;
 }
-
-namespace {
 
 struct Usage
 {
@@ -308,8 +311,7 @@ checkCounterReachability(const PassContext &ctx,
 } // namespace
 
 void
-runAccountingRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                   Result &)
+runAccountingRules(const PassContext &ctx, std::vector<RawFinding> &out)
 {
     checkCounterCoverage(ctx.corpus, out);
     for (const SourceFile &f : ctx.corpus.files)

@@ -180,8 +180,7 @@ checkCatchSwallow(const SourceFile &f, std::vector<RawFinding> &out)
 } // namespace
 
 void
-runConventionRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                   Result &)
+runConventionRules(const PassContext &ctx, std::vector<RawFinding> &out)
 {
     const Corpus &c = ctx.corpus;
     for (const SourceFile &f : c.files) {

@@ -115,8 +115,7 @@ checkCycles(const Corpus &c, std::vector<RawFinding> &out)
 } // namespace
 
 void
-runLayeringRules(const PassContext &ctx, std::vector<RawFinding> &out,
-                 Result &)
+runLayeringRules(const PassContext &ctx, std::vector<RawFinding> &out)
 {
     const Corpus &c = ctx.corpus;
     checkLayerOrder(c, out);
