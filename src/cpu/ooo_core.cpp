@@ -9,6 +9,15 @@ namespace dbsim::cpu {
 
 using trace::OpClass;
 
+namespace {
+
+/// Heap order of the completion queue: the earliest completion on top.
+constexpr auto laterFirst = [](const auto &a, const auto &b) {
+    return a.at > b.at;
+};
+
+} // namespace
+
 Core::Core(CpuId id, const CoreParams &params, CoreMemIf *mem,
            CoreEnvIf *env)
     : id_(id), params_(params), mem_(mem), env_(env),
@@ -22,13 +31,32 @@ Core::Core(CpuId id, const CoreParams &params, CoreMemIf *mem,
         params_.window_size =
             std::max<std::uint32_t>(8, 2 * params_.issue_width);
     }
+    // Whole 64-slot words keep the slot sets simple.
+    const std::size_t slots =
+        std::max<std::size_t>(64, std::bit_ceil(params_.window_size));
+    slot_mask_ = slots - 1;
+    ready_.resize(slots);
+    mem_pending_.resize(slots);
+}
+
+void
+Core::allocateWindow()
+{
+    // Once, when the first process is switched in or restored, so that
+    // building a machine costs no more than it did with a deque.
+    // Dispatch and restore assign each entry before it is read.
+    if (!window_) {
+        window_ =
+            std::make_unique_for_overwrite<WindowEntry[]>(slot_mask_ + 1);
+    }
 }
 
 void
 Core::switchTo(ProcessContext *proc, Cycles now, bool charge_switch)
 {
-    DBSIM_ASSERT(window_.empty(), "switchTo with non-empty window");
+    DBSIM_ASSERT(windowSize() == 0, "switchTo with non-empty window");
     DBSIM_ASSERT(proc_ == nullptr, "switchTo without detach");
+    allocateWindow();
     proc_ = proc;
     proc_->state = ProcState::Running;
     pending_.reset();
@@ -60,10 +88,10 @@ Core::detachCurrent()
         proc_->unfetch(*pending_);
         pending_.reset();
     }
-    for (auto it = window_.rbegin(); it != window_.rend(); ++it)
-        proc_->unfetch(it->rec);
-    window_.clear();
+    for (std::uint64_t seq = next_seq_; seq-- > head_seq_;)
+        proc_->unfetch(entry(seq).rec);
     head_seq_ = next_seq_;
+    rebuildDerived();
     unresolved_branches_ = 0;
     unresolved_branch_seq_ = kNoSeq;
     syscall_fetch_block_ = false;
@@ -87,55 +115,98 @@ Core::resetStats()
 // Helpers
 // ---------------------------------------------------------------------
 
-const Core::WindowEntry *
-Core::entryFor(std::uint64_t seq) const
+void
+Core::setCompleteAt(WindowEntry &e, Cycles at)
 {
-    if (seq < head_seq_)
-        return nullptr;
-    const std::uint64_t idx = seq - head_seq_;
-    if (idx >= window_.size())
-        return nullptr;
-    return &window_[static_cast<std::size_t>(idx)];
+    e.complete_at = at;
+    if (at == kNever)
+        return;
+    completions_.push_back(Completion{at, e.seq});
+    std::push_heap(completions_.begin(), completions_.end(), laterFirst);
 }
 
-bool
-Core::producersReady(const WindowEntry &e) const
+void
+Core::linkProducers(WindowEntry &e)
 {
-    for (const std::uint8_t dep : {e.rec.dep1, e.rec.dep2}) {
-        if (dep == 0)
-            continue;
-        if (e.seq < dep)
+    e.waiting = 0;
+    const std::uint8_t deps[2] = {e.rec.dep1, e.rec.dep2};
+    for (std::uint32_t k = 0; k < 2; ++k) {
+        if (deps[k] == 0 || e.seq < deps[k])
             continue; // producer predates the trace window
-        const std::uint64_t pseq = e.seq - dep;
-        const WindowEntry *prod = entryFor(pseq);
-        if (prod && !prod->completed)
-            return false;
+        const std::uint64_t pseq = e.seq - deps[k];
+        if (pseq < head_seq_)
+            continue; // retired (or fetched before a switch)
+        WindowEntry &prod = entry(pseq);
+        if (prod.completed)
+            continue;
+        e.next_consumer[k] = prod.first_consumer;
+        prod.first_consumer =
+            static_cast<std::uint32_t>(slotOf(e.seq) * 2 + k);
+        ++e.waiting;
     }
-    return true;
+    if (e.waiting == 0 && !e.issued)
+        ready_.set(slotOf(e.seq));
 }
 
-bool
-Core::wbAllPerformed() const
+void
+Core::releaseConsumers(WindowEntry &e)
 {
-    // Flush hints are non-binding and do not order stores or fences.
-    for (const auto &w : wb_)
-        if (!w.is_flush && !w.performed)
-            return false;
-    return true;
+    for (std::uint32_t link = e.first_consumer; link != kNoLink;) {
+        WindowEntry &c = window_[link >> 1];
+        link = c.next_consumer[link & 1];
+        if (--c.waiting == 0)
+            ready_.set(slotOf(c.seq));
+    }
+    e.first_consumer = kNoLink;
 }
 
-std::uint32_t
-Core::memOpsInFlight() const
+void
+Core::pushWb(const WbEntry &w)
 {
-    std::uint32_t n = 0;
-    for (const auto &e : window_) {
-        if (trace::isMemory(e.rec.op) && e.issued && !e.performed)
-            ++n;
+    wb_.push_back(w);
+    ++wb_unperformed_;
+    if (!w.is_flush)
+        ++wb_stores_unperformed_;
+}
+
+void
+Core::markWbPerformed(WbEntry &w)
+{
+    w.performed = true;
+    --wb_unperformed_;
+    if (!w.is_flush)
+        --wb_stores_unperformed_;
+}
+
+void
+Core::rebuildDerived()
+{
+    ready_.clear();
+    mem_pending_.clear();
+    completions_.clear();
+    win_mem_unperformed_ = 0;
+    for (std::uint64_t seq = head_seq_; seq < next_seq_; ++seq) {
+        WindowEntry &e = entry(seq);
+        const bool is_mem = trace::isMemory(e.rec.op);
+        if ((is_mem || e.rec.op == OpClass::MemBarrier) && !settled(e))
+            mem_pending_.set(slotOf(seq));
+        if (is_mem && e.issued && !e.performed)
+            ++win_mem_unperformed_;
+        if (e.issued && !e.completed)
+            setCompleteAt(e, e.complete_at);
+        // Producers are older, so their lists were reset above.
+        e.first_consumer = kNoLink;
+        linkProducers(e);
     }
-    for (const auto &w : wb_)
-        if (!w.performed)
-            ++n;
-    return n;
+    wb_unperformed_ = 0;
+    wb_stores_unperformed_ = 0;
+    for (const WbEntry &w : wb_) {
+        if (!w.performed) {
+            ++wb_unperformed_;
+            if (!w.is_flush)
+                ++wb_stores_unperformed_;
+        }
+    }
 }
 
 StallCat
@@ -160,7 +231,7 @@ Core::classifyHead() const
 {
     if (!proc_)
         return StallCat::Idle;
-    if (window_.empty()) {
+    if (windowSize() == 0) {
         if (syscall_fetch_block_ || proc_->state != ProcState::Running)
             return StallCat::Idle;
         if (fetch_pending_line_ != kNoAddr &&
@@ -173,7 +244,7 @@ Core::classifyHead() const
         // Fetch bubble: misprediction restart or transient.
         return StallCat::Fu;
     }
-    const WindowEntry &e = window_.front();
+    const WindowEntry &e = entry(head_seq_);
     switch (e.rec.op) {
       case OpClass::Load:
         return readCat(e);
@@ -237,15 +308,15 @@ Core::doRetireActions(WindowEntry &e, Cycles now)
       case OpClass::Store:
         ++stats_.stores;
         if (!policy_.storeBlocksRetire()) {
-            wb_.push_back(WbEntry{e.rec.vaddr, e.rec.pc, wmb_epoch_,
-                                  /*is_release=*/false});
+            pushWb(WbEntry{e.rec.vaddr, e.rec.pc, wmb_epoch_,
+                           /*is_release=*/false});
         }
         break;
       case OpClass::LockRelease:
         env_->lockRelease(e.rec.vaddr, proc_->id());
         if (!policy_.storeBlocksRetire()) {
-            wb_.push_back(WbEntry{e.rec.vaddr, e.rec.pc, wmb_epoch_,
-                                  /*is_release=*/true});
+            pushWb(WbEntry{e.rec.vaddr, e.rec.pc, wmb_epoch_,
+                           /*is_release=*/true});
         }
         break;
       case OpClass::WriteBarrier:
@@ -255,8 +326,8 @@ Core::doRetireActions(WindowEntry &e, Cycles now)
         // The flush fires from the write buffer once every earlier
         // store (in particular the critical section's stores and the
         // releasing store) has performed; see writeBufferStage.
-        wb_.push_back(WbEntry{e.rec.vaddr, e.rec.pc, wmb_epoch_,
-                              /*is_release=*/false, /*is_flush=*/true});
+        pushWb(WbEntry{e.rec.vaddr, e.rec.pc, wmb_epoch_,
+                       /*is_release=*/false, /*is_flush=*/true});
         break;
       case OpClass::SyscallBlock:
         env_->onSyscallBlock(proc_->id(), e.rec.extra);
@@ -273,18 +344,24 @@ Core::retireStage(Cycles now)
 {
     std::uint32_t retired = 0;
     if (proc_ && now >= run_resume_at_) {
-        while (retired < params_.issue_width && !window_.empty()) {
-            WindowEntry &e = window_.front();
+        while (retired < params_.issue_width && windowSize() != 0) {
+            WindowEntry &e = entry(head_seq_);
             if (e.violated && e.speculative) {
                 // Speculative-load ordering violation: recover.
-                rollbackFrom(0, now);
+                rollback(now);
                 break;
             }
             if (!canRetire(e, now))
                 break;
             doRetireActions(e, now);
             progress_ = true;
-            window_.pop_front();
+            // An SC store retires without completing: its consumers
+            // stop waiting on it now.
+            if (!e.completed)
+                releaseConsumers(e);
+            if (trace::isMemory(e.rec.op) && !e.performed)
+                --win_mem_unperformed_;
+            mem_pending_.reset(slotOf(head_seq_));
             ++head_seq_;
             ++retired;
         }
@@ -310,29 +387,32 @@ Core::retireStage(Cycles now)
 void
 Core::completeStage(Cycles now)
 {
-    for (auto &e : window_) {
-        if (e.issued && !e.completed && e.complete_at <= now) {
-            e.completed = true;
-            progress_ = true;
-            if (trace::isBranch(e.rec.op)) {
-                DBSIM_ASSERT(unresolved_branches_ > 0,
-                             "branch accounting underflow");
-                --unresolved_branches_;
-                if (e.seq == unresolved_branch_seq_) {
-                    unresolved_branch_seq_ = kNoSeq;
-                    fetch_resume_at_ = now + params_.mispredict_restart;
-                }
+    // Completion side effects commute, so the queue's order serves.
+    while (!completions_.empty() && completions_.front().at <= now) {
+        WindowEntry &e = entry(completions_.front().seq);
+        std::pop_heap(completions_.begin(), completions_.end(), laterFirst);
+        completions_.pop_back();
+        e.completed = true;
+        progress_ = true;
+        releaseConsumers(e);
+        if (trace::isBranch(e.rec.op)) {
+            DBSIM_ASSERT(unresolved_branches_ > 0,
+                         "branch accounting underflow");
+            --unresolved_branches_;
+            if (e.seq == unresolved_branch_seq_) {
+                unresolved_branch_seq_ = kNoSeq;
+                fetch_resume_at_ = now + params_.mispredict_restart;
             }
         }
     }
 }
 
 void
-Core::rollbackFrom(std::size_t idx, Cycles now)
+Core::rollback(Cycles now)
 {
     ++stats_.spec_load_violations;
-    for (std::size_t i = idx; i < window_.size(); ++i) {
-        WindowEntry &e = window_[i];
+    for (std::uint64_t seq = head_seq_; seq < next_seq_; ++seq) {
+        WindowEntry &e = entry(seq);
         if (e.completed && trace::isBranch(e.rec.op))
             ++unresolved_branches_; // will re-resolve on replay
         e.issued = false;
@@ -350,6 +430,7 @@ Core::rollbackFrom(std::size_t idx, Cycles now)
         // the fetch-redirect cost was already paid on the first pass.
     }
     issue_block_until_ = now + params_.rollback_penalty;
+    rebuildDerived();
 }
 
 void
@@ -361,13 +442,15 @@ Core::onLineInvalidated(Addr pblock)
         // so a consistency-violating early value can commit.
         return;
     }
-    for (auto &e : window_) {
+    mem_pending_.forEachFrom(slotOf(head_seq_), [&](std::size_t slot) {
+        WindowEntry &e = window_[slot];
         if (e.speculative && e.mem_issued && !e.violated &&
             e.pblock == pblock) {
             e.violated = true;
             wake(WakeReason::Poke);
         }
-    }
+        return true;
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -391,7 +474,7 @@ Core::attemptLockAcquire(WindowEntry &e, Cycles now)
             e.mem_issued = true;
             progress_ = true;
             e.performed_at = r->ready;
-            e.complete_at = r->ready;
+            setCompleteAt(e, r->ready);
             e.cls = r->cls;
             e.dtlb_miss = r->dtlb_miss;
             e.pblock = r->pblock;
@@ -427,7 +510,7 @@ Core::attemptMemIssue(WindowEntry &e, Cycles now, bool loads_done,
                                op == OpClass::PrefetchExcl, now,
                                /*prefetch=*/true);
         e.mem_issued = true;
-        e.complete_at = now;
+        setCompleteAt(e, now);
         e.performed_at = now;
         return;
     }
@@ -455,7 +538,7 @@ Core::attemptMemIssue(WindowEntry &e, Cycles now, bool loads_done,
             e.mem_issued = true;
             progress_ = true;
             e.performed_at = r->ready;
-            e.complete_at = r->ready; // value consumable on arrival
+            setCompleteAt(e, r->ready); // value consumable on arrival
             e.cls = r->cls;
             e.dtlb_miss = r->dtlb_miss;
             e.pblock = r->pblock;
@@ -510,7 +593,11 @@ Core::memoryStage(Cycles now)
     bool stores_done = wbAllPerformed();
     bool fence_before = false;
 
-    for (auto &e : window_) {
+    // Only memory ops and MBs act or move the ordering prefix, and a
+    // settled one (performed, not speculative) does neither: it cannot
+    // issue, and it leaves loads_done and stores_done as they are.
+    mem_pending_.forEachFrom(slotOf(head_seq_), [&](std::size_t slot) {
+        WindowEntry &e = window_[slot];
         const OpClass op = e.rec.op;
 
         if (trace::isMemory(op) && e.issued && !e.mem_issued &&
@@ -536,8 +623,10 @@ Core::memoryStage(Cycles now)
         }
 
         // Update performed bookkeeping.
-        if (e.mem_issued && !e.performed && e.performed_at <= now)
+        if (e.mem_issued && !e.performed && e.performed_at <= now) {
             e.performed = true;
+            --win_mem_unperformed_;
+        }
 
         // Update ordering prefix for younger operations.  Speculative
         // loads do not count as performed until they commit.
@@ -562,7 +651,10 @@ Core::memoryStage(Cycles now)
                 stores_done = false;
             }
         }
-    }
+        if (settled(e))
+            mem_pending_.reset(slot);
+        return true;
+    });
 }
 
 void
@@ -570,7 +662,7 @@ Core::writeBufferStage(Cycles now)
 {
     for (auto &w : wb_) {
         if (w.issued && !w.performed && w.performed_at <= now)
-            w.performed = true;
+            markWbPerformed(w);
     }
     while (!wb_.empty() && wb_.front().performed) {
         wb_.pop_front();
@@ -610,7 +702,7 @@ Core::writeBufferStage(Cycles now)
                 continue;
             mem_->flushHint(w.vaddr, now);
             w.issued = true;
-            w.performed = true;
+            markWbPerformed(w);
             w.performed_at = now;
             progress_ = true;
             continue;
@@ -648,7 +740,8 @@ Core::issueStage(Cycles now)
     if (!proc_ || now < run_resume_at_ || now < issue_block_until_)
         return;
 
-    const std::uint32_t mem_in_flight = memOpsInFlight();
+    const std::uint32_t mem_in_flight =
+        win_mem_unperformed_ + wb_unperformed_;
     std::uint32_t mem_budget =
         params_.mem_queue_size > mem_in_flight
             ? params_.mem_queue_size - mem_in_flight : 0;
@@ -659,64 +752,78 @@ Core::issueStage(Cycles now)
     // and gating the head then wedges the whole window: the slots never
     // drain because their release is ordered behind the very op the
     // full queue is blocking.  Grant the program-order head a reserved
-    // drain slot so the queue always empties oldest-first.
-    bool mem_drain_reserve = wbAllPerformed();
+    // drain slot so the queue always empties oldest-first: the oldest
+    // unperformed memory op, if it is still unissued and the write
+    // buffer has performed every store.
+    std::uint64_t exempt_seq = kNoSeq;
+    if (wbAllPerformed()) {
+        mem_pending_.forEachFrom(slotOf(head_seq_), [&](std::size_t slot) {
+            const WindowEntry &e = window_[slot];
+            if (!trace::isMemory(e.rec.op) || e.performed)
+                return true;
+            if (!e.issued)
+                exempt_seq = e.seq;
+            return false;
+        });
+    }
 
+    // Already-issued instructions (including in-flight loads) are
+    // skipped: both pipelines overlap execution behind them until a
+    // dependent instruction reaches issue.
     std::uint32_t issued = 0;
-    for (auto &e : window_) {
-        if (issued >= params_.issue_width)
+    if (params_.out_of_order) {
+        ready_.forEachFrom(slotOf(head_seq_), [&](std::size_t slot) {
+            if (issued >= params_.issue_width)
+                return false;
+            if (tryIssue(window_[slot], now, mem_budget, exempt_seq))
+                ++issued;
+            return true;
+        });
+        return;
+    }
+    // In order: stall at the first instruction that cannot issue.
+    for (std::uint64_t seq = head_seq_;
+         seq < next_seq_ && issued < params_.issue_width; ++seq) {
+        WindowEntry &e = entry(seq);
+        if (e.issued)
+            continue;
+        if (e.waiting != 0 || !tryIssue(e, now, mem_budget, exempt_seq))
             break;
-        const bool is_mem = trace::isMemory(e.rec.op);
-        if (e.issued) {
-            // Already-issued instructions (including in-flight loads)
-            // are skipped: both pipelines overlap execution behind them
-            // until a dependent instruction reaches issue.
-            if (is_mem && !e.performed)
-                mem_drain_reserve = false;
-            continue;
-        }
-        bool exempt = false;
-        if (is_mem) {
-            // Only the oldest unperformed memory op gets the reserved
-            // slot, and only once per cycle: anything younger must wait
-            // for real queue space.
-            exempt = mem_drain_reserve;
-            mem_drain_reserve = false;
-        }
-        bool ready = producersReady(e);
-        if (ready && is_mem && mem_budget == 0 && !exempt)
-            ready = false;
-        if (!ready) {
-            if (!params_.out_of_order)
-                break; // stall at the first non-ready instruction
-            continue;
-        }
-        if (!fu_.tryIssue(e.rec.op, now)) {
-            if (!params_.out_of_order)
-                break;
-            continue;
-        }
-        e.issued = true;
-        progress_ = true;
-        const Cycles lat = fu_.latency(e.rec.op);
-        if (is_mem) {
-            e.addr_ready_at = now + lat; // address generation
-            e.complete_at = trace::isStore(e.rec.op) &&
-                                    e.rec.op != OpClass::LockAcquire &&
-                                    !policy_.storeBlocksRetire()
-                                ? now + lat
-                                : kNever; // set when the access returns
-            if (trace::isHint(e.rec.op))
-                e.complete_at = kNever; // set when the hint fires
-            if (e.rec.op == OpClass::Flush)
-                e.complete_at = now + lat; // fires later, from the wb
-            if (mem_budget > 0)
-                --mem_budget; // an exempt head may issue at zero budget
-        } else {
-            e.complete_at = now + lat;
-        }
         ++issued;
     }
+}
+
+bool
+Core::tryIssue(WindowEntry &e, Cycles now, std::uint32_t &mem_budget,
+               std::uint64_t exempt_seq)
+{
+    const OpClass op = e.rec.op;
+    const bool is_mem = trace::isMemory(op);
+    // Anything but the exempt head waits for real queue space.
+    if (is_mem && mem_budget == 0 && e.seq != exempt_seq)
+        return false;
+    if (!fu_.tryIssue(op, now))
+        return false;
+    e.issued = true;
+    ready_.reset(slotOf(e.seq));
+    progress_ = true;
+    const Cycles lat = fu_.latency(op);
+    if (is_mem) {
+        e.addr_ready_at = now + lat; // address generation
+        // Write-buffered stores and flushes complete after address
+        // generation (they perform later, from the write buffer); the
+        // rest complete when their access returns or the hint fires.
+        const bool wb_path = op == OpClass::Flush ||
+                             (trace::isStore(op) &&
+                              !policy_.storeBlocksRetire());
+        setCompleteAt(e, wb_path ? now + lat : kNever);
+        ++win_mem_unperformed_;
+        if (mem_budget > 0)
+            --mem_budget; // an exempt head may issue at zero budget
+    } else {
+        setCompleteAt(e, now + lat);
+    }
+    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -726,7 +833,8 @@ Core::issueStage(Cycles now)
 void
 Core::dispatch(const trace::TraceRecord &rec, Cycles now)
 {
-    WindowEntry e;
+    WindowEntry &e = entry(next_seq_);
+    e = WindowEntry{};
     e.rec = rec;
     e.seq = next_seq_++;
 
@@ -738,7 +846,9 @@ Core::dispatch(const trace::TraceRecord &rec, Cycles now)
         if (!correct)
             unresolved_branch_seq_ = e.seq;
     }
-    window_.push_back(e);
+    if (trace::isMemory(rec.op) || rec.op == OpClass::MemBarrier)
+        mem_pending_.set(slotOf(e.seq));
+    linkProducers(e);
 }
 
 void
@@ -752,14 +862,14 @@ Core::fetchStage(Cycles now)
     std::uint32_t fetched = 0;
     Addr first_line = kNoAddr;
     while (fetched < params_.issue_width) {
-        if (window_.size() >= params_.window_size)
+        if (windowSize() >= params_.window_size)
             break;
         if (unresolved_branches_ >= params_.max_spec_branches)
             break;
         if (!pending_) {
             trace::TraceRecord r;
             if (!proc_->fetchNext(r)) {
-                if (window_.empty() && !done_notified_) {
+                if (windowSize() == 0 && !done_notified_) {
                     done_notified_ = true;
                     env_->onProcessDone(proc_->id());
                 }
@@ -845,8 +955,8 @@ Core::debugString() const
     char buf[256];
     const char *head_op = "-";
     char head_state[64] = "-";
-    if (!window_.empty()) {
-        const auto &e = window_.front();
+    if (windowSize() != 0) {
+        const WindowEntry &e = entry(head_seq_);
         head_op = trace::opClassName(e.rec.op);
         std::snprintf(head_state, sizeof(head_state),
                       "iss=%d cmp=%d mi=%d perf@%lld spec=%d",
@@ -859,7 +969,8 @@ Core::debugString() const
     std::snprintf(buf, sizeof(buf),
                   "win=%zu wb=%zu head=%s[%s] ubr=%u ubseq=%lld fline=%llx "
                   "fpend=%llx fready=%llu sysblk=%d pend=%d",
-                  window_.size(), wb_.size(), head_op, head_state,
+                  static_cast<std::size_t>(windowSize()), wb_.size(),
+                  head_op, head_state,
                   unresolved_branches_,
                   unresolved_branch_seq_ == kNoSeq
                       ? -1LL
@@ -875,7 +986,7 @@ Cycles
 Core::nextEvent(Cycles now) const
 {
     bool overdue = false;
-    return scanNextEvent(now, &overdue);
+    return computeNextEvent(now, &overdue);
 }
 
 Cycles
@@ -884,7 +995,7 @@ Core::arm(Cycles now)
     if (armed_)
         return next_event_;
     bool overdue = false;
-    next_event_ = scanNextEvent(now, &overdue);
+    next_event_ = computeNextEvent(now, &overdue);
     wake_at_ = next_event_;
     wake_reason_ = WakeReason::Event;
     // Work the next tick does that nextEvent() does not announce: a
@@ -922,32 +1033,43 @@ wakeReasonName(WakeReason r)
 }
 
 Cycles
-Core::scanNextEvent(Cycles now, bool *overdue) const
+Core::computeNextEvent(Cycles now, bool *overdue) const
 {
+    // now + 1 is the earliest cycle consider() accepts, so the first
+    // candidate equal to it is the answer (and *overdue only matters
+    // for a later one).  If this tick dispatched, issued, retired, or
+    // performed anything, or ready-to-issue work exists, the next cycle
+    // may enable more work.
+    if (progress_ || ready_.any())
+        return now + 1;
     Cycles next = kNever;
     auto consider = [&next, now](Cycles t) {
         if (t > now && t < next)
             next = t;
     };
-
-    // If this tick dispatched, issued, retired, or performed anything,
-    // the next cycle may enable more work.
-    if (progress_)
-        consider(now + 1);
     consider(mem_retry_at_);
 
-    for (const auto &e : window_) {
-        if (!e.issued) {
-            // Ready-to-issue work exists: the next tick can issue it.
-            if (producersReady(e))
-                consider(now + 1);
-            continue;
+    if (!completions_.empty()) {
+        if (completions_.front().at > now) {
+            consider(completions_.front().at);
+        } else {
+            // A completion that landed after completeStage (a hint).
+            *overdue = true;
+            for (const Completion &c : completions_)
+                consider(c.at);
         }
-        if (!e.completed) {
-            consider(e.complete_at);
-            if (e.complete_at <= now)
-                *overdue = true;
-        }
+    }
+    if (next == now + 1)
+        return next;
+
+    for (const auto &w : wb_) {
+        if (!w.issued)
+            return now + 1;
+        if (!w.performed)
+            consider(w.performed_at);
+    }
+    mem_pending_.forEachFrom(slotOf(head_seq_), [&](std::size_t slot) {
+        const WindowEntry &e = window_[slot];
         if (e.issued && trace::isMemory(e.rec.op)) {
             if (!e.mem_issued) {
                 consider(e.addr_ready_at);
@@ -959,13 +1081,8 @@ Core::scanNextEvent(Cycles now, bool *overdue) const
                 consider(e.performed_at);
             }
         }
-    }
-    for (const auto &w : wb_) {
-        if (w.issued && !w.performed)
-            consider(w.performed_at);
-        else if (!w.issued)
-            consider(now + 1);
-    }
+        return next != now + 1;
+    });
     if (proc_) {
         consider(run_resume_at_);
         consider(fetch_resume_at_);
@@ -1002,8 +1119,9 @@ Core::saveState(snap::Writer &w) const
     w.u64(run_resume_at_);
     w.boolean(done_notified_);
 
-    w.u64(window_.size());
-    for (const WindowEntry &e : window_) {
+    w.u64(windowSize());
+    for (std::uint64_t seq = head_seq_; seq < next_seq_; ++seq) {
+        const WindowEntry &e = entry(seq);
         saveRecord(w, e.rec);
         w.u64(e.seq);
         w.boolean(e.issued);
@@ -1078,12 +1196,19 @@ Core::restoreState(snap::Reader &r,
     run_resume_at_ = r.u64();
     done_notified_ = r.boolean();
 
-    window_.clear();
+    allocateWindow();
     const std::size_t nw = r.length(28);
+    if (nw > slot_mask_ + 1)
+        throw snap::SnapshotError("snapshot: window larger than the core's");
+    std::uint64_t first_seq = 0;
     for (std::size_t i = 0; i < nw; ++i) {
         WindowEntry e;
         e.rec = trace::loadRecord(r);
         e.seq = r.u64();
+        if (i == 0)
+            first_seq = e.seq;
+        else if (e.seq != first_seq + i)
+            throw snap::SnapshotError("snapshot: window seqs not contiguous");
         e.issued = r.boolean();
         e.completed = r.boolean();
         e.complete_at = r.u64();
@@ -1101,10 +1226,12 @@ Core::restoreState(snap::Reader &r,
         e.mispredicted = r.boolean();
         e.spin_retry_at = r.u64();
         e.spin_start = r.u64();
-        window_.push_back(e);
+        entry(e.seq) = e;
     }
     head_seq_ = r.u64();
     next_seq_ = r.u64();
+    if (next_seq_ - head_seq_ != nw || (nw != 0 && head_seq_ != first_seq))
+        throw snap::SnapshotError("snapshot: window seqs do not match");
     unresolved_branches_ = r.u32();
     issue_block_until_ = r.u64();
     mem_retry_at_ = r.u64();
@@ -1125,6 +1252,7 @@ Core::restoreState(snap::Reader &r,
         wb_.push_back(e);
     }
     wmb_epoch_ = r.u32();
+    rebuildDerived();
 
     armed_ = false;
     wake(WakeReason::Start);

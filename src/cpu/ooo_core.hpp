@@ -23,10 +23,14 @@
 #ifndef DBSIM_CPU_OOO_CORE_HPP
 #define DBSIM_CPU_OOO_CORE_HPP
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
@@ -184,7 +188,7 @@ class Core
     std::string debugString() const;
 
     /** True when the window and write buffer have fully drained. */
-    bool drained() const { return window_.empty() && wb_.empty(); }
+    bool drained() const { return windowSize() == 0 && wb_.empty(); }
 
     const Breakdown &breakdown() const { return breakdown_; }
     const CoreStats &stats() const { return stats_; }
@@ -206,6 +210,7 @@ class Core
 
   private:
     static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+    static constexpr std::uint32_t kNoLink = ~std::uint32_t{0};
 
     struct WindowEntry
     {
@@ -231,6 +236,12 @@ class Core
         // lock-acquire state
         Cycles spin_retry_at = 0;
         Cycles spin_start = kNever;
+        // Dependence tracking, derived from the fields above (rebuilt by
+        // rebuildDerived(), not serialized).  A link names a consumer's
+        // dependence as slot * 2 + operand (0 for dep1, 1 for dep2).
+        std::uint8_t waiting = 0; ///< producers in the window not complete
+        std::uint32_t first_consumer = kNoLink; ///< consumers waiting on this
+        std::uint32_t next_consumer[2] = {kNoLink, kNoLink};
     };
 
     struct WbEntry
@@ -245,6 +256,67 @@ class Core
         Cycles performed_at = kNever;
     };
 
+    /** A completion scheduled for an issued window entry. */
+    struct Completion
+    {
+        Cycles at;
+        std::uint64_t seq;
+    };
+
+    /** A set of window slots, visited in seq order from a start slot. */
+    class SlotSet
+    {
+      public:
+        void resize(std::size_t slots) { words_.assign(slots / 64, 0); }
+        void set(std::size_t s) { words_[s >> 6] |= bit(s); }
+        void reset(std::size_t s) { words_[s >> 6] &= ~bit(s); }
+        void clear() { std::fill(words_.begin(), words_.end(), 0); }
+
+        bool
+        any() const
+        {
+            for (const std::uint64_t w : words_)
+                if (w)
+                    return true;
+            return false;
+        }
+
+        /** Call @p f(slot) for each member, in ring order from @p start,
+         *  until it returns false. */
+        template <class F>
+        void
+        forEachFrom(std::size_t start, F &&f) const
+        {
+            const std::size_t n = words_.size();
+            const std::size_t w0 = start >> 6;
+            const std::uint64_t high = ~std::uint64_t{0} << (start & 63);
+            for (std::size_t i = 0; i <= n; ++i) {
+                const std::size_t w = (w0 + i) & (n - 1);
+                std::uint64_t bits = words_[w];
+                if (i == 0)
+                    bits &= high;
+                else if (i == n)
+                    bits &= ~high;
+                while (bits) {
+                    const std::size_t s =
+                        (w << 6) | static_cast<std::size_t>(
+                                       std::countr_zero(bits));
+                    bits &= bits - 1;
+                    if (!f(s))
+                        return;
+                }
+            }
+        }
+
+      private:
+        static std::uint64_t bit(std::size_t s)
+        {
+            return std::uint64_t{1} << (s & 63);
+        }
+
+        std::vector<std::uint64_t> words_;
+    };
+
     // pipeline stages
     void retireStage(Cycles now);
     void completeStage(Cycles now);
@@ -255,19 +327,41 @@ class Core
 
     bool canRetire(const WindowEntry &e, Cycles now) const;
     void doRetireActions(WindowEntry &e, Cycles now);
-    bool producersReady(const WindowEntry &e) const;
     void dispatch(const trace::TraceRecord &rec, Cycles now);
+    bool tryIssue(WindowEntry &e, Cycles now, std::uint32_t &mem_budget,
+                  std::uint64_t exempt_seq);
     void attemptMemIssue(WindowEntry &e, Cycles now, bool loads_done,
                          bool stores_done, bool fence_before);
     void attemptLockAcquire(WindowEntry &e, Cycles now);
-    void rollbackFrom(std::size_t idx, Cycles now);
+    void rollback(Cycles now);
     StallCat classifyHead() const;
     StallCat readCat(const WindowEntry &e) const;
-    bool wbAllPerformed() const;
-    std::uint32_t minUnperformedEpoch() const;
-    const WindowEntry *entryFor(std::uint64_t seq) const;
-    std::uint32_t memOpsInFlight() const;
-    Cycles scanNextEvent(Cycles now, bool *overdue) const;
+    bool wbAllPerformed() const { return wb_stores_unperformed_ == 0; }
+    Cycles computeNextEvent(Cycles now, bool *overdue) const;
+
+    // incremental state (DESIGN.md §5a, "Incremental core")
+    std::uint64_t windowSize() const { return next_seq_ - head_seq_; }
+    std::size_t slotOf(std::uint64_t seq) const { return seq & slot_mask_; }
+    WindowEntry &entry(std::uint64_t seq) { return window_[slotOf(seq)]; }
+    const WindowEntry &
+    entry(std::uint64_t seq) const
+    {
+        return window_[slotOf(seq)];
+    }
+    /** A memory op that has performed for good: memoryStage, nextEvent
+     *  and invalidations have nothing left to do with it. */
+    static bool
+    settled(const WindowEntry &e)
+    {
+        return e.mem_issued && e.performed && !e.speculative;
+    }
+    void setCompleteAt(WindowEntry &e, Cycles at);
+    void linkProducers(WindowEntry &e);
+    void releaseConsumers(WindowEntry &e);
+    void pushWb(const WbEntry &w);
+    void markWbPerformed(WbEntry &w);
+    void rebuildDerived();
+    void allocateWindow();
 
     CpuId id_;
     CoreParams params_;
@@ -290,8 +384,10 @@ class Core
     Cycles run_resume_at_ = 0; ///< context-switch cost horizon
     bool done_notified_ = false;
 
-    // window / memory queue
-    std::deque<WindowEntry> window_;
+    // window / memory queue: a ring holding seqs [head_seq_, next_seq_)
+    // at slot seq & slot_mask_
+    std::unique_ptr<WindowEntry[]> window_;
+    std::uint64_t slot_mask_ = 0;
     std::uint64_t head_seq_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint32_t unresolved_branches_ = 0;
@@ -302,6 +398,18 @@ class Core
     // write buffer
     std::deque<WbEntry> wb_;
     std::uint32_t wmb_epoch_ = 0;
+
+    // Derived from the window and write buffer above, kept current by
+    // every stage and rebuilt by rebuildDerived(); not serialized.
+    std::vector<Completion> completions_; ///< min-heap: issued, incomplete,
+                                          ///< finite complete_at
+    SlotSet ready_;   ///< unissued entries with every producer complete
+    SlotSet mem_pending_; ///< memory ops and MBs that are not settled
+                          ///< (the entries memoryStage acts on)
+    std::uint32_t win_mem_unperformed_ = 0; ///< issued window memory ops
+                                            ///< not yet performed
+    std::uint32_t wb_unperformed_ = 0;        ///< wb entries not performed
+    std::uint32_t wb_stores_unperformed_ = 0; ///< ...of them, not flushes
 
     // wake state: derived from the pipeline state above, so it is not
     // serialized (a restored core is simply due)

@@ -4,56 +4,6 @@
 
 namespace dbsim::trace {
 
-bool
-isMemory(OpClass op)
-{
-    switch (op) {
-      case OpClass::Load:
-      case OpClass::Store:
-      case OpClass::LockAcquire:
-      case OpClass::LockRelease:
-      case OpClass::Prefetch:
-      case OpClass::PrefetchExcl:
-      case OpClass::Flush:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isLoad(OpClass op)
-{
-    return op == OpClass::Load || op == OpClass::LockAcquire;
-}
-
-bool
-isStore(OpClass op)
-{
-    return op == OpClass::Store || op == OpClass::LockRelease;
-}
-
-bool
-isBranch(OpClass op)
-{
-    switch (op) {
-      case OpClass::BranchCond:
-      case OpClass::BranchJmp:
-      case OpClass::BranchCall:
-      case OpClass::BranchRet:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isHint(OpClass op)
-{
-    return op == OpClass::Prefetch || op == OpClass::PrefetchExcl ||
-           op == OpClass::Flush;
-}
-
 const char *
 opClassName(OpClass op)
 {

@@ -47,19 +47,59 @@ enum class OpClass : std::uint8_t {
 inline constexpr std::size_t kNumOpClasses = 16;
 
 /** True for classes that carry a data memory address. */
-bool isMemory(OpClass op);
+constexpr bool
+isMemory(OpClass op)
+{
+    switch (op) {
+      case OpClass::Load:
+      case OpClass::Store:
+      case OpClass::LockAcquire:
+      case OpClass::LockRelease:
+      case OpClass::Prefetch:
+      case OpClass::PrefetchExcl:
+      case OpClass::Flush:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** True for loads and load-like sync reads. */
-bool isLoad(OpClass op);
+constexpr bool
+isLoad(OpClass op)
+{
+    return op == OpClass::Load || op == OpClass::LockAcquire;
+}
 
 /** True for stores and store-like sync writes. */
-bool isStore(OpClass op);
+constexpr bool
+isStore(OpClass op)
+{
+    return op == OpClass::Store || op == OpClass::LockRelease;
+}
 
 /** True for all branch classes. */
-bool isBranch(OpClass op);
+constexpr bool
+isBranch(OpClass op)
+{
+    switch (op) {
+      case OpClass::BranchCond:
+      case OpClass::BranchJmp:
+      case OpClass::BranchCall:
+      case OpClass::BranchRet:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** True for the non-binding software hint classes. */
-bool isHint(OpClass op);
+constexpr bool
+isHint(OpClass op)
+{
+    return op == OpClass::Prefetch || op == OpClass::PrefetchExcl ||
+           op == OpClass::Flush;
+}
 
 /** Human-readable class name. */
 const char *opClassName(OpClass op);

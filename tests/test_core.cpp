@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
@@ -517,6 +518,153 @@ TEST(Core, WindowSizeBoundsInflight)
     EXPECT_EQ(h.core.stats().instructions, 100u);
 }
 
+/** In-flight entries of @p h's process: fetched, not yet retired. */
+std::uint64_t
+inFlight(const Harness &h)
+{
+    return h.proc.fetched() - h.proc.retired;
+}
+
+TEST(Core, WindowBoundsInflightAtAnySize)
+{
+    // A miss at the head holds retirement while independent work fills
+    // the window: 48 is not a power of two (the ring rounds up to 64),
+    // and the in-order core's window is its small fetch buffer.
+    CoreParams odd;
+    odd.window_size = 48;
+    for (const CoreParams &p : {odd, makeInOrderParams(CoreParams{})}) {
+        std::vector<TraceRecord> v{op(OpClass::Load, 0x1000, 0x8000)};
+        for (const TraceRecord &r : aluChain(200, 0))
+            v.push_back(r);
+        Harness h(v, p);
+        h.mem.load_latency = 1000;
+        std::uint64_t most = 0;
+        for (Cycles now = 0; now < 500; ++now) {
+            h.core.tick(now);
+            most = std::max(most, inFlight(h));
+        }
+        const std::uint32_t window = h.core.params().window_size;
+        // One fetched record may wait outside the full window.
+        EXPECT_GE(most, window);
+        EXPECT_LE(most, window + 1u);
+        EXPECT_EQ(h.core.stats().instructions, 0u);
+        h.runToCompletion();
+        EXPECT_EQ(h.core.stats().instructions, v.size());
+    }
+}
+
+/** FakeMem whose load latency follows a per-access script. */
+class ScriptedMem : public FakeMem
+{
+  public:
+    std::vector<Cycles> load_latencies; ///< one per load, in order
+
+    std::optional<MemAccessResult>
+    dataAccess(Addr vaddr, Addr pc, bool is_write, Cycles now,
+               bool prefetch, Cycles *retry_at) override
+    {
+        if (!is_write && !prefetch && loads < load_latencies.size())
+            load_latency = load_latencies[loads];
+        if (!is_write && !prefetch)
+            ++loads;
+        return FakeMem::dataAccess(vaddr, pc, is_write, now, prefetch,
+                                   retry_at);
+    }
+
+    std::size_t loads = 0;
+};
+
+TEST(Core, RolledBackLoadCompletesAtItsNewTime)
+{
+    // SC with speculative loads: B issues ahead of the slow load A and
+    // is invalidated before it commits.  The rollback happens when A
+    // retires, while B's first completion (cycle ~62) is still pending;
+    // the replayed B takes 300 cycles, and its consumer must wait for
+    // that, not for the stale completion.
+    CoreParams p;
+    p.model = ConsistencyModel::SC;
+    p.cons.spec_loads = true;
+    std::vector<TraceRecord> v;
+    v.push_back(op(OpClass::Load, 0x1000, 0x8000));    // A
+    v.push_back(op(OpClass::Load, 0x1004, 0x9000));    // B, speculative
+    v.push_back(op(OpClass::IntAlu, 0x1008, kNoAddr, 1)); // uses B
+    trace::VectorSource src(v);
+    ProcessContext proc(0, &src);
+    ScriptedMem mem;
+    mem.load_latencies = {50, 60, 300};
+    FakeEnv env;
+    Core core(0, p, &mem, &env);
+    core.switchTo(&proc, 0, false);
+
+    Cycles now = 0;
+    for (; now < 20; ++now)
+        core.tick(now);
+    ASSERT_EQ(mem.loads, 2u);
+    core.onLineInvalidated(blockAlign(0x9000, 64));
+    Cycles replayed_at = kNever;
+    for (; now < 1000 && env.dones == 0; ++now) {
+        core.tick(now);
+        if (mem.loads == 3 && replayed_at == kNever)
+            replayed_at = now;
+    }
+    ASSERT_NE(replayed_at, kNever);
+    EXPECT_LT(replayed_at, 62u + 20u); // replayed before the stale time
+    EXPECT_EQ(core.stats().spec_load_violations, 1u);
+    EXPECT_EQ(core.stats().instructions, 3u);
+    // Retirement of B and its consumer waited for the replay's data.
+    EXPECT_GE(now, replayed_at + 300);
+}
+
+TEST(Core, CompletionsQueuedBeforeDetachStayWithTheirEntries)
+{
+    // P1's load is in flight (completion queued at ~101) when P1 is
+    // detached.  P2's load lands in the same window slot and takes 300
+    // cycles; nothing of P2 may complete at the stale time.
+    const std::vector<TraceRecord> v1{op(OpClass::Load, 0x1000, 0x8000)};
+    std::vector<TraceRecord> v2 = aluChain(63, 0); // seqs 1..63
+    // seq 64: the same window slot as P1's load (seq 0).
+    v2.push_back(op(OpClass::Load, 0x2000, 0xa000));
+    v2.push_back(op(OpClass::IntAlu, 0x2004, kNoAddr, 1)); // uses the load
+    trace::VectorSource src1(v1), src2(v2);
+    ProcessContext p1(0, &src1), p2(1, &src2);
+    ScriptedMem mem;
+    mem.load_latencies = {100, 300, 100};
+    FakeEnv env;
+    Core core(0, CoreParams{}, &mem, &env);
+
+    core.switchTo(&p1, 0, false);
+    Cycles now = 0;
+    for (; mem.loads == 0 && now < 50; ++now)
+        core.tick(now);
+    ASSERT_EQ(mem.loads, 1u);
+    core.detachCurrent();
+    EXPECT_TRUE(core.drained());
+    core.switchTo(&p2, now, false);
+    Cycles p2_load_at = kNever;
+    for (; env.dones == 0 && now < 2000; ++now) {
+        core.tick(now);
+        if (mem.loads == 2 && p2_load_at == kNever)
+            p2_load_at = now;
+        if (now == 200) {
+            // Past the stale completion: P2's load and its consumer
+            // are still waiting for the data.
+            EXPECT_EQ(p2.retired, 63u);
+        }
+    }
+    ASSERT_NE(p2_load_at, kNever);
+    EXPECT_LT(p2_load_at, 101u);
+    EXPECT_EQ(p2.retired, v2.size());
+    EXPECT_GE(now, p2_load_at + 300);
+
+    // P1 runs to completion afterwards, its load re-issued.
+    core.detachCurrent();
+    env.dones = 0;
+    core.switchTo(&p1, now, false);
+    for (; env.dones == 0 && now < 5000; ++now)
+        core.tick(now);
+    EXPECT_EQ(p1.retired, v1.size());
+}
+
 TEST(Core, BreakdownAccountsAllCycles)
 {
     Harness h(aluChain(100, 1));
@@ -630,6 +778,11 @@ struct WakeCheck
  * bytes, and the tick must not have called the memory or environment.
  * Speculative-load lines are invalidated at random, as another node's
  * writes would.
+ *
+ * After every arm(), a twin restored from the core's bytes -- which
+ * rebuilds the completion queue, ready set and counts from scratch --
+ * must announce the same next event: the incremental state may not
+ * drift from the window it summarizes.
  */
 WakeCheck
 checkWakeContract(const CoreParams &params,
@@ -706,7 +859,19 @@ checkWakeContract(const CoreParams &params,
             }
             env.request = FakeEnv::Request::None;
         }
-        core.arm(now);
+        const Cycles next = core.arm(now);
+        {
+            const std::vector<std::uint8_t> bytes = coreBytes(core);
+            snap::Reader r(bytes);
+            twin.restoreState(r, resolve);
+        }
+        if (twin.nextEvent(now) != next) {
+            ADD_FAILURE() << "incremental next event " << next
+                          << " != rebuilt " << twin.nextEvent(now)
+                          << " at cycle " << now << " ("
+                          << core.debugString() << ")";
+            return out;
+        }
     }
     out.retired = core.stats().instructions;
     return out;
