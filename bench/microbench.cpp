@@ -2,21 +2,26 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's own hot paths:
  * cache array lookups, MSHR file operations, branch prediction, trace
- * generation, and end-to-end simulated instructions per wall second.
+ * generation, the core pipeline alone, and end-to-end simulated
+ * instructions per wall second.
  * These guard the simulator's performance, not the paper's results.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/config.hpp"
 #include "cpu/branch_predictor.hpp"
+#include "cpu/ooo_core.hpp"
 #include "memory/cache.hpp"
 #include "memory/mshr.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/system.hpp"
+#include "workload/dss_engine.hpp"
 #include "workload/oltp_engine.hpp"
 
 using namespace dbsim;
@@ -131,6 +136,123 @@ BM_OltpTraceGen(benchmark::State &state)
     }
 }
 BENCHMARK(BM_OltpTraceGen);
+
+/** Memory for BM_CoreTick: every data access returns after a fixed
+ *  latency, every instruction line after one cycle. */
+class FixedLatencyMem : public cpu::CoreMemIf
+{
+  public:
+    static constexpr Cycles kLatency = 3;
+
+    std::optional<cpu::MemAccessResult>
+    dataAccess(Addr vaddr, Addr, bool, Cycles now, bool prefetch,
+               Cycles *) override
+    {
+        if (prefetch)
+            return std::nullopt;
+        return cpu::MemAccessResult{now + kLatency,
+                                    coher::AccessClass::L1Hit,
+                                    blockAlign(vaddr, 64)};
+    }
+
+    cpu::FetchResult
+    instrFetch(Addr, Cycles now) override
+    {
+        return cpu::FetchResult{now + 1};
+    }
+
+    void flushHint(Addr, Cycles) override {}
+};
+
+/** Locks are always free; only the end of the trace is reported. */
+class FreeEnv : public cpu::CoreEnvIf
+{
+  public:
+    bool lockIsFree(Addr, ProcId) const override { return true; }
+    bool lockTryAcquire(Addr, ProcId) override { return true; }
+    void lockRelease(Addr, ProcId) override {}
+    void onSyscallBlock(ProcId, Cycles) override {}
+    void onLockYield(ProcId) override {}
+    void onProcessDone(ProcId) override { done = true; }
+
+    bool done = false;
+};
+
+/** Replays a captured window without copying it. */
+class WindowSource : public trace::TraceSource
+{
+  public:
+    explicit WindowSource(const std::vector<trace::TraceRecord> &w) : w_(w)
+    {
+    }
+
+    bool
+    next(trace::TraceRecord &out) override
+    {
+        if (pos_ >= w_.size())
+            return false;
+        out = w_[pos_++];
+        return true;
+    }
+
+  private:
+    const std::vector<trace::TraceRecord> &w_;
+    std::size_t pos_ = 0;
+};
+
+/**
+ * The core pipeline without the rest of the machine: one Core of the
+ * scaled preset runs the first 100K records of process 0 of the
+ * workload (system calls dropped, since nothing would wake the process)
+ * over FixedLatencyMem, stepped as System::run steps a core: tick when
+ * due, account stalls otherwise, skip to the next event.  Reports the
+ * host time of tick + arm (+ accountStall) per retired instruction.
+ */
+void
+BM_CoreTick(benchmark::State &state, core::WorkloadKind kind)
+{
+    const core::SimConfig cfg = core::makeScaledConfig(kind, 4);
+    std::vector<trace::TraceRecord> window;
+    const auto capture = [&window](trace::TraceSource &src) {
+        trace::TraceRecord rec;
+        while (window.size() < 100'000 && src.next(rec))
+            if (rec.op != trace::OpClass::SyscallBlock)
+                window.push_back(rec);
+    };
+    if (kind == core::WorkloadKind::Oltp)
+        capture(*workload::OltpWorkload(cfg.oltp).makeProcess(0));
+    else
+        capture(*workload::DssWorkload(cfg.dss).makeProcess(0));
+
+    FixedLatencyMem mem;
+    std::uint64_t retired = 0;
+    for (auto _ : state) {
+        FreeEnv env;
+        WindowSource src(window);
+        cpu::ProcessContext proc(0, &src);
+        cpu::Core core(0, cfg.system.core, &mem, &env);
+        core.switchTo(&proc, 0, false);
+        Cycles now = 0;
+        while (!env.done) {
+            if (core.due(now))
+                core.tick(now);
+            else
+                core.accountStall(now, now + 1);
+            const Cycles next = std::max(core.arm(now), now + 1);
+            if (next > now + 1 && next != kNever)
+                core.accountStall(now + 1, next);
+            now = next == kNever ? now + 1 : next;
+        }
+        retired += core.stats().instructions;
+    }
+    state.counters["time_per_instr"] = benchmark::Counter(
+        static_cast<double>(retired),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_CoreTick, Oltp, core::WorkloadKind::Oltp)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CoreTick, Dss, core::WorkloadKind::Dss)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_EndToEndOltp(benchmark::State &state)

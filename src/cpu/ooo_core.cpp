@@ -9,15 +9,6 @@ namespace dbsim::cpu {
 
 using trace::OpClass;
 
-namespace {
-
-/// Heap order of the completion queue: the earliest completion on top.
-constexpr auto laterFirst = [](const auto &a, const auto &b) {
-    return a.at > b.at;
-};
-
-} // namespace
-
 Core::Core(CpuId id, const CoreParams &params, CoreMemIf *mem,
            CoreEnvIf *env)
     : id_(id), params_(params), mem_(mem), env_(env),
@@ -31,12 +22,6 @@ Core::Core(CpuId id, const CoreParams &params, CoreMemIf *mem,
         params_.window_size =
             std::max<std::uint32_t>(8, 2 * params_.issue_width);
     }
-    // Whole 64-slot words keep the slot sets simple.
-    const std::size_t slots =
-        std::max<std::size_t>(64, std::bit_ceil(params_.window_size));
-    slot_mask_ = slots - 1;
-    ready_.resize(slots);
-    mem_pending_.resize(slots);
 }
 
 void
@@ -45,10 +30,15 @@ Core::allocateWindow()
     // Once, when the first process is switched in or restored, so that
     // building a machine costs no more than it did with a deque.
     // Dispatch and restore assign each entry before it is read.
-    if (!window_) {
-        window_ =
-            std::make_unique_for_overwrite<WindowEntry[]>(slot_mask_ + 1);
-    }
+    if (window_)
+        return;
+    // Whole 64-slot words keep the slot sets simple.
+    const std::size_t slots =
+        std::max<std::size_t>(64, std::bit_ceil(params_.window_size));
+    window_ = std::make_unique_for_overwrite<WindowEntry[]>(slots);
+    slot_mask_ = slots - 1;
+    ready_.resize(slots);
+    mem_pending_.resize(slots);
 }
 
 void

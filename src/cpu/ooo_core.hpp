@@ -263,6 +263,13 @@ class Core
         std::uint64_t seq;
     };
 
+    /** Heap order of the completion queue: the earliest on top. */
+    static bool
+    laterFirst(const Completion &a, const Completion &b)
+    {
+        return a.at > b.at;
+    }
+
     /** A set of window slots, visited in seq order from a start slot. */
     class SlotSet
     {
@@ -288,6 +295,8 @@ class Core
         forEachFrom(std::size_t start, F &&f) const
         {
             const std::size_t n = words_.size();
+            if (n == 0)
+                return; // a core that has never run
             const std::size_t w0 = start >> 6;
             const std::uint64_t high = ~std::uint64_t{0} << (start & 63);
             for (std::size_t i = 0; i <= n; ++i) {
@@ -410,6 +419,8 @@ class Core
                                             ///< not yet performed
     std::uint32_t wb_unperformed_ = 0;        ///< wb entries not performed
     std::uint32_t wb_stores_unperformed_ = 0; ///< ...of them, not flushes
+                                              ///< (non-binding hints that
+                                              ///< order nothing)
 
     // wake state: derived from the pipeline state above, so it is not
     // serialized (a restored core is simply due)
