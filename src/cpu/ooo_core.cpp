@@ -27,9 +27,9 @@ Core::Core(CpuId id, const CoreParams &params, CoreMemIf *mem,
 void
 Core::allocateWindow()
 {
-    // Once, when the first process is switched in or restored, so that
-    // building a machine costs no more than it did with a deque.
-    // Dispatch and restore assign each entry before it is read.
+    // On first use rather than in the constructor, which keeps building
+    // a machine cheap.  Dispatch and restore assign each entry before it
+    // is read.
     if (window_)
         return;
     // Whole 64-slot words keep the slot sets simple.
@@ -154,7 +154,7 @@ void
 Core::pushWb(const WbEntry &w)
 {
     wb_.push_back(w);
-    ++wb_unperformed_;
+    ++mem_in_flight_;
     if (!w.is_flush)
         ++wb_stores_unperformed_;
 }
@@ -163,7 +163,7 @@ void
 Core::markWbPerformed(WbEntry &w)
 {
     w.performed = true;
-    --wb_unperformed_;
+    --mem_in_flight_;
     if (!w.is_flush)
         --wb_stores_unperformed_;
 }
@@ -174,25 +174,24 @@ Core::rebuildDerived()
     ready_.clear();
     mem_pending_.clear();
     completions_.clear();
-    win_mem_unperformed_ = 0;
+    mem_in_flight_ = 0;
     for (std::uint64_t seq = head_seq_; seq < next_seq_; ++seq) {
         WindowEntry &e = entry(seq);
         const bool is_mem = trace::isMemory(e.rec.op);
         if ((is_mem || e.rec.op == OpClass::MemBarrier) && !settled(e))
             mem_pending_.set(slotOf(seq));
         if (is_mem && e.issued && !e.performed)
-            ++win_mem_unperformed_;
+            ++mem_in_flight_;
         if (e.issued && !e.completed)
             setCompleteAt(e, e.complete_at);
         // Producers are older, so their lists were reset above.
         e.first_consumer = kNoLink;
         linkProducers(e);
     }
-    wb_unperformed_ = 0;
     wb_stores_unperformed_ = 0;
     for (const WbEntry &w : wb_) {
         if (!w.performed) {
-            ++wb_unperformed_;
+            ++mem_in_flight_;
             if (!w.is_flush)
                 ++wb_stores_unperformed_;
         }
@@ -350,7 +349,7 @@ Core::retireStage(Cycles now)
             if (!e.completed)
                 releaseConsumers(e);
             if (trace::isMemory(e.rec.op) && !e.performed)
-                --win_mem_unperformed_;
+                --mem_in_flight_;
             mem_pending_.reset(slotOf(head_seq_));
             ++head_seq_;
             ++retired;
@@ -615,7 +614,7 @@ Core::memoryStage(Cycles now)
         // Update performed bookkeeping.
         if (e.mem_issued && !e.performed && e.performed_at <= now) {
             e.performed = true;
-            --win_mem_unperformed_;
+            --mem_in_flight_;
         }
 
         // Update ordering prefix for younger operations.  Speculative
@@ -730,11 +729,9 @@ Core::issueStage(Cycles now)
     if (!proc_ || now < run_resume_at_ || now < issue_block_until_)
         return;
 
-    const std::uint32_t mem_in_flight =
-        win_mem_unperformed_ + wb_unperformed_;
     std::uint32_t mem_budget =
-        params_.mem_queue_size > mem_in_flight
-            ? params_.mem_queue_size - mem_in_flight : 0;
+        params_.mem_queue_size > mem_in_flight_
+            ? params_.mem_queue_size - mem_in_flight_ : 0;
     // A full memory queue must never gate the oldest unperformed memory
     // op.  Younger entries can occupy every queue slot while the
     // consistency model forbids them from performing before this op
@@ -807,7 +804,7 @@ Core::tryIssue(WindowEntry &e, Cycles now, std::uint32_t &mem_budget,
                              (trace::isStore(op) &&
                               !policy_.storeBlocksRetire());
         setCompleteAt(e, wb_path ? now + lat : kNever);
-        ++win_mem_unperformed_;
+        ++mem_in_flight_;
         if (mem_budget > 0)
             --mem_budget; // an exempt head may issue at zero budget
     } else {

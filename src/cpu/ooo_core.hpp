@@ -415,12 +415,11 @@ class Core
     SlotSet ready_;   ///< unissued entries with every producer complete
     SlotSet mem_pending_; ///< memory ops and MBs that are not settled
                           ///< (the entries memoryStage acts on)
-    std::uint32_t win_mem_unperformed_ = 0; ///< issued window memory ops
-                                            ///< not yet performed
-    std::uint32_t wb_unperformed_ = 0;        ///< wb entries not performed
-    std::uint32_t wb_stores_unperformed_ = 0; ///< ...of them, not flushes
-                                              ///< (non-binding hints that
-                                              ///< order nothing)
+    std::uint32_t mem_in_flight_ = 0; ///< issued window memory ops and
+                                      ///< wb entries not yet performed
+    std::uint32_t wb_stores_unperformed_ = 0; ///< wb entries not performed,
+                                              ///< flushes (non-binding
+                                              ///< hints) excepted
 
     // wake state: derived from the pipeline state above, so it is not
     // serialized (a restored core is simply due)
