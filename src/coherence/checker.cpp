@@ -24,7 +24,6 @@ CoherenceChecker::auditPending(CoherenceFabric &fabric, Cycles now)
 {
     // Swap out the queue first: a panic thrown mid-audit (and caught by
     // a test) must not leave stale work behind.
-    // dbsim-analyze: allow(hotpath-allocation) -- the swap-out is what keeps a mid-audit panic from leaving stale work; verification overlay cost
     std::vector<std::pair<Addr, const char *>> work;
     work.swap(pending_);
     for (const auto &[block, op] : work)
@@ -40,7 +39,6 @@ CoherenceChecker::auditBlock(CoherenceFabric &fabric, Addr block,
     const std::uint32_t nodes = fabric.numNodes();
 
     auto describe = [&](const std::string &what) {
-        // dbsim-analyze: allow(hotpath-string) -- builds the violation message; runs only after an invariant already failed
         std::ostringstream os;
         os << "coherence invariant violated after " << op << " of block 0x"
            << std::hex << block << std::dec << " at cycle " << now << ": "
@@ -81,9 +79,7 @@ CoherenceChecker::auditBlock(CoherenceFabric &fabric, Addr block,
         // I3: while an owner is recorded, nobody else may be strong.
         if (d.owner >= 0 && d.owner != static_cast<int>(n)) {
             reportViolation(block, describe(
-                // dbsim-analyze: allow(hotpath-string) -- violation path only
                 "node " + std::to_string(n) +
-                // dbsim-analyze: allow(hotpath-string) -- violation path only
                 " holds an E/M copy while node " + std::to_string(d.owner) +
                 " is the recorded owner"));
             return;
@@ -95,7 +91,6 @@ CoherenceChecker::auditBlock(CoherenceFabric &fabric, Addr block,
             d.owner == static_cast<int>(n) || (d.sharers & (1u << n)) != 0;
         if (!recorded) {
             reportViolation(block,
-                            // dbsim-analyze: allow(hotpath-string) -- violation path only
                             describe("node " + std::to_string(n) +
                                      " holds an E/M copy unknown to the "
                                      "directory"));

@@ -40,7 +40,6 @@ CoherenceFabric::attachSite(std::uint32_t node, CacheSite *site)
 bool
 CoherenceFabric::cached(Addr block) const
 {
-    // dbsim-analyze: allow(hotpath-map-lookup) -- the directory is sparse block-granular state; a dense array over the address space cannot exist
     auto it = dir_.find(block);
     if (it == dir_.end())
         return false;
@@ -50,7 +49,6 @@ CoherenceFabric::cached(Addr block) const
 DirSnapshot
 CoherenceFabric::dirState(Addr block) const
 {
-    // dbsim-analyze: allow(hotpath-map-lookup) -- the directory is sparse block-granular state; a dense array over the address space cannot exist
     auto it = dir_.find(block);
     if (it == dir_.end())
         return {};
@@ -293,7 +291,6 @@ void
 CoherenceFabric::evict(std::uint32_t node, Addr block, std::uint32_t home,
                        bool dirty, Cycles now)
 {
-    // dbsim-analyze: allow(hotpath-map-lookup) -- the directory is sparse block-granular state; a dense array over the address space cannot exist
     auto it = dir_.find(block);
     if (it == dir_.end())
         return;
@@ -318,7 +315,6 @@ Cycles
 CoherenceFabric::flush(std::uint32_t node, Addr block, std::uint32_t home,
                        Cycles now)
 {
-    // dbsim-analyze: allow(hotpath-map-lookup) -- the directory is sparse block-granular state; a dense array over the address space cannot exist
     auto it = dir_.find(block);
     if (it == dir_.end())
         return kNever;

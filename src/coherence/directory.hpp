@@ -62,15 +62,12 @@ class CacheSite
     virtual ~CacheSite() = default;
 
     /** Coherence state of @p block in this node's L2. */
-    // dbsim-analyze: allow(hotpath-virtual) -- one indirection per directory transaction (not per reference); sim::Node is the only production site
     virtual mem::CoherState siteState(Addr block) = 0;
 
     /** Invalidate @p block across the node's hierarchy. */
-    // dbsim-analyze: allow(hotpath-virtual) -- invalidations are coherence events, orders of magnitude rarer than references
     virtual void siteInvalidate(Addr block) = 0;
 
     /** Downgrade @p block to Shared across the node's hierarchy. */
-    // dbsim-analyze: allow(hotpath-virtual) -- downgrades are coherence events, orders of magnitude rarer than references
     virtual void siteDowngrade(Addr block) = 0;
 };
 
@@ -309,7 +306,6 @@ class CoherenceFabric
         int last_writer = -1;      ///< last node granted write ownership
     };
 
-    // dbsim-analyze: allow(hotpath-map-lookup) -- the directory is sparse block-granular state; a dense array over the address space cannot exist
     DirEntry &entry(Addr block) { return dir_[block]; }
 
     struct NodeRes

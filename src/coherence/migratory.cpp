@@ -24,9 +24,7 @@ MigratoryDetector::observeWrite(Addr block, std::uint32_t copies,
     if (mig) {
         if (shared)
             ++stats_.migratory_writes;
-        // dbsim-analyze: allow(hotpath-map-lookup) -- detector state is keyed by sparse line/pc addresses; touched only on coherence write/dirty-read events
         ++line_write_refs_[block];
-        // dbsim-analyze: allow(hotpath-map-lookup) -- detector state is keyed by sparse line/pc addresses; touched only on coherence write/dirty-read events
         ++pc_refs_[pc];
     }
     return mig;
@@ -39,7 +37,6 @@ MigratoryDetector::observeDirtyRead(Addr block, Addr pc)
     const bool mig = isMigratory(block);
     if (mig) {
         ++stats_.migratory_dirty_reads;
-        // dbsim-analyze: allow(hotpath-map-lookup) -- detector state is keyed by sparse line/pc addresses; touched only on coherence write/dirty-read events
         ++pc_refs_[pc];
     }
     return mig;

@@ -181,7 +181,6 @@ class Reader
     bool boolean() { return u8() != 0; }
     double f64() { return std::bit_cast<double>(u64()); }
 
-    // dbsim-analyze: cold(checkpoint restore path; the tick-path edge is a name collision with ostringstream::str)
     std::string
     str()
     {

@@ -185,7 +185,6 @@ makePaperScaleConfig(WorkloadKind kind, std::uint32_t num_nodes)
     return cfg;
 }
 
-// dbsim-analyze: cold(configuration banner, printed once per run)
 std::string
 describe(const SimConfig &cfg)
 {

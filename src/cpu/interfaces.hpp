@@ -57,16 +57,13 @@ class CoreMemIf
      *         accepted this cycle (port or MSHR busy) and must retry.
      */
     virtual std::optional<MemAccessResult>
-    // dbsim-analyze: allow(hotpath-virtual) -- the core<->memory seam is an abstract interface so tests can substitute fake hierarchies; one indirection per access is simulator cost, not modeled-machine cost
     dataAccess(Addr vaddr, Addr pc, bool is_write, Cycles now,
                bool prefetch, Cycles *retry_at = nullptr) = 0;
 
     /** Fetch the instruction line containing @p pc. */
-    // dbsim-analyze: allow(hotpath-virtual) -- the core<->memory seam is an abstract interface so tests can substitute fake hierarchies; one indirection per access is simulator cost, not modeled-machine cost
     virtual FetchResult instrFetch(Addr pc, Cycles now) = 0;
 
     /** Flush / WriteThrough hint for the line containing @p vaddr. */
-    // dbsim-analyze: allow(hotpath-virtual) -- the core<->memory seam is an abstract interface so tests can substitute fake hierarchies; one indirection per access is simulator cost, not modeled-machine cost
     virtual void flushHint(Addr vaddr, Cycles now) = 0;
 };
 
@@ -80,30 +77,24 @@ class CoreEnvIf
     virtual ~CoreEnvIf() = default;
 
     /** Is the lock at @p addr currently free (acquirable by @p proc)? */
-    // dbsim-analyze: allow(hotpath-virtual) -- machine-wide environment services (locks, scheduling); called on lock/syscall boundaries, not per reference
     virtual bool lockIsFree(Addr addr, ProcId proc) const = 0;
 
     /** Try to acquire the lock at @p addr for process @p proc. */
-    // dbsim-analyze: allow(hotpath-virtual) -- machine-wide environment services (locks, scheduling); called on lock/syscall boundaries, not per reference
     virtual bool lockTryAcquire(Addr addr, ProcId proc) = 0;
 
     /** Release the lock at @p addr (held by @p proc). */
-    // dbsim-analyze: allow(hotpath-virtual) -- machine-wide environment services (locks, scheduling); called on lock/syscall boundaries, not per reference
     virtual void lockRelease(Addr addr, ProcId proc) = 0;
 
     /**
      * The running process executed a blocking system call taking
      * @p latency cycles of I/O; the scheduler should block it and switch.
      */
-    // dbsim-analyze: allow(hotpath-virtual) -- machine-wide environment services (locks, scheduling); called on lock/syscall boundaries, not per reference
     virtual void onSyscallBlock(ProcId proc, Cycles latency) = 0;
 
     /** The running process spun too long on a lock and yields the CPU. */
-    // dbsim-analyze: allow(hotpath-virtual) -- machine-wide environment services (locks, scheduling); called on lock/syscall boundaries, not per reference
     virtual void onLockYield(ProcId proc) = 0;
 
     /** The running process's trace is exhausted. */
-    // dbsim-analyze: allow(hotpath-virtual) -- machine-wide environment services (locks, scheduling); called on lock/syscall boundaries, not per reference
     virtual void onProcessDone(ProcId proc) = 0;
 };
 

@@ -19,7 +19,6 @@ Addr
 PageMap::translate(Addr vaddr, std::uint32_t node)
 {
     const Addr vpage = vaddr >> page_shift_;
-    // dbsim-analyze: allow(hotpath-map-lookup) -- sparse page table; the per-node TLB models the fast path, this is the TLB-miss walk
     auto it = map_.find(vpage);
     if (it == map_.end()) {
         // Bin hopping: the k-th allocated page goes to cache bin

@@ -23,7 +23,6 @@ Tlb::access(Addr vaddr)
 
     const Addr vpage = pageOf(vaddr);
     ++stamp_;
-    // dbsim-analyze: allow(hotpath-map-lookup) -- TLB modeled as a map, capacity-capped at the configured entry count
     auto it = map_.find(vpage);
     if (it != map_.end()) {
         it->second = stamp_;

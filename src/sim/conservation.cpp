@@ -53,7 +53,6 @@ checkMshrBound(std::vector<std::string> &out, const char *what,
 
 } // namespace
 
-// dbsim-analyze: cold(end-of-run audit, runs once after the run loop exits)
 std::vector<std::string>
 conservationViolations(const System &sys, const RunResult &r)
 {

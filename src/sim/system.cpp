@@ -256,7 +256,6 @@ System::resetStats()
 bool
 System::lockIsFree(Addr addr, ProcId proc) const
 {
-    // dbsim-analyze: allow(hotpath-map-lookup) -- simulated-environment lock table is sparse, keyed by lock address; touched only on lock ops
     auto it = lock_holder_.find(addr);
     return it == lock_holder_.end() || it->second == proc;
 }
@@ -271,7 +270,6 @@ System::lockTryAcquire(Addr addr, ProcId proc)
 void
 System::lockRelease(Addr addr, ProcId proc)
 {
-    // dbsim-analyze: allow(hotpath-map-lookup) -- simulated-environment lock table is sparse, keyed by lock address; touched only on lock ops
     auto it = lock_holder_.find(addr);
     if (it != lock_holder_.end() && it->second == proc)
         lock_holder_.erase(it);
@@ -441,7 +439,6 @@ System::run(std::uint64_t max_instructions,
         if (++poll_count >= kDeadlinePollStride) {
             poll_count = 0;
             if (deadline_armed && hostDeadlineExpired()) {
-                // dbsim-analyze: allow(hotpath-string) -- timeout unwind, runs once as the simulation dies
                 std::ostringstream msg;
                 msg << "host deadline (" << hostDeadlineSeconds()
                     << "s) expired at cycle " << now_
@@ -604,10 +601,8 @@ System::run(std::uint64_t max_instructions,
     // Skipped on an early stop -- a mid-flight machine legitimately has
     // partially accounted cycles.
     if (checker_ && !stopped_early) {
-        // dbsim-analyze: allow(hotpath-allocation) -- end-of-run audit, executes once after the run loop exits
         const std::vector<std::string> bad = conservationViolations(*this, r);
         if (!bad.empty()) {
-            // dbsim-analyze: allow(hotpath-string) -- audit-failure unwind, runs once as the simulation dies
             std::string joined;
             for (const std::string &s : bad) {
                 if (!joined.empty())

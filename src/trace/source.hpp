@@ -31,7 +31,6 @@ class TraceSource
      * Produce the next record into @p out.
      * @return false when the stream is exhausted.
      */
-    // dbsim-analyze: allow(hotpath-virtual) -- the trace-source seam is the workload plug-in point (generators, filters, hint inserters compose through it)
     virtual bool next(TraceRecord &out) = 0;
 
     /**
@@ -180,7 +179,6 @@ class GeneratingSource : public TraceSource
 
   protected:
     /** Generate at least one more record via emit(), or call finish(). */
-    // dbsim-analyze: allow(hotpath-virtual) -- refill() batches: one dispatch amortized over a buffer of records
     virtual void refill() = 0;
 
     void emit(const TraceRecord &rec) { buffer_.push_back(rec); }

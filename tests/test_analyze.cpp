@@ -10,23 +10,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analyze.hpp"
-#include "callgraph.hpp"
-#include "decls.hpp"
 
 namespace {
 
-using dbsim::analyze::buildCallGraph;
-using dbsim::analyze::buildCorpus;
-using dbsim::analyze::buildDecls;
-using dbsim::analyze::CallGraph;
-using dbsim::analyze::Corpus;
-using dbsim::analyze::DeclIndex;
 using dbsim::analyze::Finding;
 using dbsim::analyze::Options;
 using dbsim::analyze::Result;
@@ -90,12 +83,6 @@ const SeededCase kSeeded[] = {
     {"convention_catch", "convention-catch-swallow", "bad.cpp", 1},
     // pointer bits + wall clock + unsorted unordered iteration
     {"checkpoint_purity", "checkpoint-purity", "bad.cpp", 3},
-    {"hotpath_tick", "hotpath-allocation", "bad.cpp", 1},
-    {"hotpath_tick", "hotpath-map-lookup", "bad.cpp", 1},
-    {"hotpath_tick", "hotpath-virtual", "bad.cpp", 1},
-    {"hotpath_tick", "hotpath-string", "bad.cpp", 1},
-    // drains is updated only off the tick path
-    {"accounting_reach", "accounting-counter-reachability", "bad.cpp", 1},
 };
 
 TEST(Analyze, EveryRuleCatchesItsSeededViolation)
@@ -257,7 +244,7 @@ TEST(Analyze, SarifHasThe210Shape)
 TEST(Analyze, RuleCatalogIsConsistent)
 {
     const auto &catalog = dbsim::analyze::ruleCatalog();
-    EXPECT_EQ(catalog.size(), 18u);
+    EXPECT_EQ(catalog.size(), 13u);
     for (const RuleInfo &r : catalog) {
         EXPECT_TRUE(dbsim::analyze::knownRule(r.id));
         EXPECT_FALSE(std::string(r.description).empty());
@@ -265,93 +252,54 @@ TEST(Analyze, RuleCatalogIsConsistent)
     EXPECT_FALSE(dbsim::analyze::knownRule("not-a-rule"));
 }
 
-// ---------------------------------------------------------------------
-// Call-graph layer: the symbol resolution under the tick-path rules.
-// ---------------------------------------------------------------------
-
-struct GraphFixture
+/// Run the analysis over a one-file corpus holding `text`; returns the
+/// error runAnalysis reports ("" when it succeeds).
+std::string
+analyzeOneFile(const std::string &name, const std::string &text)
 {
-    Corpus corpus;
-    DeclIndex decls;
-    CallGraph graph;
-
-    explicit GraphFixture(const std::string &dir)
-    {
-        std::string err;
-        EXPECT_TRUE(buildCorpus(fixture(dir), {}, corpus, err)) << err;
-        buildDecls(corpus, decls);
-        buildCallGraph(corpus, decls, graph);
-    }
-
-    /// Index of the unique function `cls::name` (-1 if absent).
-    int
-    fn(const std::string &name, const std::string &cls = "") const
-    {
-        int found = -1;
-        for (std::size_t i = 0; i < decls.functions.size(); ++i) {
-            if (decls.functions[i].name != name)
-                continue;
-            if (!cls.empty() && decls.functions[i].cls != cls)
-                continue;
-            EXPECT_EQ(found, -1) << "ambiguous: " << name;
-            found = static_cast<int>(i);
-        }
-        return found;
-    }
-
-    bool
-    calls(int from, int to) const
-    {
-        const auto &cs = graph.callees[from];
-        return std::find(cs.begin(), cs.end(), to) != cs.end();
-    }
-};
-
-TEST(CallGraph, MutualRecursionTerminatesAndReaches)
-{
-    const GraphFixture g("callgraph");
-    ASSERT_TRUE(g.graph.hasRoots());
-    const int tick = g.fn("tick", "Core");
-    const int a = g.fn("stepA");
-    const int b = g.fn("stepB");
-    ASSERT_NE(tick, -1);
-    ASSERT_NE(a, -1);
-    ASSERT_NE(b, -1);
-    // The cycle a <-> b is fully linked and reachable; the BFS
-    // terminated (or this test would never have run).
-    EXPECT_TRUE(g.calls(tick, a));
-    EXPECT_TRUE(g.calls(a, b));
-    EXPECT_TRUE(g.calls(b, a));
-    EXPECT_TRUE(g.graph.tick_reachable[a]);
-    EXPECT_TRUE(g.graph.tick_reachable[b]);
+    const std::string dir = testing::TempDir() + "dbsim_analyze_" + name;
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/marked.cpp") << text;
+    Options opt;
+    opt.corpus_root = dir;
+    Result r;
+    std::string err;
+    const bool ok = dbsim::analyze::runAnalysis(opt, r, err);
+    std::filesystem::remove_all(dir);
+    EXPECT_EQ(ok, err.empty());
+    return err;
 }
 
-TEST(CallGraph, MemberFunctionPointerCountsAsCall)
+TEST(Analyze, StaleAllowMarkIsAnError)
 {
-    const GraphFixture g("callgraph");
-    const int reg = g.fn("registerCallback");
-    const int handler = g.fn("onEvent", "Handler");
-    ASSERT_NE(reg, -1);
-    ASSERT_NE(handler, -1);
-    // `&Handler::onEvent` is a call edge: callbacks stay reachable.
-    EXPECT_TRUE(g.calls(reg, handler));
+    // A suppression naming a rule the catalog no longer has.
+    const std::string err = analyzeOneFile(
+        "stale_allow", "struct Source\n{\n"
+                       "    // dbsim-analyze: allow(hotpath-virtual) -- x\n"
+                       "    virtual bool next() = 0;\n};\n");
+    EXPECT_NE(err.find("marked.cpp:3:"), std::string::npos) << err;
+    EXPECT_NE(err.find("unknown rule 'hotpath-virtual'"), std::string::npos)
+        << err;
 }
 
-TEST(CallGraph, OverloadsOverApproximate)
+TEST(Analyze, UnknownMarkKindIsAnError)
 {
-    const GraphFixture g("callgraph");
-    const int probe = g.fn("probeAll");
-    ASSERT_NE(probe, -1);
-    // Two definitions named `lookup`: a bare-name call links to both
-    // (over-approximation, never a miss), and nothing crashed.
-    std::size_t lookups_called = 0;
-    for (std::size_t i = 0; i < g.decls.functions.size(); ++i)
-        if (g.decls.functions[i].name == "lookup" &&
-            g.calls(probe, static_cast<int>(i)))
-            ++lookups_called;
-    EXPECT_EQ(lookups_called, 2u);
-    // Overloads are NOT tick-reachable here: probeAll hangs off no root.
-    EXPECT_FALSE(g.graph.tick_reachable[probe]);
+    const std::string err = analyzeOneFile(
+        "stale_cold", "int x = 0;\n\n"
+                      "// dbsim-analyze: cold(end-of-run audit)\n"
+                      "int\naudit()\n{\n    return x;\n}\n");
+    EXPECT_NE(err.find("marked.cpp:3:"), std::string::npos) << err;
+    EXPECT_NE(err.find("unknown mark kind 'cold'"), std::string::npos)
+        << err;
+}
+
+TEST(Analyze, KnownAllowMarkIsAccepted)
+{
+    EXPECT_EQ(analyzeOneFile(
+                  "known_allow",
+                  "// dbsim-analyze: allow(determinism-rand, "
+                  "convention-assert) -- x\nint y = 0;\n"),
+              "");
 }
 
 } // namespace

@@ -10,7 +10,8 @@
  * Findings can be suppressed inline with
  *     // dbsim-analyze: allow(<rule>[, <rule>...]) -- reason
  * on the offending line or on a comment line directly above it, or
- * grandfathered via a committed baseline file.
+ * grandfathered via a committed baseline file.  An allow() naming an
+ * unknown rule, or a mark of any other kind, fails the run.
  */
 
 #ifndef DBSIM_TOOLS_ANALYZE_ANALYZE_HPP
@@ -34,7 +35,7 @@ struct RuleInfo
 {
     const char *id;
     const char *family; ///< "determinism", "accounting", "layering",
-                        ///< "conventions", "checkpoint", "hotpath"
+                        ///< "conventions", "checkpoint"
     const char *description;
 };
 
@@ -71,7 +72,7 @@ struct Result
 };
 
 /// Run the analysis; returns false with `error` set on I/O or usage
-/// errors (unknown rule, unreadable corpus, ...).
+/// errors (unknown rule, stale mark, unreadable corpus, ...).
 bool runAnalysis(const Options &opt, Result &out, std::string &error);
 
 /// Plain-text report: one "file:line: [rule] message" per finding plus

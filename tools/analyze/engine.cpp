@@ -17,7 +17,7 @@ namespace {
 /// One rule-family pass and the rule ids it produces.
 struct Family
 {
-    void (*pass)(const PassContext &, std::vector<RawFinding> &);
+    void (*pass)(const Corpus &, std::vector<RawFinding> &);
     std::vector<const char *> rules;
 };
 
@@ -29,14 +29,11 @@ families()
          {kRuleUnorderedIter, kRuleWallclock, kRuleRand,
           kRulePointerFormat}},
         {runAccountingRules,
-         {kRuleCounterCoverage, kRuleSwitchExhaustive, kRuleCounterReach}},
+         {kRuleCounterCoverage, kRuleSwitchExhaustive}},
         {runLayeringRules, {kRuleLayerCycle, kRuleLayerOrder}},
         {runConventionRules,
          {kRuleAssert, kRuleStdout, kRuleIncludeGuard, kRuleCatchSwallow}},
         {runCheckpointRules, {kRuleCheckpointPurity}},
-        {runHotpathRules,
-         {kRuleHotpathAlloc, kRuleHotpathMapLookup, kRuleHotpathVirtual,
-          kRuleHotpathString}},
     };
     return kFamilies;
 }
@@ -78,6 +75,29 @@ suppressed(const SourceFile &f, const RawFinding &raw)
             return true;
     }
     return false;
+}
+
+/// A mark that names no known kind or rule is an error, not a silent
+/// no-op: a suppression for a deleted rule must not outlive it.
+bool
+checkMarks(const Corpus &corpus, std::string &error)
+{
+    for (const SourceFile &f : corpus.files)
+        for (const Mark &m : f.marks) {
+            const std::string at = f.rel + ":" + std::to_string(m.line);
+            if (m.kind != "allow") {
+                error = at + ": unknown mark kind '" + m.kind +
+                        "' (only allow() is recognised)";
+                return false;
+            }
+            for (const std::string &id : m.items)
+                if (!knownRule(id)) {
+                    error = at + ": unknown rule '" + id +
+                            "' in allow() (see --list-rules)";
+                    return false;
+                }
+        }
+    return true;
 }
 
 } // namespace
@@ -126,22 +146,6 @@ ruleCatalog()
          "Serialization bodies (saveState/serializeState/stateHash/...) "
          "must stay byte-stable: no host pointer bits, no wall-clock "
          "values, no unsorted unordered_* iteration (DESIGN.md §5g)."},
-        {kRuleCounterReach, "accounting",
-         "A counter whose only write sites are unreachable from the tick "
-         "path (and not cold) is dead accounting: the measured run never "
-         "produces it."},
-        {kRuleHotpathAlloc, "hotpath",
-         "No heap allocation (new/make_unique/local owning containers) "
-         "on the tick path; allocate at setup or pool."},
-        {kRuleHotpathMapLookup, "hotpath",
-         "No map find/count/at/subscript on the tick path; hoist the "
-         "lookup or restructure to an indexed array."},
-        {kRuleHotpathVirtual, "hotpath",
-         "No virtual dispatch from tick-reachable code; devirtualize or "
-         "document the design reason with allow()."},
-        {kRuleHotpathString, "hotpath",
-         "No string construction/formatting on the tick path; move it "
-         "behind a cold(<reason>) boundary."},
     };
     return kCatalog;
 }
@@ -174,20 +178,14 @@ runAnalysis(const Options &opt, Result &out, std::string &error)
         return false;
     out.files_scanned = corpus.files.size();
 
-    // Symbol-resolved IR: declarations, then the call graph with
-    // tick-path reachability.  Cheap relative to lexing; built
-    // unconditionally so every pass may consult it.
-    DeclIndex decls;
-    buildDecls(corpus, decls);
-    CallGraph graph;
-    buildCallGraph(corpus, decls, graph);
-    const PassContext ctx{corpus, decls, graph};
+    if (!checkMarks(corpus, error))
+        return false;
 
     std::vector<RawFinding> raw;
     for (const Family &fam : families()) {
         if (std::any_of(fam.rules.begin(), fam.rules.end(),
                         [&](const char *id) { return enabled(id); }))
-            fam.pass(ctx, raw);
+            fam.pass(corpus, raw);
     }
 
     std::vector<Finding> surviving;

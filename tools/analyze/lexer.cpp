@@ -28,23 +28,28 @@ const char *const kPuncts[] = {
 };
 
 /**
- * Collect the comma-separated items of every `dbsim-analyze: <key>(a, b)`
- * clause in a comment body (possibly several clauses per comment).
+ * Collect every `dbsim-analyze: <kind>(a, b)` clause in a comment body
+ * (possibly several clauses per comment), with its comma-separated
+ * items.
  */
-std::set<std::string>
-parseListMark(std::string_view body, std::string_view key)
+std::vector<Mark>
+parseMarks(std::string_view body, int line)
 {
-    std::set<std::string> items;
-    std::string needle = "dbsim-analyze: ";
-    needle += key;
-    needle += '(';
+    std::vector<Mark> marks;
+    const std::string_view needle = "dbsim-analyze: ";
     std::size_t pos = 0;
     while ((pos = body.find(needle, pos)) != std::string_view::npos) {
         pos += needle.size();
-        const std::size_t close = body.find(')', pos);
+        std::size_t open = pos;
+        while (open < body.size() && identChar(body[open]))
+            ++open;
+        if (open == pos || open >= body.size() || body[open] != '(')
+            continue;
+        const std::size_t close = body.find(')', open);
         if (close == std::string_view::npos)
             break;
-        std::string_view list = body.substr(pos, close - pos);
+        Mark m{std::string(body.substr(pos, open - pos)), {}, line};
+        std::string_view list = body.substr(open + 1, close - open - 1);
         std::size_t i = 0;
         while (i < list.size()) {
             while (i < list.size() &&
@@ -55,40 +60,13 @@ parseListMark(std::string_view body, std::string_view key)
                    list[j] != '\t')
                 ++j;
             if (j > i)
-                items.insert(std::string(list.substr(i, j - i)));
+                m.items.emplace_back(list.substr(i, j - i));
             i = j;
         }
+        marks.push_back(std::move(m));
         pos = close;
     }
-    return items;
-}
-
-/**
- * Extract the reason of a `dbsim-analyze: <key>(<reason>)` marker from a
- * comment body.  Returns false when the marker is absent.  The reason is
- * everything up to the first ')' (so it may not contain one), trimmed.
- */
-bool
-parseReasonMark(std::string_view body, std::string_view key,
-                std::string &reason)
-{
-    std::string needle = "dbsim-analyze: ";
-    needle += key;
-    needle += '(';
-    const std::size_t pos = body.find(needle);
-    if (pos == std::string_view::npos)
-        return false;
-    const std::size_t open = pos + needle.size();
-    const std::size_t close = body.find(')', open);
-    if (close == std::string_view::npos)
-        return false;
-    std::string_view r = body.substr(open, close - open);
-    while (!r.empty() && (r.front() == ' ' || r.front() == '\t'))
-        r.remove_prefix(1);
-    while (!r.empty() && (r.back() == ' ' || r.back() == '\t'))
-        r.remove_suffix(1);
-    reason = std::string(r);
-    return true;
+    return marks;
 }
 
 } // namespace
@@ -118,9 +96,6 @@ lexSource(std::string rel, std::string_view text)
     const std::size_t n = text.size();
     bool line_has_code = false;       // a code token emitted on this line
     std::set<std::string> pending;    // allows waiting for the next code line
-    // A cold() mark waiting for the next code line; the bool
-    // distinguishes an absent mark from an empty reason.
-    std::pair<bool, std::string> pending_cold{false, {}};
 
     auto newline = [&] {
         ++line;
@@ -131,30 +106,17 @@ lexSource(std::string rel, std::string_view text)
             out.allows[at].insert(pending.begin(), pending.end());
             pending.clear();
         }
-        if (pending_cold.first) {
-            out.cold_marks[at] = std::move(pending_cold.second);
-            pending_cold = {false, {}};
-        }
         line_has_code = true;
         out.tokens.push_back(Token{kind, std::move(t), at});
     };
-    auto recordAllows = [&](std::string_view body, int start_line) {
-        std::string reason;
-        if (parseReasonMark(body, "cold", reason)) {
-            if (line_has_code)
-                out.cold_marks[start_line] = reason;
-            else
-                pending_cold = {true, reason};
+    auto recordMarks = [&](std::string_view body, int start_line) {
+        for (Mark &m : parseMarks(body, start_line)) {
+            if (m.kind == "allow") {
+                auto &into = line_has_code ? out.allows[start_line] : pending;
+                into.insert(m.items.begin(), m.items.end());
+            }
+            out.marks.push_back(std::move(m));
         }
-        // Suppressions: `dbsim-analyze: allow(a, b)` clauses (possibly
-        // several per comment).
-        const std::set<std::string> rules = parseListMark(body, "allow");
-        if (rules.empty())
-            return;
-        if (line_has_code)
-            out.allows[start_line].insert(rules.begin(), rules.end());
-        else
-            pending.insert(rules.begin(), rules.end());
     };
 
     while (i < n) {
@@ -174,7 +136,7 @@ lexSource(std::string rel, std::string_view text)
             const std::size_t start = i;
             while (i < n && text[i] != '\n')
                 ++i;
-            recordAllows(text.substr(start, i - start), line);
+            recordMarks(text.substr(start, i - start), line);
             continue;
         }
         // Block comment.
@@ -188,7 +150,7 @@ lexSource(std::string rel, std::string_view text)
                 ++i;
             }
             i = (i + 1 < n) ? i + 2 : n;
-            recordAllows(text.substr(start, i - start), start_line);
+            recordMarks(text.substr(start, i - start), start_line);
             continue;
         }
 

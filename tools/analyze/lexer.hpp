@@ -52,17 +52,22 @@ struct PpDirective
     int line;
 };
 
+/// One `dbsim-analyze: <kind>(<item>[, <item>...])` comment clause, as
+/// written.  `allow` is the only kind; the engine rejects any other
+/// kind and any allow() item that names no rule.
+struct Mark
+{
+    std::string kind;
+    std::vector<std::string> items;
+    int line; ///< line of the comment
+};
+
 /**
- * A lexed source file.  Two mark kinds live in comments:
- *     // dbsim-analyze: allow(<rule>[, <rule>...])  suppress findings
- *     // dbsim-analyze: cold(<reason>)              on a function
- *                                                   definition: the
- *                                                   tick-path call
- *                                                   graph stops there
+ * A lexed source file.  Suppressions live in comments:
+ *     // dbsim-analyze: allow(<rule>[, <rule>...])
  * A mark sharing a line with code applies to that line; a standalone
  * mark applies to the next line that has code.  `allows` maps a line to
- * its suppressed rule ids, `cold_marks` a line to its reason.  The
- * reason text may not contain ')'.
+ * its suppressed rule ids; `marks` keeps every clause for validation.
  */
 struct SourceFile
 {
@@ -71,7 +76,7 @@ struct SourceFile
     std::vector<IncludeDirective> includes;
     std::vector<PpDirective> directives;
     std::map<int, std::set<std::string>> allows;
-    std::map<int, std::string> cold_marks; ///< line -> reason
+    std::vector<Mark> marks;
     int last_line = 0;
 
     bool isHeader() const;

@@ -12,9 +12,7 @@
 #include <vector>
 
 #include "analyze.hpp"
-#include "callgraph.hpp"
 #include "corpus.hpp"
-#include "decls.hpp"
 
 namespace dbsim::analyze {
 
@@ -44,34 +42,12 @@ inline constexpr char kRuleStdout[] = "convention-stdout";
 inline constexpr char kRuleIncludeGuard[] = "convention-include-guard";
 inline constexpr char kRuleCatchSwallow[] = "convention-catch-swallow";
 inline constexpr char kRuleCheckpointPurity[] = "checkpoint-purity";
-inline constexpr char kRuleHotpathAlloc[] = "hotpath-allocation";
-inline constexpr char kRuleHotpathMapLookup[] = "hotpath-map-lookup";
-inline constexpr char kRuleHotpathVirtual[] = "hotpath-virtual";
-inline constexpr char kRuleHotpathString[] = "hotpath-string";
-inline constexpr char kRuleCounterReach[] = "accounting-counter-reachability";
 
-/**
- * Everything a rule pass may consult: the lexed corpus plus the
- * symbol-resolved IR (declarations + call graph with tick-path
- * reachability).  Passes that don't need the IR just use `corpus`.
- */
-struct PassContext
-{
-    const Corpus &corpus;
-    const DeclIndex &decls;
-    const CallGraph &graph;
-};
-
-void runDeterminismRules(const PassContext &ctx,
-                         std::vector<RawFinding> &out);
-void runAccountingRules(const PassContext &ctx,
-                        std::vector<RawFinding> &out);
-void runLayeringRules(const PassContext &ctx, std::vector<RawFinding> &out);
-void runConventionRules(const PassContext &ctx,
-                        std::vector<RawFinding> &out);
-void runCheckpointRules(const PassContext &ctx,
-                        std::vector<RawFinding> &out);
-void runHotpathRules(const PassContext &ctx, std::vector<RawFinding> &out);
+void runDeterminismRules(const Corpus &c, std::vector<RawFinding> &out);
+void runAccountingRules(const Corpus &c, std::vector<RawFinding> &out);
+void runLayeringRules(const Corpus &c, std::vector<RawFinding> &out);
+void runConventionRules(const Corpus &c, std::vector<RawFinding> &out);
+void runCheckpointRules(const Corpus &c, std::vector<RawFinding> &out);
 
 } // namespace dbsim::analyze
 

@@ -246,77 +246,14 @@ checkSwitches(const Corpus &c, const SourceFile &f,
     }
 }
 
-/**
- * Interprocedural counter-reachability: a counter that is updated, but
- * only in functions the tick path can never reach (and that are not
- * explicitly cold), is dead accounting -- the measured run reports a
- * value the model never produces.  Counters with no write site at all
- * are checkCounterCoverage's business; counters updated in cold code
- * (checkpoint restore, verification layers) are accepted.
- */
-void
-checkCounterReachability(const PassContext &ctx,
-                         std::vector<RawFinding> &out)
-{
-    const Corpus &c = ctx.corpus;
-    if (!ctx.graph.hasRoots())
-        return; // reachability is undefined without tick roots
-
-    struct Sites
-    {
-        bool any = false;
-        bool tick = false;
-        bool cold = false;
-    };
-    std::map<std::string, Sites> sites;
-    for (const Corpus::StatsStruct &s : c.stats_structs)
-        for (const Corpus::CounterField &fld : s.fields)
-            sites[fld.name];
-
-    for (std::size_t fi = 0; fi < ctx.decls.functions.size(); ++fi) {
-        const FunctionDef &fn = ctx.decls.functions[fi];
-        const std::vector<Token> &t = c.files[fn.file_idx].tokens;
-        for (std::size_t i = fn.body_begin;
-             i < fn.body_end && i < t.size(); ++i) {
-            if (t[i].kind != Tok::Ident)
-                continue;
-            const auto it = sites.find(t[i].text);
-            if (it == sites.end() || !isWriteContext(t, i))
-                continue;
-            it->second.any = true;
-            if (ctx.graph.tick_reachable[fi])
-                it->second.tick = true;
-            if (ctx.graph.cold[fi])
-                it->second.cold = true;
-        }
-    }
-
-    for (const Corpus::StatsStruct &s : c.stats_structs) {
-        for (const Corpus::CounterField &fld : s.fields) {
-            const Sites &st = sites.at(fld.name);
-            if (!st.any || st.tick || st.cold)
-                continue;
-            out.push_back(
-                {kRuleCounterReach, s.file_rel, fld.line,
-                 "counter '" + s.name + "::" + fld.name +
-                     "' is updated only in code unreachable from the "
-                     "tick path: the measured run never produces it "
-                     "(move the increment, or mark the updater with "
-                     "// dbsim-analyze: cold(<reason>))",
-                 0});
-        }
-    }
-}
-
 } // namespace
 
 void
-runAccountingRules(const PassContext &ctx, std::vector<RawFinding> &out)
+runAccountingRules(const Corpus &c, std::vector<RawFinding> &out)
 {
-    checkCounterCoverage(ctx.corpus, out);
-    for (const SourceFile &f : ctx.corpus.files)
-        checkSwitches(ctx.corpus, f, out);
-    checkCounterReachability(ctx, out);
+    checkCounterCoverage(c, out);
+    for (const SourceFile &f : c.files)
+        checkSwitches(c, f, out);
 }
 
 } // namespace dbsim::analyze

@@ -203,9 +203,8 @@ checkBody(const Corpus &c, const SourceFile &f, const std::string &fn,
 } // namespace
 
 void
-runCheckpointRules(const PassContext &ctx, std::vector<RawFinding> &out)
+runCheckpointRules(const Corpus &c, std::vector<RawFinding> &out)
 {
-    const Corpus &c = ctx.corpus;
     for (const SourceFile &f : c.files) {
         const std::vector<Token> &t = f.tokens;
         for (std::size_t i = 0; i < t.size(); ++i) {

@@ -180,9 +180,8 @@ checkCatchSwallow(const SourceFile &f, std::vector<RawFinding> &out)
 } // namespace
 
 void
-runConventionRules(const PassContext &ctx, std::vector<RawFinding> &out)
+runConventionRules(const Corpus &c, std::vector<RawFinding> &out)
 {
-    const Corpus &c = ctx.corpus;
     for (const SourceFile &f : c.files) {
         checkAsserts(f, out);
         checkStdout(f, out);

@@ -154,9 +154,8 @@ checkPointerFormat(const SourceFile &f, std::vector<RawFinding> &out)
 } // namespace
 
 void
-runDeterminismRules(const PassContext &ctx, std::vector<RawFinding> &out)
+runDeterminismRules(const Corpus &c, std::vector<RawFinding> &out)
 {
-    const Corpus &c = ctx.corpus;
     for (const SourceFile &f : c.files) {
         checkUnorderedIteration(c, f, out);
         checkTokenList(f, wallclockTokens(), kRuleWallclock,

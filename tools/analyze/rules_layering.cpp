@@ -115,9 +115,8 @@ checkCycles(const Corpus &c, std::vector<RawFinding> &out)
 } // namespace
 
 void
-runLayeringRules(const PassContext &ctx, std::vector<RawFinding> &out)
+runLayeringRules(const Corpus &c, std::vector<RawFinding> &out)
 {
-    const Corpus &c = ctx.corpus;
     checkLayerOrder(c, out);
     checkCycles(c, out);
 }
