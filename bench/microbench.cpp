@@ -141,6 +141,27 @@ BM_OltpTraceGen(benchmark::State &state)
 }
 BENCHMARK(BM_OltpTraceGen);
 
+/** One DSS scan process over the whole table; a finished scan starts
+ *  over, so any iteration count is served. */
+void
+BM_DssTraceGen(benchmark::State &state)
+{
+    workload::DssParams p;
+    p.num_procs = 1;
+    workload::DssWorkload wl(p);
+    auto src = wl.makeProcess(0);
+    trace::TraceRecord rec;
+    for (auto _ : state) {
+        if (!src->next(rec)) {
+            src = wl.makeProcess(0);
+            if (!src->next(rec))
+                state.SkipWithError("empty scan");
+        }
+        benchmark::DoNotOptimize(rec);
+    }
+}
+BENCHMARK(BM_DssTraceGen);
+
 /** Memory for BM_CoreTick: every data access returns after a fixed
  *  latency, every instruction line after one cycle. */
 class FixedLatencyMem : public cpu::CoreMemIf
@@ -209,8 +230,9 @@ class WindowSource : public trace::TraceSource
  * scaled preset runs the first 100K records of process 0 of the
  * workload (system calls dropped, since nothing would wake the process)
  * over FixedLatencyMem, stepped as System::run steps a core: tick when
- * due, account stalls otherwise, skip to the next event.  Reports the
- * host time of tick + arm (+ accountStall) per retired instruction.
+ * due, skip to the next event, and account the stalled cycles in
+ * between with one accountStall before the next tick.  Reports the host
+ * time of tick + arm + accountStall per retired instruction.
  */
 void
 BM_CoreTick(benchmark::State &state, core::WorkloadKind kind)
@@ -237,16 +259,17 @@ BM_CoreTick(benchmark::State &state, core::WorkloadKind kind)
         cpu::Core core(0, cfg.system.core, &mem, &env);
         core.switchTo(&proc, 0, false);
         Cycles now = 0;
+        Cycles accounted_to = 0;
         while (!env.done) {
-            if (core.due(now))
+            if (core.due(now)) {
+                core.accountStall(accounted_to, now);
                 core.tick(now);
-            else
-                core.accountStall(now, now + 1);
+                accounted_to = now + 1;
+            }
             const Cycles next = std::max(core.arm(now), now + 1);
-            if (next > now + 1 && next != kNever)
-                core.accountStall(now + 1, next);
             now = next == kNever ? now + 1 : next;
         }
+        core.accountStall(accounted_to, now);
         retired += core.stats().instructions;
     }
     state.counters["time_per_instr"] = benchmark::Counter(

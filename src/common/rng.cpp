@@ -16,12 +16,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -29,42 +23,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &s : s_)
         s = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::below(std::uint64_t bound)
-{
-    if (bound <= 1)
-        return 0;
-    // Lemire-style rejection: keep the top bits unbiased.
-    const std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-double
-Rng::uniform()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 std::uint32_t

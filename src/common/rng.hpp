@@ -11,6 +11,7 @@
 #ifndef DBSIM_COMMON_RNG_HPP
 #define DBSIM_COMMON_RNG_HPP
 
+#include <bit>
 #include <cstdint>
 
 #include "common/snapshot.hpp"
@@ -27,10 +28,36 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound) with rejection to avoid modulo bias. */
-    std::uint64_t below(std::uint64_t bound);
+    std::uint64_t
+    below(std::uint64_t bound)
+    {
+        if (bound <= 1)
+            return 0;
+        // Lemire-style rejection: keep the top bits unbiased.
+        const std::uint64_t threshold = (0 - bound) % bound;
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t
@@ -40,7 +67,11 @@ class Rng
     }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli trial with probability @p p of returning true. */
     bool chance(double p) { return uniform() < p; }

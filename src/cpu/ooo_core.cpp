@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -39,6 +40,8 @@ Core::allocateWindow()
     slot_mask_ = slots - 1;
     ready_.resize(slots);
     mem_pending_.resize(slots);
+    wheel_.assign(kWheelSlots, kNoLink);
+    wheel_busy_.resize(kWheelSlots);
 }
 
 void
@@ -111,8 +114,21 @@ Core::setCompleteAt(WindowEntry &e, Cycles at)
     e.complete_at = at;
     if (at == kNever)
         return;
-    completions_.push_back(Completion{at, e.seq});
-    std::push_heap(completions_.begin(), completions_.end(), laterFirst);
+    const auto slot = static_cast<std::uint32_t>(slotOf(e.seq));
+    if (at < wheel_lo_) {
+        // A hint that fired after completeStage: the next tick
+        // completes it.
+        e.next_done = overdue_;
+        overdue_ = slot;
+    } else if (at - wheel_lo_ < kWheelSlots) {
+        const std::size_t b = at & (kWheelSlots - 1);
+        e.next_done = wheel_[b];
+        wheel_[b] = slot;
+        wheel_busy_.set(b);
+    } else {
+        far_.push_back(Completion{at, e.seq});
+        std::push_heap(far_.begin(), far_.end(), laterFirst);
+    }
 }
 
 void
@@ -173,7 +189,10 @@ Core::rebuildDerived()
 {
     ready_.clear();
     mem_pending_.clear();
-    completions_.clear();
+    std::fill(wheel_.begin(), wheel_.end(), kNoLink);
+    wheel_busy_.clear();
+    overdue_ = kNoLink;
+    far_.clear();
     mem_in_flight_ = 0;
     for (std::uint64_t seq = head_seq_; seq < next_seq_; ++seq) {
         WindowEntry &e = entry(seq);
@@ -374,25 +393,68 @@ Core::retireStage(Cycles now)
 // ---------------------------------------------------------------------
 
 void
+Core::complete(WindowEntry &e, Cycles now)
+{
+    e.completed = true;
+    progress_ = true;
+    releaseConsumers(e);
+    if (trace::isBranch(e.rec.op)) {
+        DBSIM_ASSERT(unresolved_branches_ > 0, "branch accounting underflow");
+        --unresolved_branches_;
+        if (e.seq == unresolved_branch_seq_) {
+            unresolved_branch_seq_ = kNoSeq;
+            fetch_resume_at_ = now + params_.mispredict_restart;
+        }
+    }
+}
+
+void
+Core::completeList(std::uint32_t slot, Cycles now)
+{
+    while (slot != kNoLink) {
+        WindowEntry &e = window_[slot];
+        slot = e.next_done;
+        complete(e, now);
+    }
+}
+
+void
 Core::completeStage(Cycles now)
 {
-    // Completion side effects commute, so the queue's order serves.
-    while (!completions_.empty() && completions_.front().at <= now) {
-        WindowEntry &e = entry(completions_.front().seq);
-        std::pop_heap(completions_.begin(), completions_.end(), laterFirst);
-        completions_.pop_back();
-        e.completed = true;
-        progress_ = true;
-        releaseConsumers(e);
-        if (trace::isBranch(e.rec.op)) {
-            DBSIM_ASSERT(unresolved_branches_ > 0,
-                         "branch accounting underflow");
-            --unresolved_branches_;
-            if (e.seq == unresolved_branch_seq_) {
-                unresolved_branch_seq_ = kNoSeq;
-                fetch_resume_at_ = now + params_.mispredict_restart;
-            }
+    // Completion side effects commute, so any visiting order serves.
+    completeList(std::exchange(overdue_, kNoLink), now);
+    if (now == wheel_lo_) {
+        // The usual case, a tick at each cycle: one bucket (none yet
+        // on a core that has never run).
+        const std::size_t b = now & (kWheelSlots - 1);
+        if (!wheel_.empty() && wheel_[b] != kNoLink) {
+            wheel_busy_.reset(b);
+            completeList(std::exchange(wheel_[b], kNoLink), now);
         }
+        wheel_lo_ = now + 1;
+    } else if (now > wheel_lo_) {
+        // The buckets of cycles wheel_lo_ .. now, at most one lap.
+        const std::size_t start = wheel_lo_ & (kWheelSlots - 1);
+        const Cycles due = std::min<Cycles>(now - wheel_lo_, kWheelSlots - 1);
+        wheel_busy_.forEachFrom(start, [&](std::size_t b) {
+            if (((b - start) & (kWheelSlots - 1)) > due)
+                return false;
+            wheel_busy_.reset(b);
+            completeList(std::exchange(wheel_[b], kNoLink), now);
+            return true;
+        });
+        wheel_lo_ = now + 1;
+    }
+    // Far completions: the due ones complete, those now within the
+    // wheel's span move into it.
+    while (!far_.empty() && far_.front().at < wheel_lo_ + kWheelSlots) {
+        const Completion c = far_.front();
+        std::pop_heap(far_.begin(), far_.end(), laterFirst);
+        far_.pop_back();
+        if (c.at <= now)
+            complete(entry(c.seq), now);
+        else
+            setCompleteAt(entry(c.seq), c.at);
     }
 }
 
@@ -926,14 +988,16 @@ Core::accountStall(Cycles from, Cycles to)
 {
     if (to <= from)
         return;
-    const double dt = static_cast<double>(to - from);
-    StallCat cat;
-    if (proc_ && from < run_resume_at_)
-        cat = StallCat::Idle;
-    else
-        cat = classifyHead();
-    breakdown_.add(cat, dt);
     stats_.run_cycles += to - from;
+    // Context-switch overhead up to run_resume_at_, the head's stall
+    // after it, as cycle-by-cycle calls would classify them.
+    if (proc_ && from < run_resume_at_) {
+        const Cycles idle_to = std::min(to, run_resume_at_);
+        breakdown_.add(StallCat::Idle, static_cast<double>(idle_to - from));
+        from = idle_to;
+    }
+    if (from < to)
+        breakdown_.add(classifyHead(), static_cast<double>(to - from));
 }
 
 std::string
@@ -977,10 +1041,8 @@ Core::nextEvent(Cycles now) const
 }
 
 Cycles
-Core::arm(Cycles now)
+Core::rearm(Cycles now)
 {
-    if (armed_)
-        return next_event_;
     bool overdue = false;
     next_event_ = computeNextEvent(now, &overdue);
     wake_at_ = next_event_;
@@ -1036,13 +1098,27 @@ Core::computeNextEvent(Cycles now, bool *overdue) const
     };
     consider(mem_retry_at_);
 
-    if (!completions_.empty()) {
-        if (completions_.front().at > now) {
-            consider(completions_.front().at);
+    // A completion that landed after completeStage (a hint) is overdue.
+    // So is one in a bucket at or before now, which only happens when
+    // no tick has run since a restore.
+    if (overdue_ != kNoLink)
+        *overdue = true;
+    const std::size_t start = wheel_lo_ & (kWheelSlots - 1);
+    wheel_busy_.forEachFrom(start, [&](std::size_t b) {
+        const Cycles at = wheel_lo_ + ((b - start) & (kWheelSlots - 1));
+        if (at > now) {
+            consider(at);
+            return false;
+        }
+        *overdue = true;
+        return true;
+    });
+    if (!far_.empty()) {
+        if (far_.front().at > now) {
+            consider(far_.front().at);
         } else {
-            // A completion that landed after completeStage (a hint).
             *overdue = true;
-            for (const Completion &c : completions_)
+            for (const Completion &c : far_)
                 consider(c.at);
         }
     }
@@ -1239,6 +1315,9 @@ Core::restoreState(snap::Reader &r,
         wb_.push_back(e);
     }
     wmb_epoch_ = r.u32();
+    // The wheel's position is not saved: from cycle 0 it spans every
+    // restored completion, and the next tick catches it up.
+    wheel_lo_ = 0;
     rebuildDerived();
 
     armed_ = false;

@@ -136,8 +136,9 @@ class Core
 
     /**
      * Account for the core being in its current (stalled or idle) state
-     * from @p from to @p to without re-simulating each cycle.  Only
-     * valid when nextEvent(from) >= to.
+     * from @p from to @p to without re-simulating each cycle: the same
+     * breakdown and run_cycles as one call per cycle.  Only valid when
+     * the core is not due anywhere in [from, to) (nextEvent(from) >= to).
      */
     void accountStall(Cycles from, Cycles to);
 
@@ -153,9 +154,10 @@ class Core
 
     /**
      * True when tick(@p now) may do more than account one stalled
-     * cycle.  A core that is not due is left to accountStall(now,
-     * now + 1), which leaves it in exactly the state tick(now) would.
-     * Ticking a core that is not due is always safe.
+     * cycle.  A core that is not due is left to accountStall, which
+     * leaves it in exactly the state tick(now) would; the owner may
+     * defer that call and cover many cycles with one.  Ticking a core
+     * that is not due is always safe.
      */
     bool
     due(Cycles now) const
@@ -169,7 +171,11 @@ class Core
      * core that has not ticked since the last call returns it without
      * rescanning its window.
      */
-    Cycles arm(Cycles now);
+    Cycles
+    arm(Cycles now)
+    {
+        return armed_ ? next_event_ : rearm(now);
+    }
 
     /** Make the core due at the next iteration (run start, restore). */
     void wake(WakeReason why);
@@ -242,6 +248,7 @@ class Core
         std::uint8_t waiting = 0; ///< producers in the window not complete
         std::uint32_t first_consumer = kNoLink; ///< consumers waiting on this
         std::uint32_t next_consumer[2] = {kNoLink, kNoLink};
+        std::uint32_t next_done = kNoLink; ///< next slot in its completion list
     };
 
     struct WbEntry
@@ -256,21 +263,25 @@ class Core
         Cycles performed_at = kNever;
     };
 
-    /** A completion scheduled for an issued window entry. */
+    /** A completion scheduled beyond the wheel's span. */
     struct Completion
     {
         Cycles at;
         std::uint64_t seq;
     };
 
-    /** Heap order of the completion queue: the earliest on top. */
+    /** Cycles the completion wheel spans (a power of two). */
+    static constexpr std::uint32_t kWheelSlots = 256;
+
+    /** Heap order of the far completions: the earliest on top. */
     static bool
     laterFirst(const Completion &a, const Completion &b)
     {
         return a.at > b.at;
     }
 
-    /** A set of window slots, visited in seq order from a start slot. */
+    /** A set of window slots (or wheel buckets), visited in ring order
+     *  from a start slot. */
     class SlotSet
     {
       public:
@@ -347,6 +358,7 @@ class Core
     StallCat readCat(const WindowEntry &e) const;
     bool wbAllPerformed() const { return wb_stores_unperformed_ == 0; }
     Cycles computeNextEvent(Cycles now, bool *overdue) const;
+    Cycles rearm(Cycles now);
 
     // incremental state (DESIGN.md §5a, "Incremental core")
     std::uint64_t windowSize() const { return next_seq_ - head_seq_; }
@@ -365,6 +377,8 @@ class Core
         return e.mem_issued && e.performed && !e.speculative;
     }
     void setCompleteAt(WindowEntry &e, Cycles at);
+    void complete(WindowEntry &e, Cycles now);
+    void completeList(std::uint32_t slot, Cycles now);
     void linkProducers(WindowEntry &e);
     void releaseConsumers(WindowEntry &e);
     void pushWb(const WbEntry &w);
@@ -410,8 +424,17 @@ class Core
 
     // Derived from the window and write buffer above, kept current by
     // every stage and rebuilt by rebuildDerived(); not serialized.
-    std::vector<Completion> completions_; ///< min-heap: issued, incomplete,
-                                          ///< finite complete_at
+    // The completion wheel: every issued, incomplete entry with a finite
+    // complete_at is on exactly one list, linked through next_done.
+    std::vector<std::uint32_t> wheel_; ///< bucket at % kWheelSlots: the
+                                       ///< entries completing at cycle at,
+                                       ///< for at in [wheel_lo_, wheel_lo_ +
+                                       ///< kWheelSlots)
+    SlotSet wheel_busy_;  ///< non-empty buckets
+    Cycles wheel_lo_ = 0; ///< first cycle completeStage has not run for
+    std::uint32_t overdue_ = kNoLink; ///< complete_at < wheel_lo_: hints
+                                      ///< set after completeStage ran
+    std::vector<Completion> far_; ///< min-heap: complete_at beyond the wheel
     SlotSet ready_;   ///< unissued entries with every producer complete
     SlotSet mem_pending_; ///< memory ops and MBs that are not settled
                           ///< (the entries memoryStage acts on)

@@ -12,23 +12,26 @@ Tlb::Tlb(std::uint32_t entries, std::uint32_t page_bytes)
     if (!isPow2(page_bytes))
         DBSIM_FATAL("TLB page size must be a power of two");
     page_shift_ = log2i(page_bytes);
+    page_mask_ = page_bytes - 1;
 }
 
-bool
-Tlb::access(Addr vaddr)
+Tlb::Entry *
+Tlb::touch(Addr vaddr, bool &hit)
 {
     ++stats_.accesses;
+    hit = true;
     if (perfect())
-        return true;
+        return nullptr;
 
     const Addr vpage = pageOf(vaddr);
     ++stamp_;
     auto it = map_.find(vpage);
     if (it != map_.end()) {
-        it->second = stamp_;
-        return true;
+        it->second.stamp = stamp_;
+        return &it->second;
     }
 
+    hit = false;
     ++stats_.misses;
     if (map_.size() >= entries_) {
         // Evict true-LRU entry.  Use stamps are unique, so the minimum
@@ -38,15 +41,14 @@ Tlb::access(Addr vaddr)
         std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
         // dbsim-analyze: allow(determinism-unordered-iteration)
         for (auto jt = map_.begin(); jt != map_.end(); ++jt) {
-            if (jt->second < oldest) {
-                oldest = jt->second;
+            if (jt->second.stamp < oldest) {
+                oldest = jt->second.stamp;
                 victim = jt;
             }
         }
         map_.erase(victim);
     }
-    map_.emplace(vpage, stamp_);
-    return false;
+    return &map_.emplace(vpage, Entry{stamp_}).first->second;
 }
 
 void

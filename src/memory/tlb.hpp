@@ -13,10 +13,10 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
+#include "memory/page_map.hpp"
 
 namespace dbsim::mem {
 
@@ -34,9 +34,9 @@ struct TlbStats
 };
 
 /**
- * A fully associative, true-LRU TLB over virtual page numbers.
- * Translation itself (virtual to physical) is done by the PageMap; the
- * TLB only determines hit/miss timing.
+ * A fully associative, true-LRU TLB over virtual page numbers.  Each
+ * entry caches its page's physical frame once the PageMap has been
+ * consulted for it, so a hit does not walk the page map.
  */
 class Tlb
 {
@@ -48,10 +48,24 @@ class Tlb
     Tlb(std::uint32_t entries, std::uint32_t page_bytes);
 
     /**
-     * Access the TLB for @p vaddr.
-     * @return true on hit (or if the TLB is perfect).
+     * Access the TLB for @p vaddr and return its physical address;
+     * @p hit says whether the access hit (always, for a perfect TLB).
+     * A hit on an entry that carries its frame answers without @p pm; a
+     * miss, an entry restored from a checkpoint, or a perfect TLB asks
+     * @p pm (allocating the page to @p node on first touch).  @p pm must
+     * use this TLB's page size.
      */
-    bool access(Addr vaddr);
+    Addr
+    translate(Addr vaddr, PageMap &pm, std::uint32_t node, bool &hit)
+    {
+        Entry *e = touch(vaddr, hit);
+        if (e && e->frame != kNoAddr)
+            return e->frame | (vaddr & page_mask_);
+        const Addr paddr = pm.translate(vaddr, node);
+        if (e)
+            e->frame = paddr & ~page_mask_;
+        return paddr;
+    }
 
     /** Page number of @p vaddr. */
     Addr pageOf(Addr vaddr) const { return vaddr >> page_shift_; }
@@ -62,6 +76,8 @@ class Tlb
 
     void reset();
 
+    /** The cached frames are not saved: a restored entry looks its
+     *  frame up again on its next hit. */
     void
     saveState(snap::Writer &w) const
     {
@@ -69,7 +85,7 @@ class Tlb
         w.u64(map_.size());
         for (Addr vpage : snap::sortedKeys(map_)) {
             w.u64(vpage);
-            w.u64(map_.at(vpage));
+            w.u64(map_.at(vpage).stamp);
         }
         w.u64(stats_.accesses);
         w.u64(stats_.misses);
@@ -83,18 +99,29 @@ class Tlb
         const std::size_t n = r.length(16);
         for (std::size_t i = 0; i < n; ++i) {
             const Addr vpage = r.u64();
-            map_[vpage] = r.u64();
+            map_[vpage] = Entry{r.u64(), kNoAddr};
         }
         stats_.accesses = r.u64();
         stats_.misses = r.u64();
     }
 
   private:
+    struct Entry
+    {
+        std::uint64_t stamp;  ///< last-use stamp (LRU order)
+        Addr frame = kNoAddr; ///< physical page address, once known
+    };
+
+    /** Count an access; @p hit says whether it hit.  Returns the entry
+     *  now holding the page, or nullptr for a perfect TLB. */
+    Entry *touch(Addr vaddr, bool &hit);
+
     std::uint32_t entries_;
     std::uint32_t page_shift_;
+    Addr page_mask_;
     std::uint64_t stamp_ = 0;
-    /** vpage -> last-use stamp; size bounded by entries_. */
-    std::unordered_map<Addr, std::uint64_t> map_;
+    /** vpage -> entry; size bounded by entries_. */
+    std::unordered_map<Addr, Entry> map_;
     TlbStats stats_;
 };
 

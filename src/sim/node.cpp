@@ -26,6 +26,8 @@ Node::Node(CpuId id, const NodeParams &params, mem::PageMap *page_map,
         params.l1d.line_bytes != params.l2.line_bytes) {
         DBSIM_FATAL("all cache levels must share one line size");
     }
+    if (page_map->pageBytes() != params.page_bytes)
+        DBSIM_FATAL("the TLBs and the page map must share one page size");
 }
 
 void
@@ -188,8 +190,12 @@ Node::dataAccess(Addr vaddr, Addr pc, bool is_write, Cycles now,
     if (!prefetch && !l1dPortAvailable(now))
         return std::nullopt; // port conflict: retry next cycle
 
-    const bool dtlb_miss = !prefetch && !dtlb_.access(vaddr);
-    const Addr paddr = page_map_->translate(vaddr, id_);
+    // Prefetches bypass the timing TLB.
+    bool dtlb_hit = true;
+    const Addr paddr =
+        prefetch ? page_map_->translate(vaddr, id_)
+                 : dtlb_.translate(vaddr, *page_map_, id_, dtlb_hit);
+    const bool dtlb_miss = !dtlb_hit;
     const Addr block = l2_.blockOf(paddr);
     const std::uint32_t home = page_map_->homeOf(paddr);
     const Cycles start =
@@ -271,8 +277,9 @@ cpu::FetchResult
 Node::instrFetch(Addr pc, Cycles now)
 {
     ++stats_.l1i_fetches;
-    const bool itlb_miss = !itlb_.access(pc);
-    const Addr paddr = page_map_->translate(pc, id_);
+    bool itlb_hit;
+    const Addr paddr = itlb_.translate(pc, *page_map_, id_, itlb_hit);
+    const bool itlb_miss = !itlb_hit;
     const Addr block = l2_.blockOf(paddr);
     const std::uint32_t home = page_map_->homeOf(paddr);
     const Cycles start =

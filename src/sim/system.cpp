@@ -316,10 +316,26 @@ System::onProcessDone(ProcId proc)
 }
 
 void
+System::settle(CpuState &cs, Cycles to)
+{
+    if (cs.accounted_to < to) {
+        cs.core->accountStall(cs.accounted_to, to);
+        cs.accounted_to = to;
+    }
+}
+
+void
+System::settleAll(Cycles to)
+{
+    for (auto &cs : cpus_)
+        settle(cs, to);
+}
+
+void
 System::handlePending(CpuState &cs)
 {
-    if (cs.pending == Pending::None)
-        return;
+    // Only the core's own tick requests an action, so its stalled
+    // cycles are settled already.
     cpu::ProcessContext *proc = cs.core->current();
     DBSIM_ASSERT(proc != nullptr, "pending action without process");
     switch (cs.pending) {
@@ -393,8 +409,11 @@ System::run(std::uint64_t max_instructions,
 
     // Nothing is known about what happened to the cores since the last
     // run() (or a restore): every one ticks at the first iteration.
-    for (auto &cs : cpus_)
+    // Every cycle before now_ is accounted.
+    for (auto &cs : cpus_) {
         cs.core->wake(cpu::WakeReason::Start);
+        cs.accounted_to = now_;
+    }
 
     // Optional progress tracing: DBSIM_DEBUG=<cycle interval>.
     const Cycles dbg_every = cyclesFromEnv("DBSIM_DEBUG");
@@ -429,6 +448,7 @@ System::run(std::uint64_t max_instructions,
         // boundary gets an entry (sharing one hash -- no event fired in
         // between, so the machine state is the same at each).
         if (params_.state_hash_interval && now_ >= epoch_next_) {
+            settleAll(now_);
             const std::uint64_t h = stateHash();
             while (now_ >= epoch_next_) {
                 epoch_hashes_.push_back(EpochHash{epoch_next_, h});
@@ -439,6 +459,7 @@ System::run(std::uint64_t max_instructions,
         if (++poll_count >= kDeadlinePollStride) {
             poll_count = 0;
             if (deadline_armed && hostDeadlineExpired()) {
+                settleAll(now_);
                 std::ostringstream msg;
                 msg << "host deadline (" << hostDeadlineSeconds()
                     << "s) expired at cycle " << now_
@@ -478,6 +499,7 @@ System::run(std::uint64_t max_instructions,
             CpuState &cs = cpus_[i];
             if (!cs.core->current()) {
                 if (cpu::ProcessContext *p = sched_.pickNext(i, now_)) {
+                    settle(cs, now_);
                     cs.core->switchTo(p, now_, cs.ever_ran);
                     cs.ever_ran = true;
                     cs.run_start = now_;
@@ -486,18 +508,20 @@ System::run(std::uint64_t max_instructions,
         }
 
         // One cycle of execution on every core that is due; the others
-        // would only account a stalled cycle (wake contract, DESIGN.md
-        // §5a).
+        // would only account a stalled cycle, which waits for their next
+        // settle point (wake contract, DESIGN.md §5a).
         for (auto &cs : cpus_) {
-            if (cs.core->due(now_))
+            if (cs.core->due(now_)) {
+                settle(cs, now_);
                 cs.core->tick(now_);
-            else
-                cs.core->accountStall(now_, now_ + 1);
+                cs.accounted_to = now_ + 1;
+            }
         }
 
         // Scheduling actions requested during the tick.
         for (auto &cs : cpus_)
-            handlePending(cs);
+            if (cs.pending != Pending::None)
+                handlePending(cs);
 
         // Audit the blocks the fabric transacted on this cycle (the
         // requesting nodes have installed their grants by now).
@@ -512,6 +536,7 @@ System::run(std::uint64_t max_instructions,
                 now_ - cs.run_start >= params_.sched_quantum &&
                 sched_.hasReady(i)) {
                 cpu::ProcessContext *p = cs.core->current();
+                settle(cs, now_ + 1);
                 cs.core->detachCurrent();
                 sched_.makeReady(p);
             }
@@ -519,6 +544,7 @@ System::run(std::uint64_t max_instructions,
 
         retired = totalRetired();
         if (!warmed_ && retired >= warmup_instructions) {
+            settleAll(now_ + 1);
             resetStats();
             warmed_ = true;
         }
@@ -545,8 +571,10 @@ System::run(std::uint64_t max_instructions,
         }
 
         if (next == kNever) {
-            if (!sched_.anyIncomplete())
+            if (!sched_.anyIncomplete()) {
+                settleAll(now_ + 1);
                 break;
+            }
             // Everything quiesced with work outstanding: the cores will
             // make progress next cycle (e.g. freshly scheduled work).
             next = now_ + 1;
@@ -561,12 +589,9 @@ System::run(std::uint64_t max_instructions,
                 next, std::max(wd_last_progress_ + params_.watchdog_cycles,
                                now_ + 1));
         }
-        if (next > now_ + 1) {
-            for (auto &cs : cpus_)
-                cs.core->accountStall(now_ + 1, next);
-        }
         now_ = next;
     }
+    settleAll(now_);
 
     if (!stopped_early) {
         for (auto &cs : cpus_)

@@ -240,7 +240,14 @@ class System : public cpu::CoreEnvIf
         Cycles pending_latency = 0;
         Cycles run_start = 0;
         bool ever_ran = false;
+        /** Cycles before this are in the core's breakdown (lazy stall
+         *  accounting, DESIGN.md §5a); run loop state, not saved. */
+        Cycles accounted_to = 0;
     };
+
+    /** Account @p cs's core as stalled from accounted_to up to @p to. */
+    static void settle(CpuState &cs, Cycles to);
+    void settleAll(Cycles to);
 
     void resetStats();
     void handlePending(CpuState &cs);

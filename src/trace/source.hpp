@@ -19,6 +19,10 @@
 
 namespace dbsim::trace {
 
+/** Records generated but not yet delivered, consumed from the front
+ *  (a deque frees the storage of a burst as it is consumed). */
+using RecordBuffer = std::deque<TraceRecord>;
+
 /**
  * Abstract per-process instruction stream.
  */
@@ -136,7 +140,7 @@ class LimitSource : public TraceSource
 
 /**
  * Convenience base for generators that produce records in bursts: derive
- * and implement refill(), pushing records with emit().
+ * and implement refill(), appending records to buffer().
  */
 class GeneratingSource : public TraceSource
 {
@@ -178,15 +182,15 @@ class GeneratingSource : public TraceSource
     }
 
   protected:
-    /** Generate at least one more record via emit(), or call finish(). */
+    /** Append at least one more record to buffer(), or call finish(). */
     virtual void refill() = 0;
 
-    void emit(const TraceRecord &rec) { buffer_.push_back(rec); }
+    RecordBuffer *buffer() { return &buffer_; }
     void finish() { done_ = true; }
     bool finished() const { return done_; }
 
   private:
-    std::deque<TraceRecord> buffer_;
+    RecordBuffer buffer_;
     bool done_ = false;
 };
 

@@ -35,9 +35,9 @@ CodeLayout::CodeLayout(Addr base, std::uint64_t code_bytes,
 
 // ---------------------------------------------------------------------
 
-TraceBuilder::TraceBuilder(const CodeLayout *code, Rng *rng, Sink sink,
-                           BuilderParams params)
-    : code_(code), rng_(rng), sink_(std::move(sink)), p_(params)
+TraceBuilder::TraceBuilder(const CodeLayout *code, Rng *rng,
+                           trace::RecordBuffer *out, BuilderParams params)
+    : code_(code), rng_(rng), out_(out), p_(params)
 {
     cur_routine_ = 0;
     pc_ = code_->routineStart(0);
@@ -47,7 +47,7 @@ void
 TraceBuilder::emit(TraceRecord rec)
 {
     rec.pc = pc_;
-    sink_(rec);
+    out_->push_back(rec);
     ++emitted_;
 }
 

@@ -20,13 +20,13 @@
 #define DBSIM_WORKLOAD_CODE_LAYOUT_HPP
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "trace/record.hpp"
+#include "trace/source.hpp"
 
 namespace dbsim::workload {
 
@@ -73,14 +73,14 @@ struct BuilderParams
 };
 
 /**
- * Emits TraceRecords through a sink while walking the code layout.
+ * Appends TraceRecords to a buffer while walking the code layout.
  */
 class TraceBuilder
 {
   public:
-    using Sink = std::function<void(const trace::TraceRecord &)>;
-
-    TraceBuilder(const CodeLayout *code, Rng *rng, Sink sink,
+    /** @param out  where records go, usually the owning
+     *              GeneratingSource's buffer() */
+    TraceBuilder(const CodeLayout *code, Rng *rng, trace::RecordBuffer *out,
                  BuilderParams params = {});
 
     /**
@@ -133,7 +133,7 @@ class TraceBuilder
     std::size_t depth() const { return stack_.size(); }
 
     /**
-     * Walk position only; the code layout, RNG, and sink are rebound at
+     * Walk position only; the code layout, RNG, and buffer are rebound at
      * construction (the owning engine serializes its RNG itself).
      */
     void
@@ -176,7 +176,7 @@ class TraceBuilder
 
     const CodeLayout *code_;
     Rng *rng_;
-    Sink sink_;
+    trace::RecordBuffer *out_;
     BuilderParams p_;
 
     struct Frame

@@ -14,9 +14,7 @@ class DssProcessSource : public trace::GeneratingSource
     DssProcessSource(const DssWorkload *wl, ProcId proc, Rng rng,
                      std::uint32_t first_block, std::uint32_t end_block)
         : wl_(wl), p_(wl->params()), proc_(proc), rng_(rng),
-          builder_(&wl->code(), &rng_,
-                   [this](const trace::TraceRecord &r) { emit(r); },
-                   p_.builder),
+          builder_(&wl->code(), &rng_, buffer(), p_.builder),
           next_block_(first_block), end_block_(end_block)
     {
     }

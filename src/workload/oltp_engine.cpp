@@ -14,9 +14,7 @@ class OltpProcessSource : public trace::GeneratingSource
   public:
     OltpProcessSource(const OltpWorkload *wl, ProcId proc, Rng rng)
         : wl_(wl), p_(wl->params()), proc_(proc), rng_(rng),
-          builder_(&wl->code(), &rng_,
-                   [this](const trace::TraceRecord &r) { emit(r); },
-                   p_.builder)
+          builder_(&wl->code(), &rng_, buffer(), p_.builder)
     {
     }
 

@@ -4,10 +4,13 @@
  * environment interfaces: issue/retire behavior, dependences, in-order
  * vs out-of-order issue, write buffering per consistency model, fences,
  * locks, system calls, branch misprediction, and speculative-load
- * rollback.  The wake-contract tests check, over real OLTP and DSS
- * trace windows, that a core which is not due() would do nothing in a
- * tick but account one stalled cycle, and that a core rebuilt from its
- * saved bytes announces the same next event as the live one.
+ * rollback; completions beyond the completion wheel's span, after long
+ * skips and around rollback, detach and restore; stall accounting
+ * across a context switch.  The wake-contract tests check, over real
+ * OLTP and DSS trace windows, that a core which is not due() would do
+ * nothing in a tick but account one stalled cycle, and that a core
+ * rebuilt from its saved bytes announces the same next event as the
+ * live one.
  */
 
 #include <gtest/gtest.h>
@@ -659,6 +662,280 @@ TEST(Core, BreakdownAccountsAllCycles)
 }
 
 // ---------------------------------------------------------------------
+// Completion wheel and stall accounting (DESIGN.md §5a)
+// ---------------------------------------------------------------------
+
+std::vector<std::uint8_t>
+coreBytes(const Core &c)
+{
+    snap::Writer w;
+    c.saveState(w);
+    return w.bytes();
+}
+
+/** What a scripted-load run observed. */
+struct LoadRun
+{
+    std::vector<Cycles> load_at; ///< access cycle of each load
+    Cycles end = 0;              ///< first cycle after the last retire
+    std::vector<std::uint8_t> bytes; ///< the core's final saved state
+};
+
+/**
+ * Run @p recs with scripted load latencies to completion.  With @p skip
+ * the core is ticked only at its next event and the cycles in between
+ * are accounted with one accountStall call, as the run loop does;
+ * otherwise it is ticked at every cycle.
+ */
+LoadRun
+runLoads(const std::vector<TraceRecord> &recs,
+         const std::vector<Cycles> &latencies, bool skip)
+{
+    trace::VectorSource src(recs);
+    ProcessContext proc(0, &src);
+    ScriptedMem mem;
+    mem.load_latencies = latencies;
+    FakeEnv env;
+    Core core(0, CoreParams{}, &mem, &env);
+    core.switchTo(&proc, 0, false);
+    Cycles now = 0;
+    while ((env.dones == 0 || !core.drained()) && now < 100000) {
+        core.tick(now);
+        Cycles next = now + 1;
+        if (skip) {
+            next = std::max(core.nextEvent(now), now + 1);
+            if (next == kNever)
+                next = now + 1;
+            core.accountStall(now + 1, next);
+        }
+        now = next;
+    }
+    return LoadRun{mem.load_at, now, coreBytes(core)};
+}
+
+TEST(CompletionWheel, CompletionBeyondTheWheelFiresOnItsCycle)
+{
+    // The second load's address depends on the first; it issues the
+    // same number of cycles after the first completes whatever the
+    // first's latency, inside the wheel's span or beyond it.
+    const std::vector<TraceRecord> v{op(OpClass::Load, 0x1000, 0x8000),
+                                     op(OpClass::Load, 0x1004, 0x9000, 1)};
+    const LoadRun near = runLoads(v, {100, 5}, false);
+    for (const Cycles far : {Cycles{256}, Cycles{257}, Cycles{1000},
+                             Cycles{5000}}) {
+        for (const bool skip : {false, true}) {
+            const LoadRun r = runLoads(v, {far, 5}, skip);
+            ASSERT_EQ(r.load_at.size(), 2u);
+            EXPECT_EQ(r.load_at[0], near.load_at[0]);
+            EXPECT_EQ(r.load_at[1] - r.load_at[0],
+                      near.load_at[1] - near.load_at[0] + (far - 100))
+                << "latency " << far << (skip ? ", skipping" : "");
+            EXPECT_EQ(r.end, near.end + (far - 100));
+        }
+    }
+}
+
+TEST(CompletionWheel, LongSkipWithinTheSpanCompletesOnTime)
+{
+    // A slow head load keeps B from retiring, so only its completion
+    // can release C.  B completes 230 cycles out, inside the wheel's
+    // span; skipping there in one jump must still complete it.
+    const std::vector<TraceRecord> v{op(OpClass::Load, 0x1000, 0x8000),
+                                     op(OpClass::Load, 0x1004, 0x9000),
+                                     op(OpClass::Load, 0x1008, 0xa000, 1)};
+    const Cycles agen =
+        FuncUnitPool(FuncUnitParams{}).latency(OpClass::Load);
+    for (const bool skip : {false, true}) {
+        const LoadRun r = runLoads(v, {3000, 230, 5}, skip);
+        ASSERT_EQ(r.load_at.size(), 3u);
+        EXPECT_EQ(r.load_at[2], r.load_at[1] + 230 + agen)
+            << (skip ? "skipping" : "ticking every cycle");
+    }
+}
+
+TEST(CompletionWheel, SkippingMatchesTickingEveryCycle)
+{
+    // Behind a slow head load, loads with latencies on both sides of
+    // the wheel's span, some chained, some independent: skipping
+    // straight to each next event (jumps longer than the span) ends in
+    // the same state as visiting every cycle.
+    std::vector<TraceRecord> v{op(OpClass::Load, 0x0ff8, 0x7000)};
+    for (int i = 0; i < 24; ++i) {
+        v.push_back(op(OpClass::Load, 0x1000 + i * 8,
+                       0x8000 + static_cast<Addr>(i) * 0x1000,
+                       i % 3 == 2 ? 1 : 0));
+        v.push_back(op(OpClass::IntAlu, 0x1004 + i * 8, kNoAddr, 1));
+    }
+    std::vector<Cycles> lat{4000};
+    for (int i = 0; i < 24; ++i)
+        lat.push_back(i % 4 == 0 ? 300 + 97 * i : 3 + 40 * (i % 7));
+    const LoadRun every = runLoads(v, lat, false);
+    const LoadRun skipped = runLoads(v, lat, true);
+    EXPECT_EQ(skipped.load_at, every.load_at);
+    EXPECT_EQ(skipped.end, every.end);
+    EXPECT_EQ(skipped.bytes, every.bytes);
+}
+
+TEST(CompletionWheel, LateHintCompletesAtTheNextTick)
+{
+    // A prefetch fires in memoryStage, after completeStage: its
+    // completion is overdue, and the core is due at the next cycle for
+    // it even though nothing else is pending.
+    const std::vector<TraceRecord> v{
+        op(OpClass::Prefetch, 0x1000, 0x8000),
+        op(OpClass::Load, 0x1004, 0x9000, 1)}; // waits for the hint
+    trace::VectorSource src(v);
+    ProcessContext proc(0, &src);
+    ScriptedMem mem;
+    FakeEnv env;
+    Core core(0, CoreParams{}, &mem, &env);
+    core.switchTo(&proc, 0, false);
+    Cycles now = 0;
+    for (; mem.prefetches == 0 && now < 100; ++now) {
+        core.tick(now);
+        core.arm(now);
+    }
+    ASSERT_EQ(mem.prefetches, 1u);
+    const Cycles fired = now - 1;
+    EXPECT_EQ(core.wakeAt(), fired + 1);
+    EXPECT_EQ(core.wakeReason(), WakeReason::Hint);
+    ASSERT_TRUE(mem.load_at.empty());
+    for (; mem.load_at.empty() && now < 100; ++now)
+        core.tick(now);
+    // Complete at fired + 1, then the load's address generation.
+    ASSERT_EQ(mem.load_at.size(), 1u);
+    EXPECT_EQ(mem.load_at[0],
+              fired + 1 + FuncUnitPool(FuncUnitParams{}).latency(
+                              OpClass::Load));
+}
+
+TEST(CompletionWheel, FarCompletionsAreDroppedByRollback)
+{
+    // As RolledBackLoadCompletesAtItsNewTime, with B's stale first
+    // completion beyond the wheel's span.
+    CoreParams p;
+    p.model = ConsistencyModel::SC;
+    p.cons.spec_loads = true;
+    std::vector<TraceRecord> v;
+    v.push_back(op(OpClass::Load, 0x1000, 0x8000));    // A
+    v.push_back(op(OpClass::Load, 0x1004, 0x9000));    // B
+    v.push_back(op(OpClass::Load, 0x1008, 0xa000, 1)); // C, uses B
+    trace::VectorSource src(v);
+    ProcessContext proc(0, &src);
+    ScriptedMem mem;
+    mem.load_latencies = {50, 600, 40, 5};
+    FakeEnv env;
+    Core core(0, p, &mem, &env);
+    core.switchTo(&proc, 0, false);
+
+    Cycles now = 0;
+    for (; now < 20; ++now)
+        core.tick(now);
+    ASSERT_EQ(mem.load_at.size(), 2u);
+    core.onLineInvalidated(blockAlign(0x9000, 64));
+    for (; now < 2000 && env.dones == 0; ++now)
+        core.tick(now);
+    EXPECT_EQ(core.stats().spec_load_violations, 1u);
+    EXPECT_EQ(core.stats().instructions, 3u);
+    ASSERT_EQ(mem.load_at.size(), 4u);
+    EXPECT_GE(mem.load_at[3], mem.load_at[2] + 40);  // C waited for B
+    EXPECT_LT(mem.load_at[3], mem.load_at[1] + 600); // not the stale time
+}
+
+TEST(CompletionWheel, FarCompletionsAreDroppedByDetach)
+{
+    // P1's load (1000 cycles) is in the far heap when P1 is detached.
+    // P2's load lands in the same slot and takes 30; its consumer must
+    // wait for that, not for the stale completion.
+    const std::vector<TraceRecord> v1{op(OpClass::Load, 0x1000, 0x8000)};
+    std::vector<TraceRecord> v2 = aluChain(63, 0);
+    v2.push_back(op(OpClass::Load, 0x2000, 0xa000));    // slot of seq 0
+    v2.push_back(op(OpClass::Load, 0x2004, 0xb000, 1)); // uses it
+    trace::VectorSource src1(v1), src2(v2);
+    ProcessContext p1(0, &src1), p2(1, &src2);
+    ScriptedMem mem;
+    mem.load_latencies = {1000, 30, 5, 5};
+    FakeEnv env;
+    Core core(0, CoreParams{}, &mem, &env);
+
+    core.switchTo(&p1, 0, false);
+    Cycles now = 0;
+    for (; mem.load_at.empty() && now < 50; ++now)
+        core.tick(now);
+    core.detachCurrent();
+    core.switchTo(&p2, now, false);
+    for (; env.dones == 0 && now < 5000; ++now)
+        core.tick(now);
+    EXPECT_EQ(p2.retired, v2.size());
+    ASSERT_EQ(mem.load_at.size(), 3u);
+    EXPECT_GE(mem.load_at[2], mem.load_at[1] + 30);
+    EXPECT_LT(mem.load_at[2], mem.load_at[0] + 1000);
+}
+
+TEST(CompletionWheel, RestoredCoreCatchesUpWithFarCompletions)
+{
+    // A core restored mid-flight (completions near and far, the clock
+    // well past the wheel's span) runs on exactly as the live one.
+    std::vector<TraceRecord> v;
+    for (int i = 0; i < 8; ++i) {
+        v.push_back(op(OpClass::Load, 0x1000 + i * 8,
+                       0x8000 + static_cast<Addr>(i) * 0x1000));
+        v.push_back(op(OpClass::IntAlu, 0x1004 + i * 8, kNoAddr, 1));
+    }
+    trace::VectorSource src(v);
+    ProcessContext proc(0, &src);
+    ScriptedMem mem;
+    mem.load_latencies = {900, 20, 700, 300, 5, 1200, 40, 256};
+    FakeEnv env;
+    Core live(0, CoreParams{}, &mem, &env);
+    live.switchTo(&proc, 5000, false);
+    Cycles now = 5000;
+    for (; now < 5030; ++now)
+        live.tick(now);
+    ASSERT_EQ(mem.load_at.size(), 8u);
+
+    Core twin(0, CoreParams{}, &mem, &env);
+    const std::vector<std::uint8_t> bytes = coreBytes(live);
+    snap::Reader r(bytes);
+    twin.restoreState(r, [&proc](ProcId) { return &proc; });
+    EXPECT_EQ(twin.nextEvent(now - 1), live.nextEvent(now - 1));
+    for (; now < 8000; ++now) {
+        live.tick(now);
+        twin.tick(now);
+        ASSERT_EQ(coreBytes(twin), coreBytes(live)) << "cycle " << now;
+    }
+    EXPECT_EQ(live.stats().instructions, v.size());
+}
+
+TEST(StallAccounting, OneCallAcrossRunResumeEqualsPerCycleCalls)
+{
+    // A charged switch stalls the core until run_resume_at_; one
+    // accountStall over a range crossing it books what cycle-by-cycle
+    // calls do: Idle before it, the head's stall after it.
+    trace::VectorSource src(aluChain(4, 0));
+    ProcessContext proc(0, &src);
+    FakeMem mem;
+    FakeEnv env;
+    CoreParams p;
+    p.context_switch_cost = 500;
+    Core one(0, p, &mem, &env), each(0, p, &mem, &env);
+    one.switchTo(&proc, 100, true);
+    snap::Writer w;
+    one.saveState(w);
+    snap::Reader r(w.bytes());
+    each.restoreState(r, [&proc](ProcId) { return &proc; });
+
+    one.accountStall(100, 1000);
+    for (Cycles c = 100; c < 1000; ++c)
+        each.accountStall(c, c + 1);
+    EXPECT_EQ(one.breakdown().cycles, each.breakdown().cycles);
+    EXPECT_EQ(one.stats().run_cycles, each.stats().run_cycles);
+    EXPECT_EQ(one.breakdown()[StallCat::Idle], 500.0);
+    EXPECT_EQ(one.breakdown()[StallCat::Fu], 400.0); // empty-window bubble
+    EXPECT_EQ(one.stats().run_cycles, 900u);
+}
+
+// ---------------------------------------------------------------------
 // Wake contract (DESIGN.md §5a)
 // ---------------------------------------------------------------------
 
@@ -736,14 +1013,6 @@ traceWindows(core::WorkloadKind kind, bool hints, std::uint32_t procs,
             w[p].push_back(rec);
     }
     return w;
-}
-
-std::vector<std::uint8_t>
-coreBytes(const Core &c)
-{
-    snap::Writer w;
-    c.saveState(w);
-    return w.bytes();
 }
 
 struct WakeCheck

@@ -205,6 +205,38 @@ TEST_F(NodeFixture, PrefetchWarmsCacheWithoutCounting)
     EXPECT_EQ(r.cls, AccessClass::L1Hit);
 }
 
+TEST_F(NodeFixture, PrefetchBypassesTheDtlbAndTranslatesExactly)
+{
+    // A prefetch to a fresh page allocates it (first touch) without
+    // touching the dTLB; the demand access after it misses the dTLB and
+    // then hits it, every time at the page map's address.
+    const auto p = node0.dataAccess(0xd0000, 0x100, false, 0, true);
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(node0.dtlbStats().accesses, 0u);
+    const Addr line = blockAlign(page_map.translate(0xd0000, 0), 64);
+    EXPECT_EQ(p->pblock, line);
+    const auto miss = access(node0, 0xd0040, false, 1000);
+    EXPECT_TRUE(miss.dtlb_miss);
+    EXPECT_EQ(miss.pblock, line + 64);
+    const auto hit = access(node0, 0xd0000, true, 2000);
+    EXPECT_FALSE(hit.dtlb_miss);
+    EXPECT_EQ(hit.pblock, line);
+    EXPECT_EQ(node0.dtlbStats().accesses, 2u);
+}
+
+TEST_F(NodeFixture, FetchTranslatesThroughTheItlb)
+{
+    const auto f0 = node0.instrFetch(0xe0000, 0);
+    EXPECT_TRUE(f0.itlb_miss);
+    const auto f1 = node0.instrFetch(0xe1000, f0.ready + 1);
+    EXPECT_FALSE(f1.itlb_miss); // same 8 KB page
+    // Both lines sit in the frame the page map gave the page.
+    const Addr frame = page_map.translate(0xe0000, 0);
+    EXPECT_NE(node0.siteState(blockAlign(frame, 64)), CoherState::Invalid);
+    EXPECT_NE(node0.siteState(blockAlign(frame + 0x1000, 64)),
+              CoherState::Invalid);
+}
+
 TEST_F(NodeFixture, PortLimitRefusesThirdAccessInCycle)
 {
     access(node0, 0xa0000, false, 0);

@@ -125,7 +125,7 @@ class CountingSource : public GeneratingSource
             TraceRecord r;
             r.op = OpClass::IntAlu;
             r.pc = static_cast<Addr>(produced_ * 3 + i);
-            emit(r);
+            buffer()->push_back(r);
         }
         ++produced_;
     }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -156,12 +157,11 @@ std::vector<TraceRecord>
 build(std::function<void(TraceBuilder &)> f, std::uint64_t seed = 3)
 {
     static CodeLayout code(0x10000, 32 * 1024, 11);
-    std::vector<TraceRecord> out;
+    trace::RecordBuffer out;
     Rng rng(seed);
-    TraceBuilder b(&code, &rng,
-                   [&out](const TraceRecord &r) { out.push_back(r); });
+    TraceBuilder b(&code, &rng, &out);
     f(b);
-    return out;
+    return {out.begin(), out.end()};
 }
 
 TEST(TraceBuilder, ComputeEmitsRequestedWork)
