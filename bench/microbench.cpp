@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -125,40 +126,53 @@ BM_SchedulerBlockWake(benchmark::State &state)
 }
 BENCHMARK(BM_SchedulerBlockWake)->Arg(8)->Arg(64)->Arg(512);
 
+/**
+ * Reads process 0 of @p wl through its in-place view, as the core's
+ * fetch stage does: one record per iteration, each view consumed whole
+ * before the next is taken.  A finished stream starts over, so any
+ * iteration count is served.
+ */
+template <typename Workload>
+void
+consumeViews(benchmark::State &state, const Workload &wl)
+{
+    std::unique_ptr<trace::TraceSource> src = wl.makeProcess(0);
+    std::span<const trace::TraceRecord> v;
+    std::size_t used = 0;
+    for (auto _ : state) {
+        if (used == v.size()) {
+            src->consume(used);
+            used = 0;
+            v = src->view();
+            if (v.empty()) {
+                src = wl.makeProcess(0);
+                v = src->view();
+                if (v.empty()) {
+                    state.SkipWithError("empty stream");
+                    break;
+                }
+            }
+        }
+        benchmark::DoNotOptimize(v[used++]);
+    }
+}
+
 void
 BM_OltpTraceGen(benchmark::State &state)
 {
     workload::OltpParams p;
     p.num_procs = 1;
-    workload::OltpWorkload wl(p);
-    auto src = wl.makeProcess(0);
-    trace::TraceRecord rec;
-    for (auto _ : state) {
-        if (!src->next(rec))
-            state.SkipWithError("source exhausted");
-        benchmark::DoNotOptimize(rec);
-    }
+    consumeViews(state, workload::OltpWorkload(p));
 }
 BENCHMARK(BM_OltpTraceGen);
 
-/** One DSS scan process over the whole table; a finished scan starts
- *  over, so any iteration count is served. */
+/** One DSS scan process over the whole table. */
 void
 BM_DssTraceGen(benchmark::State &state)
 {
     workload::DssParams p;
     p.num_procs = 1;
-    workload::DssWorkload wl(p);
-    auto src = wl.makeProcess(0);
-    trace::TraceRecord rec;
-    for (auto _ : state) {
-        if (!src->next(rec)) {
-            src = wl.makeProcess(0);
-            if (!src->next(rec))
-                state.SkipWithError("empty scan");
-        }
-        benchmark::DoNotOptimize(rec);
-    }
+    consumeViews(state, workload::DssWorkload(p));
 }
 BENCHMARK(BM_DssTraceGen);
 
@@ -203,7 +217,7 @@ class FreeEnv : public cpu::CoreEnvIf
     bool done = false;
 };
 
-/** Replays a captured window without copying it. */
+/** Replays a captured window in place, without copying it. */
 class WindowSource : public trace::TraceSource
 {
   public:
@@ -219,6 +233,14 @@ class WindowSource : public trace::TraceSource
         out = w_[pos_++];
         return true;
     }
+
+    std::span<const trace::TraceRecord>
+    view() override
+    {
+        return std::span<const trace::TraceRecord>(w_).subspan(pos_);
+    }
+
+    void consume(std::size_t n) override { pos_ += n; }
 
   private:
     const std::vector<trace::TraceRecord> &w_;

@@ -908,6 +908,11 @@ Core::fetchStage(Cycles now)
     if (unresolved_branch_seq_ != kNoSeq || now < fetch_resume_at_)
         return;
 
+    // Records are dispatched in place from the process's view.  One
+    // leaves the view when it is dispatched, or when the fetch stops on
+    // it and it moves to pending_; the consume() calls deliver them.
+    std::span<const trace::TraceRecord> ready;
+    std::size_t used = 0;
     std::uint32_t fetched = 0;
     Addr first_line = kNoAddr;
     while (fetched < params_.issue_width) {
@@ -915,52 +920,66 @@ Core::fetchStage(Cycles now)
             break;
         if (unresolved_branches_ >= params_.max_spec_branches)
             break;
-        if (!pending_) {
-            trace::TraceRecord r;
-            if (!proc_->fetchNext(r)) {
-                if (windowSize() == 0 && !done_notified_) {
-                    done_notified_ = true;
-                    env_->onProcessDone(proc_->id());
+        const trace::TraceRecord *rec = pending_ ? &*pending_ : nullptr;
+        if (!rec) {
+            if (used == ready.size()) {
+                proc_->consume(used);
+                used = 0;
+                ready = proc_->view();
+                if (ready.empty()) {
+                    if (windowSize() == 0 && !done_notified_) {
+                        done_notified_ = true;
+                        env_->onProcessDone(proc_->id());
+                    }
+                    break;
                 }
-                break;
             }
-            pending_ = r;
+            rec = &ready[used];
         }
 
-        const Addr line = blockAlign(pending_->pc, params_.fetch_line_bytes);
+        const Addr line = blockAlign(rec->pc, params_.fetch_line_bytes);
+        bool stop = false;
         if (line != fetch_line_) {
             if (fetch_pending_line_ == line) {
-                if (now < fetch_ready_at_)
-                    break; // line still in flight
-                fetch_line_ = line;
+                stop = now < fetch_ready_at_; // line still in flight
             } else {
-                const FetchResult fr = mem_->instrFetch(pending_->pc, now);
+                const FetchResult fr = mem_->instrFetch(rec->pc, now);
                 fetch_pending_line_ = line;
                 fetch_ready_at_ = fr.ready;
                 fetch_itlb_miss_ = fr.itlb_miss;
-                if (fr.ready > now)
-                    break;
-                fetch_line_ = line;
+                stop = fr.ready > now;
             }
+            if (!stop)
+                fetch_line_ = line;
         }
-        if (first_line == kNoAddr)
-            first_line = line;
-        else if (line != first_line)
-            break; // one fetch block per cycle
+        if (!stop && first_line != kNoAddr && line != first_line)
+            stop = true; // one fetch block per cycle
+        if (stop) {
+            if (!pending_) {
+                pending_ = *rec;
+                ++used;
+            }
+            break;
+        }
+        first_line = line;
 
-        const trace::TraceRecord rec = *pending_;
-        pending_.reset();
-        dispatch(rec, now);
+        const OpClass op = rec->op;
+        dispatch(*rec, now);
+        if (pending_)
+            pending_.reset();
+        else
+            ++used;
         progress_ = true;
         ++fetched;
 
-        if (rec.op == OpClass::SyscallBlock) {
+        if (op == OpClass::SyscallBlock) {
             syscall_fetch_block_ = true;
             break;
         }
         if (unresolved_branch_seq_ != kNoSeq)
             break; // mispredicted branch: stall until resolution
     }
+    proc_->consume(used);
 }
 
 // ---------------------------------------------------------------------

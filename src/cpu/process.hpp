@@ -12,6 +12,7 @@
 #define DBSIM_CPU_PROCESS_HPP
 
 #include <deque>
+#include <span>
 
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
@@ -42,24 +43,33 @@ class ProcessContext
     }
 
     /**
-     * Fetch the next record for this process.
-     * @return false when exhausted.
+     * The records ready to fetch, in order, read in place: the front of
+     * the undo queue, else the source's view.  Empty when exhausted.
+     * Valid until the next call on this context.
      */
-    bool
-    fetchNext(trace::TraceRecord &out)
+    std::span<const trace::TraceRecord>
+    view()
     {
-        if (!undo_.empty()) {
-            out = undo_.front();
+        if (!undo_.empty())
+            return {&undo_.front(), 1};
+        if (src_exhausted_)
+            return {};
+        const std::span<const trace::TraceRecord> v = src_->view();
+        src_exhausted_ = v.empty();
+        return v;
+    }
+
+    /** Fetch the first @p n records of the last view(). */
+    void
+    consume(std::size_t n)
+    {
+        if (n == 0)
+            return;
+        fetched_ += n;
+        if (!undo_.empty())
             undo_.pop_front();
-            ++fetched_;
-            return true;
-        }
-        if (src_exhausted_ || !src_->next(out)) {
-            src_exhausted_ = true;
-            return false;
-        }
-        ++fetched_;
-        return true;
+        else
+            src_->consume(n);
     }
 
     /**

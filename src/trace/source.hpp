@@ -5,23 +5,34 @@
  * A TraceSource is a pull-model stream of TraceRecords for one simulated
  * process.  Workload engines implement it by lazily generating work;
  * tests use VectorSource; LimitSource caps a stream for scaled runs.
+ *
+ * A source hands out its records in place: view() shows the records
+ * that are ready, in stream order, and consume(n) delivers the first n
+ * of them.  The core dispatches a fetch group straight out of the view,
+ * so a record is copied once, into the instruction window.  Sources
+ * that override only next() get a one-record view built on it.
+ *
+ * A GeneratingSource generates its stream one bounded step at a time
+ * into a ring of kRingRecords records, so a process buffers at most
+ * 4 KB of trace however long its transactions or table blocks are.
  */
 
 #ifndef DBSIM_TRACE_SOURCE_HPP
 #define DBSIM_TRACE_SOURCE_HPP
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "trace/record.hpp"
 
 namespace dbsim::trace {
 
-/** Records generated but not yet delivered, consumed from the front
- *  (a deque frees the storage of a burst as it is consumed). */
-using RecordBuffer = std::deque<TraceRecord>;
+/** Records generated but not yet delivered. */
+using RecordBuffer = std::vector<TraceRecord>;
 
 /**
  * Abstract per-process instruction stream.
@@ -36,6 +47,34 @@ class TraceSource
      * @return false when the stream is exhausted.
      */
     virtual bool next(TraceRecord &out) = 0;
+
+    /**
+     * The records ready for delivery, in stream order, read in place.
+     * Empty when the stream is exhausted.  The span stays valid until
+     * the next call on this source.
+     *
+     * This default serves one record, taken from next() when view() is
+     * called; a caller that consumes the first record of every view it
+     * takes calls next() at the moments it would have without the view.
+     */
+    virtual std::span<const TraceRecord>
+    view()
+    {
+        if (!held_) {
+            if (!next(held_rec_))
+                return {};
+            held_ = true;
+        }
+        return {&held_rec_, 1};
+    }
+
+    /** Deliver the first @p n records of the last view(). */
+    virtual void
+    consume(std::size_t n)
+    {
+        if (n != 0)
+            held_ = false;
+    }
 
     /**
      * Serialize / restore the stream position for checkpointing.  The
@@ -53,6 +92,10 @@ class TraceSource
     {
         throw snap::SnapshotError("trace source is not checkpointable");
     }
+
+  private:
+    TraceRecord held_rec_; ///< the default view's record
+    bool held_ = false;
 };
 
 /**
@@ -72,6 +115,14 @@ class VectorSource : public TraceSource
         out = recs_[pos_++];
         return true;
     }
+
+    std::span<const TraceRecord>
+    view() override
+    {
+        return std::span<const TraceRecord>(recs_).subspan(pos_);
+    }
+
+    void consume(std::size_t n) override { pos_ += n; }
 
     void
     saveState(snap::Writer &w) const override
@@ -116,6 +167,25 @@ class LimitSource : public TraceSource
         return true;
     }
 
+    std::span<const TraceRecord>
+    view() override
+    {
+        // At the cap the inner source is not asked for more, as next()
+        // does not ask it.
+        if (delivered_ >= limit_)
+            return {};
+        const std::span<const TraceRecord> v = inner_->view();
+        return v.first(static_cast<std::size_t>(
+            std::min<std::uint64_t>(v.size(), limit_ - delivered_)));
+    }
+
+    void
+    consume(std::size_t n) override
+    {
+        delivered_ += n;
+        inner_->consume(n);
+    }
+
     std::uint64_t delivered() const { return delivered_; }
 
     void
@@ -139,58 +209,78 @@ class LimitSource : public TraceSource
 };
 
 /**
- * Convenience base for generators that produce records in bursts: derive
- * and implement refill(), appending records to buffer().
+ * Base for generators that produce their stream in bursts (a DSS table
+ * block, an OLTP transaction), one bounded step at a time: derive and
+ * implement refill(), appending records to buffer().
+ *
+ * The buffer is a ring of kRingRecords records, allocated at the first
+ * refill.  refill() is called only when every buffered record has been
+ * consumed; it appends steps of at most kStepRecords records while the
+ * buffer has room for another step, and stops early at the end of a
+ * burst, so the ring never holds records of two bursts.
+ *
+ * Checkpoints keep the layout a whole-burst buffer had: the records of
+ * the current burst not yet delivered, then the generator's state after
+ * that burst.  The derived saveState() runs a copy of its generator to
+ * the end of the burst and hands the records to saveBurst(); a restored
+ * source drains those records first (the ring grows to hold them), then
+ * generates from the next burst on.
  */
 class GeneratingSource : public TraceSource
 {
   public:
+    /** Capacity of the ring, in records (4 KB). */
+    static constexpr std::size_t kRingRecords = 128;
+    /** The most records one generator step may append. */
+    static constexpr std::size_t kStepRecords = 64;
+
     bool
     next(TraceRecord &out) override
     {
-        while (buffer_.empty()) {
-            if (done_)
-                return false;
-            refill();
-        }
-        out = buffer_.front();
-        buffer_.pop_front();
+        const std::span<const TraceRecord> v = GeneratingSource::view();
+        if (v.empty())
+            return false;
+        out = v.front();
+        ++head_;
         return true;
     }
 
-    /**
-     * Serialize the pending burst buffer.  Derived generators chain
-     * these from their overrides before their own generator state.
-     */
-    void
-    saveState(snap::Writer &w) const override
+    std::span<const TraceRecord>
+    view() override
     {
-        w.u64(buffer_.size());
-        for (const TraceRecord &rec : buffer_)
-            saveRecord(w, rec);
-        w.boolean(done_);
+        if (head_ == ring_.size() && !reload())
+            return {};
+        return {ring_.data() + head_, ring_.size() - head_};
     }
 
-    void
-    restoreState(snap::Reader &r) override
-    {
-        buffer_.clear();
-        const std::size_t n = r.length(28);
-        for (std::size_t i = 0; i < n; ++i)
-            buffer_.push_back(loadRecord(r));
-        done_ = r.boolean();
-    }
+    void consume(std::size_t n) override { head_ += n; }
 
   protected:
-    /** Append at least one more record to buffer(), or call finish(). */
+    /**
+     * Append records to buffer() as the class comment says, or call
+     * finish() at the end of the stream.
+     */
     virtual void refill() = 0;
 
-    RecordBuffer *buffer() { return &buffer_; }
+    RecordBuffer *buffer() { return &ring_; }
     void finish() { done_ = true; }
-    bool finished() const { return done_; }
+
+    /**
+     * Serialize the undelivered records followed by @p rest, the
+     * remainder of the current burst, then the finished flag.  Derived
+     * generators chain their state after the burst behind this.
+     */
+    void saveBurst(snap::Writer &w, std::span<const TraceRecord> rest) const;
+
+    /** Load what saveBurst() wrote as the backlog to deliver first. */
+    void restoreBurst(snap::Reader &r);
 
   private:
-    RecordBuffer buffer_;
+    /** Refill the emptied ring; false once the stream has ended. */
+    bool reload();
+
+    RecordBuffer ring_;
+    std::size_t head_ = 0; ///< first undelivered record in ring_
     bool done_ = false;
 };
 

@@ -36,11 +36,34 @@ CodeLayout::CodeLayout(Addr base, std::uint64_t code_bytes,
 // ---------------------------------------------------------------------
 
 TraceBuilder::TraceBuilder(const CodeLayout *code, Rng *rng,
-                           trace::RecordBuffer *out, BuilderParams params)
-    : code_(code), rng_(rng), out_(out), p_(params)
+                           trace::RecordBuffer *out, BuilderParams params,
+                           std::size_t limit)
+    : code_(code), p_(params), branch_step_(1.0 / params.branch_every)
 {
-    cur_routine_ = 0;
-    pc_ = code_->routineStart(0);
+    rebind(rng, out, limit);
+    enter(0);
+    pc_ = cur_start_;
+}
+
+void
+TraceBuilder::enter(std::uint32_t routine)
+{
+    cur_routine_ = routine;
+    cur_start_ = code_->routineStart(routine);
+    cur_end_ = cur_start_ +
+               static_cast<Addr>(code_->routineInstrs(routine)) * 4;
+}
+
+void
+TraceBuilder::rebind(Rng *rng, trace::RecordBuffer *out, std::size_t limit)
+{
+    DBSIM_ASSERT(limit >= trace::GeneratingSource::kStepRecords,
+                 "trace buffer smaller than one step");
+    rng_ = rng;
+    out_ = out;
+    stop_ = limit == kUnbounded
+                ? kUnbounded
+                : limit - trace::GeneratingSource::kStepRecords;
 }
 
 void
@@ -67,34 +90,29 @@ void
 TraceBuilder::advancePc()
 {
     pc_ += 4;
-    const Addr end = code_->routineStart(cur_routine_) +
-                     static_cast<Addr>(code_->routineInstrs(cur_routine_)) * 4;
-    if (pc_ >= end) {
+    if (pc_ >= cur_end_) {
         // Fell off the end of the routine body: loop back into it with
         // an unconditional jump (keeps the walk inside the routine until
         // the engine calls ret()).
-        const Addr target = code_->routineStart(cur_routine_);
         TraceRecord r;
         r.op = OpClass::BranchJmp;
-        r.extra = target;
-        pc_ = end - 4;
+        r.extra = cur_start_;
+        pc_ = cur_end_ - 4;
         emit(r);
-        pc_ = target;
+        pc_ = cur_start_;
     }
 }
 
 void
 TraceBuilder::maybeBranch()
 {
-    branch_credit_ += 1.0 / p_.branch_every;
+    branch_credit_ += branch_step_;
     if (branch_credit_ < 1.0)
         return;
     branch_credit_ -= 1.0;
 
     const double bias = siteBias(pc_);
     const bool taken = rng_->chance(bias);
-    const Addr start = code_->routineStart(cur_routine_);
-    const std::uint32_t instrs = code_->routineInstrs(cur_routine_);
 
     TraceRecord r;
     r.op = OpClass::BranchCond;
@@ -108,9 +126,10 @@ TraceBuilder::maybeBranch()
         const std::uint32_t skip =
             2 + static_cast<std::uint32_t>((h >> 33) % 23);
         Addr target = pc_ + 4 * (1 + skip);
-        const Addr end = start + static_cast<Addr>(instrs) * 4;
-        if (target >= end)
-            target = start + (target - end) % (static_cast<Addr>(instrs) * 4);
+        if (target >= cur_end_) {
+            target = cur_start_ +
+                     (target - cur_end_) % (cur_end_ - cur_start_);
+        }
         r.extra = target;
         emit(r);
         pc_ = target;
@@ -143,6 +162,17 @@ TraceBuilder::compute(std::uint32_t n)
         fillerOp();
 }
 
+bool
+TraceBuilder::computeSome(std::uint32_t &left)
+{
+    for (; left != 0; --left) {
+        if (full())
+            return false;
+        fillerOp();
+    }
+    return true;
+}
+
 void
 TraceBuilder::call()
 {
@@ -160,8 +190,8 @@ TraceBuilder::callTo(std::uint32_t routine)
     r.extra = code_->routineStart(routine);
     emit(r);
     stack_.push_back(Frame{cur_routine_, pc_ + 4});
-    cur_routine_ = routine;
-    pc_ = code_->routineStart(routine);
+    enter(routine);
+    pc_ = cur_start_;
 }
 
 void
@@ -174,7 +204,7 @@ TraceBuilder::ret()
     r.op = OpClass::BranchRet;
     r.extra = f.return_pc;
     emit(r);
-    cur_routine_ = f.routine;
+    enter(f.routine);
     pc_ = f.return_pc;
 }
 

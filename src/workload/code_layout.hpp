@@ -14,11 +14,19 @@
  * The streaming-run lengths between taken branches are kept short (a few
  * cache lines), reproducing the instruction-reference pattern that makes
  * a small stream buffer effective for OLTP (paper section 4.1).
+ *
+ * The engines generate through a builder bound to their source's fixed
+ * ring: they emit one bounded step at a time, stop when full() says the
+ * ring has no room for another, and resume at the next refill; a long
+ * compute run is split with computeSome().  A copy of an engine, its
+ * builder rebound to the copy's RNG and to an unbounded buffer, runs to
+ * the end of the burst when a checkpoint is saved.
  */
 
 #ifndef DBSIM_WORKLOAD_CODE_LAYOUT_HPP
 #define DBSIM_WORKLOAD_CODE_LAYOUT_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -74,14 +82,39 @@ struct BuilderParams
 
 /**
  * Appends TraceRecords to a buffer while walking the code layout.
+ *
+ * A builder bound to a GeneratingSource's ring reports full() once the
+ * ring lacks room for another step; the engines stop there and resume
+ * at the next refill, splitting long compute runs with computeSome().
+ * Every primitive below appends at most four records (the record, a
+ * loop-back jump, a conditional branch and its own loop-back jump).
  */
 class TraceBuilder
 {
   public:
-    /** @param out  where records go, usually the owning
-     *              GeneratingSource's buffer() */
+    /** No limit: full() never holds (tests, save-time materialization). */
+    static constexpr std::size_t kUnbounded = SIZE_MAX;
+
+    /** @param out    where records go, usually the owning
+     *                GeneratingSource's buffer()
+     *  @param limit  the most records @p out may hold */
     TraceBuilder(const CodeLayout *code, Rng *rng, trace::RecordBuffer *out,
-                 BuilderParams params = {});
+                 BuilderParams params = {}, std::size_t limit = kUnbounded);
+
+    /** Point a copied builder at its copy's RNG and at @p out. */
+    void rebind(Rng *rng, trace::RecordBuffer *out,
+                std::size_t limit = kUnbounded);
+
+    /** The buffer lacks room for a step of GeneratingSource::kStepRecords
+     *  records. */
+    bool full() const { return out_->size() > stop_; }
+
+    /**
+     * Emit filler instructions, counting @p left down, until it reaches
+     * zero or the buffer is full().
+     * @return true when none remain
+     */
+    bool computeSome(std::uint32_t &left);
 
     /**
      * Call a routine (exercises BTB + RAS).  The target is a
@@ -133,7 +166,7 @@ class TraceBuilder
     std::size_t depth() const { return stack_.size(); }
 
     /**
-     * Walk position only; the code layout, RNG, and buffer are rebound at
+     * Walk position only; the code layout, RNG, and buffer are bound at
      * construction (the owning engine serializes its RNG itself).
      */
     void
@@ -153,7 +186,7 @@ class TraceBuilder
     void
     restoreState(snap::Reader &r)
     {
-        cur_routine_ = r.u32();
+        enter(r.u32());
         pc_ = r.u64();
         stack_.clear();
         const std::size_t n = r.length(12);
@@ -168,6 +201,7 @@ class TraceBuilder
     }
 
   private:
+    void enter(std::uint32_t routine); ///< make @p routine current
     void emit(trace::TraceRecord rec);
     void fillerOp();
     void advancePc();
@@ -177,7 +211,9 @@ class TraceBuilder
     const CodeLayout *code_;
     Rng *rng_;
     trace::RecordBuffer *out_;
+    std::size_t stop_; ///< full() above this many buffered records
     BuilderParams p_;
+    double branch_step_; ///< 1 / branch_every
 
     struct Frame
     {
@@ -186,6 +222,8 @@ class TraceBuilder
     };
 
     std::uint32_t cur_routine_ = 0;
+    Addr cur_start_ = 0; ///< cur_routine_'s bounds in the code segment
+    Addr cur_end_ = 0;
     Addr pc_;
     std::vector<Frame> stack_;
     std::uint64_t emitted_ = 0;

@@ -1,5 +1,7 @@
 #include "workload/dss_engine.hpp"
 
+#include <vector>
+
 #include "common/log.hpp"
 
 namespace dbsim::workload {
@@ -13,118 +15,208 @@ class DssProcessSource : public trace::GeneratingSource
   public:
     DssProcessSource(const DssWorkload *wl, ProcId proc, Rng rng,
                      std::uint32_t first_block, std::uint32_t end_block)
-        : wl_(wl), p_(wl->params()), proc_(proc), rng_(rng),
-          builder_(&wl->code(), &rng_, buffer(), p_.builder),
-          next_block_(first_block), end_block_(end_block)
+        : wl_(wl), p_(wl->params()), proc_(proc),
+          scan_(&wl->code(), rng, buffer(), p_.builder, first_block,
+                end_block)
     {
     }
 
-  public:
     void
     saveState(snap::Writer &w) const override
     {
-        GeneratingSource::saveState(w);
-        rng_.saveState(w);
-        builder_.saveState(w);
-        w.u32(next_block_);
-        w.u32(end_block_);
+        // The rest of the current block comes from a copy, so saving
+        // leaves this source as it was.
+        Scan s = scan_;
+        std::vector<trace::TraceRecord> rest;
+        s.b.rebind(&s.rng, &rest);
+        if (s.at != At::Start)
+            scan(s);
+        saveBurst(w, rest);
+        s.rng.saveState(w);
+        s.b.saveState(w);
+        w.u32(s.next_block);
+        w.u32(s.end_block);
     }
 
     void
     restoreState(snap::Reader &r) override
     {
-        GeneratingSource::restoreState(r);
-        rng_.restoreState(r);
-        builder_.restoreState(r);
-        next_block_ = r.u32();
-        end_block_ = r.u32();
+        restoreBurst(r);
+        scan_.rng.restoreState(r);
+        scan_.b.restoreState(r);
+        scan_.next_block = r.u32();
+        scan_.end_block = r.u32();
+        scan_.at = At::Start;
     }
 
   protected:
     void
     refill() override
     {
-        if (next_block_ >= end_block_) {
+        if (scan_.at == At::Start && scan_.next_block >= scan_.end_block) {
             finish();
             return;
         }
-        scanBlock(next_block_++);
+        scan(scan_);
     }
 
   private:
-    void
-    scanBlock(std::uint32_t blk)
+    /** Where the scan of a block stands between refills. */
+    enum class At : std::uint8_t {
+        Start,       ///< before the next block's prologue
+        Fields,      ///< row field loads, from field i
+        RowCompute,  ///< predicate evaluation, fill fillers left
+        Private,     ///< stack traffic, from ref i
+        RowEnd,      ///< work-area and qualifying-row traffic
+        EpilogueCompute,
+        EpilogueEnd, ///< aggregate maintenance and the return
+    };
+
+    /** The generator state a checkpoint copies. */
+    struct Scan
     {
-        auto &b = builder_;
+        Scan(const CodeLayout *code, Rng r, trace::RecordBuffer *out,
+             const BuilderParams &bp, std::uint32_t first,
+             std::uint32_t end)
+            : rng(r), b(code, &rng, out, bp, kRingRecords),
+              next_block(first), end_block(end)
+        {
+        }
+
+        Rng rng;
+        TraceBuilder b;
+        std::uint32_t next_block;
+        std::uint32_t end_block;
+        At at = At::Start;
+        std::uint32_t blk = 0;
+        std::uint32_t row = 0;
+        std::uint32_t i = 0;
+        std::uint32_t fill = 0;
+    };
+
+    /** Go on to row s.row, or to the epilogue past the last row. */
+    void
+    nextRow(Scan &s, std::uint32_t rows) const
+    {
+        if (s.row < rows) {
+            s.at = At::Fields;
+        } else {
+            s.fill = p_.block_epilogue_compute;
+            s.at = At::EpilogueCompute;
+        }
+    }
+
+    /**
+     * Scan @p s's block onward until the block ends (true) or its
+     * buffer is full (false).  From At::Start it begins the next block.
+     */
+    bool
+    scan(Scan &s) const
+    {
+        auto &b = s.b;
+        auto &rng = s.rng;
         const auto &lay = wl_->layout();
         const std::uint32_t rows = wl_->rowsPerBlock();
 
-        // Small rotating set of scan routines: the loop code fits L1I.
-        b.call();
+        while (!b.full()) {
+            const std::uint32_t row_off = 64 + s.row * p_.row_bytes;
+            switch (s.at) {
+              case At::Start:
+                s.blk = s.next_block++;
+                // Small rotating set of scan routines: the loop code
+                // fits L1I.
+                b.call();
+                // Block header checks.
+                b.memOp(OpClass::Load, lay.bufferBlock(s.blk, 0));
+                b.compute(6);
+                s.row = 0;
+                nextRow(s, rows);
+                break;
 
-        // Block header checks.
-        b.memOp(OpClass::Load, lay.bufferBlock(blk, 0));
-        b.compute(6);
+              case At::Fields:
+                // Field loads (independent: addresses come from the row
+                // directory computed long before) with intra-row
+                // re-reads.
+                for (; s.i < p_.table_refs_per_row; ++s.i) {
+                    if (b.full())
+                        return false;
+                    b.memOp(OpClass::Load,
+                            lay.bufferBlock(s.blk, row_off + (s.i % 4) * 8));
+                }
+                s.i = 0;
+                s.fill = p_.compute_per_row;
+                s.at = At::RowCompute;
+                break;
 
-        for (std::uint32_t r = 0; r < rows; ++r) {
-            const std::uint32_t row_off = 64 + r * p_.row_bytes;
+              case At::RowCompute:
+                // Predicate evaluation (compute + the builder's
+                // branches).
+                if (!b.computeSome(s.fill))
+                    return false;
+                s.at = At::Private;
+                break;
 
-            // Field loads (independent: addresses come from the row
-            // directory computed long before) with intra-row re-reads.
-            for (std::uint32_t f = 0; f < p_.table_refs_per_row; ++f) {
-                b.memOp(OpClass::Load,
-                        lay.bufferBlock(blk,
-                                        row_off + (f % 4) * 8));
-            }
+              case At::Private:
+                // Per-process stack traffic (cache-resident).
+                for (; s.i < p_.private_refs_per_row; ++s.i) {
+                    if (b.full())
+                        return false;
+                    b.memOp(s.i == 0 ? OpClass::Store : OpClass::Load,
+                            lay.privateMem(proc_, rng.below(512) * 8));
+                }
+                s.i = 0;
+                s.at = At::RowEnd;
+                break;
 
-            // Predicate evaluation (compute + the builder's branches).
-            b.compute(p_.compute_per_row);
+              case At::RowEnd:
+                // Work-area traffic: footprint between L1 and L2 sizes,
+                // so these misses hit in the L2 (the paper's 23% L2 miss
+                // rate implies most DSS L2 accesses are L2 hits).
+                if (rng.chance(p_.workarea_chance)) {
+                    const std::uint64_t off =
+                        8192 + rng.below(p_.workarea_bytes / 8) * 8;
+                    b.memOp(rng.chance(0.5) ? OpClass::Store
+                                            : OpClass::Load,
+                            lay.privateMem(proc_, off));
+                }
+                if (rng.chance(p_.selectivity)) {
+                    // Qualifying row: revenue += price * discount.
+                    const std::uint64_t ld = b.emitted();
+                    b.memOp(OpClass::Load,
+                            lay.bufferBlock(s.blk, row_off + 8));
+                    b.compute(3);
+                    b.memOp(OpClass::Store, lay.privateMem(proc_, 64),
+                            static_cast<std::uint32_t>(b.emitted() - ld));
+                }
+                ++s.row;
+                nextRow(s, rows);
+                break;
 
-            // Per-process stack traffic (cache-resident).
-            for (std::uint32_t pr = 0; pr < p_.private_refs_per_row; ++pr) {
-                b.memOp(pr == 0 ? OpClass::Store : OpClass::Load,
-                        lay.privateMem(proc_, rng_.below(512) * 8));
-            }
+              case At::EpilogueCompute:
+                // Block epilogue: row-source bookkeeping and partial-
+                // aggregate maintenance (cache-resident compute).
+                if (!b.computeSome(s.fill))
+                    return false;
+                s.at = At::EpilogueEnd;
+                break;
 
-            // Work-area traffic: footprint between L1 and L2 sizes, so
-            // these misses hit in the L2 (the paper's 23% L2 miss rate
-            // implies most DSS L2 accesses are L2 hits).
-            if (rng_.chance(p_.workarea_chance)) {
-                const std::uint64_t off =
-                    8192 + rng_.below(p_.workarea_bytes / 8) * 8;
-                b.memOp(rng_.chance(0.5) ? OpClass::Store : OpClass::Load,
-                        lay.privateMem(proc_, off));
-            }
-
-            if (rng_.chance(p_.selectivity)) {
-                // Qualifying row: revenue += price * discount.
-                const std::uint64_t ld = b.emitted();
-                b.memOp(OpClass::Load,
-                        lay.bufferBlock(blk, row_off + 8));
-                b.compute(3);
-                b.memOp(OpClass::Store, lay.privateMem(proc_, 64),
-                        static_cast<std::uint32_t>(b.emitted() - ld));
+              case At::EpilogueEnd:
+                for (std::uint32_t pr = 0; pr < 8; ++pr) {
+                    b.memOp(pr % 3 == 0 ? OpClass::Store : OpClass::Load,
+                            lay.privateMem(proc_, rng.below(512) * 8));
+                }
+                b.ret();
+                s.at = At::Start;
+                return true;
             }
         }
-
-        // Block epilogue: row-source bookkeeping and partial-aggregate
-        // maintenance (cache-resident compute).
-        b.compute(p_.block_epilogue_compute);
-        for (std::uint32_t pr = 0; pr < 8; ++pr) {
-            b.memOp(pr % 3 == 0 ? OpClass::Store : OpClass::Load,
-                    lay.privateMem(proc_, rng_.below(512) * 8));
-        }
-
-        b.ret();
+        return false;
     }
 
     const DssWorkload *wl_;
     DssParams p_;
     ProcId proc_;
-    Rng rng_;
-    TraceBuilder builder_;
-    std::uint32_t next_block_;
-    std::uint32_t end_block_;
+    Scan scan_;
 };
 
 } // namespace

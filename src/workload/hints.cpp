@@ -125,18 +125,28 @@ HintInserter::pump()
     return true;
 }
 
+std::span<const TraceRecord>
+HintInserter::view()
+{
+    if (head_ == out_.size()) {
+        out_.clear();
+        head_ = 0;
+        while (out_.empty()) {
+            if (inner_done_ || !pump())
+                return {};
+        }
+    }
+    return {out_.data() + head_, out_.size() - head_};
+}
+
 bool
 HintInserter::next(TraceRecord &out)
 {
-    while (out_.empty()) {
-        if (inner_done_ || !pump()) {
-            if (out_.empty())
-                return false;
-            break;
-        }
-    }
-    out = out_.front();
-    out_.pop_front();
+    const std::span<const TraceRecord> v = HintInserter::view();
+    if (v.empty())
+        return false;
+    out = v.front();
+    ++head_;
     return true;
 }
 

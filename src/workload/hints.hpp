@@ -17,8 +17,8 @@
 #define DBSIM_WORKLOAD_HINTS_HPP
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -52,6 +52,8 @@ class HintInserter : public trace::TraceSource
                  HintOptions opts);
 
     bool next(trace::TraceRecord &out) override;
+    std::span<const trace::TraceRecord> view() override;
+    void consume(std::size_t n) override { head_ += n; }
 
     std::uint64_t prefetchesInserted() const { return prefetches_; }
     std::uint64_t flushesInserted() const { return flushes_; }
@@ -59,9 +61,9 @@ class HintInserter : public trace::TraceSource
     void
     saveState(snap::Writer &w) const override
     {
-        w.u64(out_.size());
-        for (const trace::TraceRecord &rec : out_)
-            saveRecord(w, rec);
+        w.u64(out_.size() - head_);
+        for (std::size_t i = head_; i < out_.size(); ++i)
+            saveRecord(w, out_[i]);
         w.boolean(inner_done_);
         w.u64(prefetches_);
         w.u64(flushes_);
@@ -72,6 +74,7 @@ class HintInserter : public trace::TraceSource
     restoreState(snap::Reader &r) override
     {
         out_.clear();
+        head_ = 0;
         const std::size_t n = r.length(28);
         for (std::size_t i = 0; i < n; ++i)
             out_.push_back(trace::loadRecord(r));
@@ -88,7 +91,10 @@ class HintInserter : public trace::TraceSource
 
     std::unique_ptr<trace::TraceSource> inner_;
     HintOptions opts_;
-    std::deque<trace::TraceRecord> out_;
+    /** The output queue: records [head_, size) are undelivered.  It is
+     *  refilled only once empty, so it holds at most one section. */
+    std::vector<trace::TraceRecord> out_;
+    std::size_t head_ = 0;
     bool inner_done_ = false;
     std::uint64_t prefetches_ = 0;
     std::uint64_t flushes_ = 0;

@@ -1,5 +1,8 @@
 #include "workload/oltp_engine.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/log.hpp"
 
 namespace dbsim::workload {
@@ -13,52 +16,116 @@ class OltpProcessSource : public trace::GeneratingSource
 {
   public:
     OltpProcessSource(const OltpWorkload *wl, ProcId proc, Rng rng)
-        : wl_(wl), p_(wl->params()), proc_(proc), rng_(rng),
-          builder_(&wl->code(), &rng_, buffer(), p_.builder)
+        : wl_(wl), p_(wl->params()), proc_(proc),
+          txn_(&wl->code(), rng, buffer(), p_.builder)
     {
     }
 
-  public:
     void
     saveState(snap::Writer &w) const override
     {
-        GeneratingSource::saveState(w);
-        rng_.saveState(w);
-        builder_.saveState(w);
-        w.u64(txns_);
-        w.u64(hist_seq_);
-        w.u64(log_off_);
+        // The rest of the current transaction comes from a copy, so
+        // saving leaves this source as it was.
+        Txn t = txn_;
+        std::vector<trace::TraceRecord> rest;
+        t.b.rebind(&t.rng, &rest);
+        if (t.at != At::Start)
+            transaction(t);
+        saveBurst(w, rest);
+        t.rng.saveState(w);
+        t.b.saveState(w);
+        w.u64(t.txns);
+        w.u64(t.hist_seq);
+        w.u64(t.log_off);
     }
 
     void
     restoreState(snap::Reader &r) override
     {
-        GeneratingSource::restoreState(r);
-        rng_.restoreState(r);
-        builder_.restoreState(r);
-        txns_ = r.u64();
-        hist_seq_ = r.u64();
-        log_off_ = r.u64();
+        restoreBurst(r);
+        txn_.rng.restoreState(r);
+        txn_.b.restoreState(r);
+        txn_.txns = r.u64();
+        txn_.hist_seq = r.u64();
+        txn_.log_off = r.u64();
+        txn_.at = At::Start;
     }
 
   protected:
-    void refill() override { transaction(); }
+    void refill() override { transaction(txn_); }
 
   private:
-    /** Load/compute mixture standing in for interpreter/parse work. */
-    void
-    routineWork()
+    /** Where a transaction stands between refills. */
+    enum class At : std::uint8_t {
+        Start,     ///< before the next transaction
+        Parse,     ///< parse routine i's call, or past the last routine
+        ParseWork, ///< routine i's private-ref loop
+        Pick,      ///< choose teller, branch and account
+        BodyWork,  ///< the account routine's private-ref loop
+        Lookup,    ///< buffer-directory probe
+        Row,       ///< account row update
+        Teller,
+        Branch,
+        History,
+        Redo,
+        Commit,
+    };
+
+    /** The generator state a checkpoint copies. */
+    struct Txn
     {
-        auto &b = builder_;
-        const std::uint32_t per_ref =
-            p_.compute_per_routine /
-            std::max<std::uint32_t>(1, p_.private_refs_per_routine);
-        for (std::uint32_t i = 0; i < p_.private_refs_per_routine; ++i) {
-            b.compute(per_ref);
-            // Private stack/heap traffic: mostly cache-resident.
-            b.memOp(rng_.chance(0.3) ? OpClass::Store : OpClass::Load,
-                    wl_->layout().privateMem(proc_, rng_.below(768) * 8));
+        Txn(const CodeLayout *code, Rng r, trace::RecordBuffer *out,
+            const BuilderParams &bp)
+            : rng(r), b(code, &rng, out, bp, kRingRecords)
+        {
         }
+
+        Rng rng;
+        TraceBuilder b;
+        std::uint64_t txns = 0;
+        std::uint64_t hist_seq = 0;
+        std::uint64_t log_off = 0;
+        At at = At::Start;
+        std::uint32_t i = 0;    ///< parse routine
+        std::uint32_t k = 0;    ///< private ref of the current routine
+        std::uint32_t fill = 0; ///< fillers left before ref k
+        std::uint32_t teller = 0;
+        std::uint32_t branch = 0;
+        std::uint64_t account = 0;
+    };
+
+    std::uint32_t
+    computePerRef() const
+    {
+        return p_.compute_per_routine /
+               std::max<std::uint32_t>(1, p_.private_refs_per_routine);
+    }
+
+    void
+    startRoutineWork(Txn &t) const
+    {
+        t.k = 0;
+        t.fill = computePerRef();
+    }
+
+    /**
+     * Load/compute mixture standing in for interpreter/parse work, from
+     * private ref t.k on.
+     * @return false if the buffer filled first
+     */
+    bool
+    routineWork(Txn &t) const
+    {
+        auto &b = t.b;
+        for (; t.k < p_.private_refs_per_routine; ++t.k) {
+            if (!b.computeSome(t.fill) || b.full())
+                return false;
+            // Private stack/heap traffic: mostly cache-resident.
+            b.memOp(t.rng.chance(0.3) ? OpClass::Store : OpClass::Load,
+                    wl_->layout().privateMem(proc_, t.rng.below(768) * 8));
+            t.fill = computePerRef();
+        }
+        return true;
     }
 
     /**
@@ -67,15 +134,15 @@ class OltpProcessSource : public trace::GeneratingSource
      * parallelism).  Reads are latch-free; the protected update paths
      * (teller/branch/redo) carry the latching.
      */
-    std::uint32_t
-    bufferLookup(std::uint64_t key)
+    void
+    bufferLookup(Txn &t, std::uint64_t key) const
     {
-        auto &b = builder_;
+        auto &b = t.b;
         const auto &locks = wl_->locks();
         const std::uint32_t bucket =
             static_cast<std::uint32_t>(key % locks.hashBuckets());
         const std::uint32_t depth =
-            1 + static_cast<std::uint32_t>(rng_.below(3));
+            1 + static_cast<std::uint32_t>(t.rng.below(3));
         std::uint64_t prev = 0;
         for (std::uint32_t d = 0; d < depth; ++d) {
             const std::uint64_t idx = b.emitted();
@@ -85,7 +152,6 @@ class OltpProcessSource : public trace::GeneratingSource
             prev = idx;
             b.compute(2);
         }
-        return bucket;
     }
 
     /**
@@ -94,10 +160,10 @@ class OltpProcessSource : public trace::GeneratingSource
      * instructions generating migratory references are a small stable
      * set of PCs (paper section 4.2).
      */
-    void
-    updateRecord(std::uint32_t routine, Addr lock, Addr data0, Addr data1)
+    static void
+    updateRecord(TraceBuilder &b, std::uint32_t routine, Addr lock,
+                 Addr data0, Addr data1)
     {
-        auto &b = builder_;
         b.callTo(routine);
         b.lockAcquire(lock);
         const std::uint64_t ld = b.emitted();
@@ -111,103 +177,175 @@ class OltpProcessSource : public trace::GeneratingSource
         b.ret();
     }
 
-    void
-    transaction()
+    /**
+     * Generate @p t's transaction onward until it commits (true) or its
+     * buffer is full (false).  From At::Start it begins the next one.
+     * Each case is one step; the longest, an updateRecord(), appends at
+     * most 50 records.
+     */
+    bool
+    transaction(Txn &t) const
     {
-        auto &b = builder_;
+        auto &b = t.b;
+        auto &rng = t.rng;
         const auto &lay = wl_->layout();
         const auto &locks = wl_->locks();
 
-        // --- begin / parse / plan: walk the instruction footprint.
-        for (std::uint32_t i = 0; i < p_.parse_routine_calls; ++i) {
-            b.call();
-            routineWork();
-            b.ret();
+        while (!b.full()) {
+            switch (t.at) {
+              case At::Start:
+                t.i = 0;
+                t.at = At::Parse;
+                break;
+
+              case At::Parse:
+                // --- begin / parse / plan: walk the instruction
+                // footprint.
+                if (t.i == p_.parse_routine_calls) {
+                    t.at = At::Pick;
+                    break;
+                }
+                b.call();
+                startRoutineWork(t);
+                t.at = At::ParseWork;
+                break;
+
+              case At::ParseWork:
+                if (!routineWork(t))
+                    return false;
+                b.ret();
+                ++t.i;
+                t.at = At::Parse;
+                break;
+
+              case At::Pick: {
+                // --- pick teller, branch, account (TPC-B profile).
+                t.teller =
+                    static_cast<std::uint32_t>(rng.below(locks.tellers()));
+                t.branch = t.teller / p_.tellers_per_branch;
+                std::uint32_t acct_branch = t.branch;
+                if (!rng.chance(p_.local_branch_prob)) {
+                    acct_branch = static_cast<std::uint32_t>(
+                        rng.below(p_.branches));
+                }
+                t.account = static_cast<std::uint64_t>(acct_branch) *
+                                p_.accounts_per_branch +
+                            rng.below(p_.accounts_per_branch);
+
+                // --- account update: directory probe + row access in
+                // the block buffer (large footprint: mostly capacity
+                // misses to memory).
+                b.call();
+                startRoutineWork(t);
+                t.at = At::BodyWork;
+                break;
+              }
+
+              case At::BodyWork:
+                if (!routineWork(t))
+                    return false;
+                t.at = At::Lookup;
+                break;
+
+              case At::Lookup:
+                bufferLookup(t, t.account * 0x9e3779b9ull);
+                t.at = At::Row;
+                break;
+
+              case At::Row: {
+                // Hot-block concentration: the buffer working set is
+                // Zipf-like, with a hot head that fits the L2 and a long
+                // cold tail.
+                const std::uint32_t blk = static_cast<std::uint32_t>(
+                    (rng.zipf(p_.sga.buffer_blocks, p_.buffer_zipf_skew) *
+                     2654435761ull) %
+                    p_.sga.buffer_blocks);
+                const std::uint32_t row_off = static_cast<std::uint32_t>(
+                    (t.account % 16) * 128);
+                const std::uint64_t rowld = b.emitted();
+                b.memOp(OpClass::Load, lay.bufferBlock(blk, row_off));
+                b.compute(4);
+                b.memOp(OpClass::Load, lay.bufferBlock(blk, row_off + 16),
+                        static_cast<std::uint32_t>(b.emitted() - rowld));
+                b.compute(3);
+                b.memOp(OpClass::Store, lay.bufferBlock(blk, row_off), 1);
+                b.ret();
+                t.at = At::Teller;
+                break;
+              }
+
+              case At::Teller:
+                // --- teller and branch balance updates: the hot
+                // migratory metadata (latch word shares the line with
+                // the balances).
+                updateRecord(b, kTellerRoutine, locks.tellerLock(t.teller),
+                             locks.tellerData(t.teller, 0),
+                             locks.tellerData(t.teller, 1));
+                t.at = At::Branch;
+                break;
+
+              case At::Branch:
+                updateRecord(b, kBranchRoutine, locks.branchLock(t.branch),
+                             locks.branchData(t.branch, 0),
+                             locks.branchData(t.branch, 1));
+                t.at = At::History;
+                break;
+
+              case At::History: {
+                // --- history append (per-process insert point, low
+                // contention).
+                b.call();
+                b.compute(5);
+                const std::uint32_t hist_blk = static_cast<std::uint32_t>(
+                    (proc_ * 64 + (t.hist_seq / 16) % 64) %
+                    p_.sga.buffer_blocks);
+                b.memOp(OpClass::Store,
+                        lay.bufferBlock(hist_blk, (t.hist_seq % 16) * 64));
+                ++t.hist_seq;
+                b.ret();
+                t.at = At::Redo;
+                break;
+              }
+
+              case At::Redo: {
+                // --- redo log: allocation under one of a small set of
+                // copy latches (as in Oracle's redo copy latches), then
+                // the record copy into the log buffer.
+                b.callTo(kRedoRoutine);
+                const std::uint32_t latch = static_cast<std::uint32_t>(
+                    rng.below(p_.redo_copy_latches));
+                b.lockAcquire(locks.bucketLock(latch));
+                const std::uint64_t ld = b.emitted();
+                b.memOp(OpClass::Load, locks.bucketChain(latch, 0));
+                b.memOp(OpClass::Store, locks.bucketChain(latch, 0),
+                        static_cast<std::uint32_t>(b.emitted() - ld));
+                b.lockRelease(locks.bucketLock(latch));
+                for (std::uint32_t w = 0; w < 3; ++w) {
+                    b.memOp(OpClass::Store,
+                            lay.log(t.log_off + proc_ * 4096 + w * 16));
+                }
+                t.log_off = (t.log_off + 64) % 4096;
+                b.compute(4);
+                b.ret();
+                t.at = At::Commit;
+                break;
+              }
+
+              case At::Commit:
+                // --- commit: group commit blocks every Nth transaction
+                // on the log writer's I/O.
+                b.compute(10);
+                ++t.txns;
+                if (t.txns % p_.commits_per_group == 0) {
+                    const Cycles jitter =
+                        rng.below(p_.log_io_latency / 4 + 1);
+                    b.syscall(p_.log_io_latency + jitter);
+                }
+                t.at = At::Start;
+                return true;
+            }
         }
-
-        // --- pick teller, branch, account (TPC-B profile).
-        const std::uint32_t teller =
-            static_cast<std::uint32_t>(rng_.below(locks.tellers()));
-        const std::uint32_t branch = teller / p_.tellers_per_branch;
-        std::uint32_t acct_branch = branch;
-        if (!rng_.chance(p_.local_branch_prob)) {
-            acct_branch = static_cast<std::uint32_t>(
-                rng_.below(p_.branches));
-        }
-        const std::uint64_t account =
-            static_cast<std::uint64_t>(acct_branch) *
-                p_.accounts_per_branch +
-            rng_.below(p_.accounts_per_branch);
-
-        // --- account update: directory probe + row access in the block
-        // buffer (large footprint: mostly capacity misses to memory).
-        b.call();
-        routineWork();
-        bufferLookup(account * 0x9e3779b9ull);
-        // Hot-block concentration: the buffer working set is Zipf-like,
-        // with a hot head that fits the L2 and a long cold tail.
-        const std::uint32_t blk = static_cast<std::uint32_t>(
-            (rng_.zipf(p_.sga.buffer_blocks, p_.buffer_zipf_skew) *
-             2654435761ull) %
-            p_.sga.buffer_blocks);
-        const std::uint32_t row_off = static_cast<std::uint32_t>(
-            (account % 16) * 128);
-        const std::uint64_t rowld = b.emitted();
-        b.memOp(OpClass::Load, lay.bufferBlock(blk, row_off));
-        b.compute(4);
-        b.memOp(OpClass::Load, lay.bufferBlock(blk, row_off + 16),
-                static_cast<std::uint32_t>(b.emitted() - rowld));
-        b.compute(3);
-        b.memOp(OpClass::Store, lay.bufferBlock(blk, row_off), 1);
-        b.ret();
-
-        // --- teller and branch balance updates: the hot migratory
-        // metadata (latch word shares the line with the balances).
-        updateRecord(kTellerRoutine, locks.tellerLock(teller),
-                     locks.tellerData(teller, 0),
-                     locks.tellerData(teller, 1));
-        updateRecord(kBranchRoutine, locks.branchLock(branch),
-                     locks.branchData(branch, 0),
-                     locks.branchData(branch, 1));
-
-        // --- history append (per-process insert point, low contention).
-        b.call();
-        b.compute(5);
-        const std::uint32_t hist_blk = static_cast<std::uint32_t>(
-            (proc_ * 64 + (hist_seq_ / 16) % 64) % p_.sga.buffer_blocks);
-        b.memOp(OpClass::Store,
-                lay.bufferBlock(hist_blk, (hist_seq_ % 16) * 64));
-        ++hist_seq_;
-        b.ret();
-
-        // --- redo log: allocation under one of a small set of copy
-        // latches (as in Oracle's redo copy latches), then the record
-        // copy into the log buffer.
-        b.callTo(kRedoRoutine);
-        const std::uint32_t latch = static_cast<std::uint32_t>(
-            rng_.below(p_.redo_copy_latches));
-        b.lockAcquire(locks.bucketLock(latch));
-        const std::uint64_t ld = b.emitted();
-        b.memOp(OpClass::Load, locks.bucketChain(latch, 0));
-        b.memOp(OpClass::Store, locks.bucketChain(latch, 0),
-                static_cast<std::uint32_t>(b.emitted() - ld));
-        b.lockRelease(locks.bucketLock(latch));
-        for (std::uint32_t w = 0; w < 3; ++w) {
-            b.memOp(OpClass::Store,
-                    lay.log(log_off_ + proc_ * 4096 + w * 16));
-        }
-        log_off_ = (log_off_ + 64) % 4096;
-        b.compute(4);
-        b.ret();
-
-        // --- commit: group commit blocks every Nth transaction on the
-        // log writer's I/O.
-        b.compute(10);
-        ++txns_;
-        if (txns_ % p_.commits_per_group == 0) {
-            const Cycles jitter = rng_.below(p_.log_io_latency / 4 + 1);
-            b.syscall(p_.log_io_latency + jitter);
-        }
+        return false;
     }
 
     static constexpr std::uint32_t kTellerRoutine = 1;
@@ -217,11 +355,7 @@ class OltpProcessSource : public trace::GeneratingSource
     const OltpWorkload *wl_;
     OltpParams p_;
     ProcId proc_;
-    Rng rng_;
-    TraceBuilder builder_;
-    std::uint64_t txns_ = 0;
-    std::uint64_t hist_seq_ = 0;
-    std::uint64_t log_off_ = 0;
+    Txn txn_;
 };
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "trace/source.hpp"
@@ -186,6 +187,27 @@ TEST(HintInserter, SectionLengthCapRespected)
     const auto out = drainAll(hi);
     // The cap was hit: no hints inserted, everything delivered.
     EXPECT_EQ(out.size(), v.size());
+}
+
+TEST(HintInserter, ViewDeliversTheNextStream)
+{
+    std::vector<TraceRecord> v = criticalSection(0x8000, {0x9000, 0x9100});
+    v.push_back(rec(OpClass::IntAlu, 0x200));
+    const std::vector<TraceRecord> w = criticalSection(0xF000, {0x9200});
+    v.insert(v.end(), w.begin(), w.end());
+    HintInserter by_next(std::make_unique<trace::VectorSource>(v),
+                         HintOptions{});
+    HintInserter by_view(std::make_unique<trace::VectorSource>(v),
+                         HintOptions{});
+    std::vector<TraceRecord> out;
+    for (std::span<const TraceRecord> s; !(s = by_view.view()).empty();) {
+        // A section is served whole; take it in two parts.
+        const std::size_t n = (s.size() + 1) / 2;
+        out.insert(out.end(), s.begin(), s.begin() + n);
+        by_view.consume(n);
+    }
+    EXPECT_EQ(out, drainAll(by_next));
+    EXPECT_EQ(by_view.prefetchesInserted(), by_next.prefetchesInserted());
 }
 
 } // namespace

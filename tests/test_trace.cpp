@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "trace/record.hpp"
@@ -142,6 +145,92 @@ TEST(GeneratingSource, RefillsInBatches)
     std::vector<Addr> pcs;
     while (src.next(r))
         pcs.push_back(r.pc);
+    ASSERT_EQ(pcs.size(), 12u);
+    for (std::size_t i = 0; i < pcs.size(); ++i)
+        EXPECT_EQ(pcs[i], i);
+}
+
+/** Overrides only next(), so it is read through the default view. */
+class NextOnlySource : public TraceSource
+{
+  public:
+    explicit NextOnlySource(std::vector<TraceRecord> v) : inner_(std::move(v))
+    {
+    }
+
+    bool
+    next(TraceRecord &out) override
+    {
+        ++calls;
+        return inner_.next(out);
+    }
+
+    int calls = 0;
+
+  private:
+    VectorSource inner_;
+};
+
+std::vector<TraceRecord>
+numbered(int n)
+{
+    std::vector<TraceRecord> v;
+    for (int i = 0; i < n; ++i)
+        v.push_back(rec(OpClass::IntAlu, static_cast<Addr>(4 * i)));
+    return v;
+}
+
+TEST(TraceSourceView, DefaultViewDeliversTheNextStream)
+{
+    const std::vector<TraceRecord> v = numbered(10);
+    NextOnlySource src(v);
+    std::vector<TraceRecord> got;
+    for (;;) {
+        const std::span<const TraceRecord> view = src.view();
+        EXPECT_EQ(src.calls, static_cast<int>(got.size()) + 1);
+        if (view.empty())
+            break;
+        ASSERT_EQ(view.size(), 1u);
+        // The record is taken from next() once, when first viewed.
+        EXPECT_EQ(src.view().data(), view.data());
+        EXPECT_EQ(src.calls, static_cast<int>(got.size()) + 1);
+        got.push_back(view.front());
+        src.consume(1);
+    }
+    EXPECT_EQ(got, v);
+    EXPECT_TRUE(src.view().empty());
+}
+
+TEST(TraceSourceView, VectorAndLimitViewsReadInPlace)
+{
+    const std::vector<TraceRecord> v = numbered(10);
+    LimitSource src(std::make_unique<VectorSource>(v), 7);
+    std::span<const TraceRecord> view = src.view();
+    ASSERT_EQ(view.size(), 7u); // clamped at the limit
+    EXPECT_EQ(view.front(), v[0]);
+    src.consume(3);
+    view = src.view();
+    ASSERT_EQ(view.size(), 4u);
+    EXPECT_EQ(view.front(), v[3]);
+    TraceRecord r;
+    ASSERT_TRUE(src.next(r)); // next() and the view share one position
+    EXPECT_EQ(r, v[3]);
+    src.consume(3);
+    EXPECT_EQ(src.delivered(), 7u);
+    EXPECT_TRUE(src.view().empty());
+    EXPECT_FALSE(src.next(r));
+}
+
+TEST(GeneratingSource, ViewServesEachRefillInPlace)
+{
+    CountingSource src(4);
+    std::vector<Addr> pcs;
+    for (std::span<const TraceRecord> v; !(v = src.view()).empty();) {
+        EXPECT_EQ(v.size(), 3u); // one refill at a time
+        for (const TraceRecord &r : v)
+            pcs.push_back(r.pc);
+        src.consume(v.size());
+    }
     ASSERT_EQ(pcs.size(), 12u);
     for (std::size_t i = 0; i < pcs.size(); ++i)
         EXPECT_EQ(pcs[i], i);

@@ -8,11 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/snapshot.hpp"
 #include "workload/code_layout.hpp"
 #include "workload/dss_engine.hpp"
 #include "workload/lock_manager.hpp"
@@ -430,6 +435,151 @@ TEST(DssEngine, DeterministicPerSeed)
     auto a = drain(*wl.makeProcess(1), 5000);
     auto b = drain(*wl.makeProcess(1), 5000);
     EXPECT_EQ(a, b);
+}
+
+
+// ------------------------------------------------- streamed generation
+
+/**
+ * Read @p src view by view, consuming each whole, through the first
+ * view holding an @p end record.  The ring refills only once empty, so
+ * the largest view is the ring's high-water mark.
+ */
+std::size_t
+ringHighWater(trace::TraceSource &src, OpClass end)
+{
+    std::size_t high = 0;
+    for (;;) {
+        const std::span<const TraceRecord> v = src.view();
+        if (v.empty())
+            return high;
+        high = std::max(high, v.size());
+        const bool last = std::any_of(v.begin(), v.end(),
+                                      [end](const TraceRecord &r) {
+                                          return r.op == end;
+                                      });
+        src.consume(v.size());
+        if (last)
+            return high;
+    }
+}
+
+TEST(StreamedGeneration, RingBoundOverADssBlock)
+{
+    for (const std::uint32_t scale : {1u, 50u}) {
+        DssParams p;
+        p.compute_per_row *= scale;
+        p.block_epilogue_compute *= scale;
+        DssWorkload wl(p);
+        // A block is one call ... ret.
+        const std::size_t high =
+            ringHighWater(*wl.makeProcess(0), OpClass::BranchRet);
+        EXPECT_LE(high, trace::GeneratingSource::kRingRecords) << scale;
+        EXPECT_GT(high, trace::GeneratingSource::kStepRecords) << scale;
+    }
+}
+
+TEST(StreamedGeneration, RingBoundThroughAGroupCommit)
+{
+    for (const std::uint32_t scale : {1u, 50u}) {
+        OltpParams p;
+        p.compute_per_routine *= scale;
+        OltpWorkload wl(p);
+        const std::size_t high =
+            ringHighWater(*wl.makeProcess(0), OpClass::SyscallBlock);
+        EXPECT_LE(high, trace::GeneratingSource::kRingRecords) << scale;
+        EXPECT_GT(high, trace::GeneratingSource::kStepRecords) << scale;
+    }
+}
+
+std::size_t
+firstOf(const std::vector<TraceRecord> &v, OpClass op)
+{
+    return static_cast<std::size_t>(
+        std::find_if(v.begin(), v.end(),
+                     [op](const TraceRecord &r) { return r.op == op; }) -
+        v.begin());
+}
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+/**
+ * Save a source after @p k records and return the digest of the bytes.
+ * The saved source, a fresh source restored from the bytes, and a
+ * second fresh source restored from a save taken right after that
+ * restore all continue with the uninterrupted stream for 100K records.
+ */
+std::string
+resumeDigest(const std::function<std::unique_ptr<trace::TraceSource>()> &make,
+             int k)
+{
+    constexpr int kAfter = 100'000;
+    const std::vector<TraceRecord> whole = drain(*make(), k + kAfter);
+    const std::vector<TraceRecord> expect(whole.begin() + k, whole.end());
+
+    const auto src = make();
+    drain(*src, k);
+    snap::Writer saved;
+    src->saveState(saved);
+
+    const auto restored = make();
+    snap::Reader r(saved.bytes());
+    restored->restoreState(r);
+    EXPECT_TRUE(r.atEnd());
+    snap::Writer again;
+    restored->saveState(again);
+    EXPECT_EQ(again.bytes(), saved.bytes()) << "save right after restore";
+
+    const auto restored_again = make();
+    snap::Reader r2(again.bytes());
+    restored_again->restoreState(r2);
+
+    EXPECT_EQ(drain(*src, kAfter), expect) << "saving changed the source";
+    EXPECT_EQ(drain(*restored, kAfter), expect) << "restored at " << k;
+    EXPECT_EQ(drain(*restored_again, kAfter), expect)
+        << "restored after a restore at " << k;
+    return hex(saved.hash());
+}
+
+// The digests were recorded when each burst was generated whole: the
+// saved bytes are still the rest of the current burst followed by the
+// generator state after it.
+TEST(StreamedGeneration, DssResumesAtEveryPosition)
+{
+    DssWorkload wl(DssParams{});
+    const auto make = [&wl] { return wl.makeProcess(1); };
+    const int ret =
+        static_cast<int>(firstOf(drain(*make(), 20'000), OpClass::BranchRet));
+    ASSERT_EQ(ret, 8107);
+    EXPECT_EQ(resumeDigest(make, 2), "0x396e6e896792f05d"); // prologue
+    EXPECT_EQ(resumeDigest(make, ret / 2), "0xd618ca144049eb51"); // rows
+    EXPECT_EQ(resumeDigest(make, ret - 100),
+              "0x554ea7b9e8cb6762"); // epilogue
+    EXPECT_EQ(resumeDigest(make, ret + 1), "0x319a6190cb3f8c72"); // next
+}
+
+TEST(StreamedGeneration, OltpResumesAtEveryPosition)
+{
+    OltpWorkload wl(OltpParams{});
+    const auto make = [&wl] { return wl.makeProcess(2); };
+    const std::vector<TraceRecord> head = drain(*make(), 20'000);
+    const int acquire = static_cast<int>(firstOf(head, OpClass::LockAcquire));
+    const int commit = static_cast<int>(firstOf(head, OpClass::SyscallBlock));
+    ASSERT_EQ(acquire, 1212);
+    ASSERT_EQ(commit, 10244);
+    EXPECT_EQ(resumeDigest(make, 300), "0xfd6dfeb7e3269565"); // parse
+    EXPECT_EQ(resumeDigest(make, acquire - 10),
+              "0x5e127b4aab7e8237"); // body
+    EXPECT_EQ(resumeDigest(make, commit - 3),
+              "0x3560a28faab06eff"); // commit
+    EXPECT_EQ(resumeDigest(make, commit + 1), "0xafe0be13d79ca4d3");
 }
 
 } // namespace

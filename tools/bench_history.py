@@ -8,9 +8,11 @@ so the file is the trajectory of the simulator's speed across changes.
 
 Each entry holds the commit (and the source hash simbench computed, which
 also tells apart an uncommitted working tree), the workload, the
-load-corrected sim_mips median and quartiles of an untraced run, and the
+load-corrected sim_mips median and quartiles of an untraced run, its
+load-corrected setup_s median and its peak_rss_mb, and the
 host-independent counts of a traced run (the metrics simbench's README
-marks "(exact)").
+marks "(exact)").  Entries older than the setup_s and peak_rss_mb fields
+lack them.
 
 Run simbench first, untraced and traced, at seed 1:
 
@@ -63,6 +65,7 @@ def entry(results, workload, label, commit):
     mips = [s["retired"] / s["run_s"] / 1e6 * s["ref_s"] / simbench.REFERENCE_S
             for s in samples]
     q1, q3 = simbench.quartiles(mips)
+    metrics, _ = simbench.end_to_end(report)
     layers = traced["report"]["layers"]
     prov = untraced["provenance"]
     return {
@@ -75,6 +78,9 @@ def entry(results, workload, label, commit):
                                       "build_type")},
         "sim_mips": {"median": statistics.median(mips), "q1": q1, "q3": q3,
                      "samples": len(mips), "unit": "Minstr/s"},
+        "setup_s": {"median": metrics["setup_s"]["value"], "unit": "s"},
+        "peak_rss_mb": {"value": metrics["peak_rss_mb"]["value"],
+                        "unit": "MB"},
         "exact": {k: layers[k]["value"] for k in EXACT},
     }
 
