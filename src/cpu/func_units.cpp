@@ -46,7 +46,6 @@ FuncUnitPool::tryIssue(trace::OpClass op, Cycles now)
         }
         break;
     }
-    ++structural_stalls_;
     return false;
 }
 

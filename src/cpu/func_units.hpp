@@ -51,8 +51,6 @@ class FuncUnitPool
 
     const FuncUnitParams &params() const { return p_; }
 
-    std::uint64_t structuralStalls() const { return structural_stalls_; }
-
     void
     saveState(snap::Writer &w) const
     {
@@ -60,7 +58,6 @@ class FuncUnitPool
         w.u32(int_used_);
         w.u32(fp_used_);
         w.u32(addr_used_);
-        w.u64(structural_stalls_);
     }
 
     void
@@ -70,7 +67,6 @@ class FuncUnitPool
         int_used_ = r.u32();
         fp_used_ = r.u32();
         addr_used_ = r.u32();
-        structural_stalls_ = r.u64();
     }
 
   private:
@@ -81,7 +77,6 @@ class FuncUnitPool
     std::uint32_t int_used_ = 0;
     std::uint32_t fp_used_ = 0;
     std::uint32_t addr_used_ = 0;
-    std::uint64_t structural_stalls_ = 0;
 };
 
 } // namespace dbsim::cpu

@@ -46,39 +46,17 @@ MshrFile::touchOccupancy(Cycles now)
     stats_.read_occupancy.advance(now, readsInUse());
 }
 
-void
-MshrFile::recordFullStall(Addr block)
-{
-    // Count each stalled request once: the caller retries the same
-    // block every cycle until a register frees up, and only the first
-    // refusal of an episode is a new stall.
-    if (std::find(stalled_blocks_.begin(), stalled_blocks_.end(), block) ==
-        stalled_blocks_.end()) {
-        stalled_blocks_.push_back(block);
-        ++stats_.full_stalls;
-    }
-}
-
 bool
 MshrFile::allocate(Addr block, bool is_read, Cycles now, Cycles done,
                    std::uint8_t tag)
 {
     drain(now);
-    if (full()) {
-        recordFullStall(block);
+    if (full())
         return false;
-    }
     DBSIM_ASSERT(findIdx(block) < 0, "primary miss already outstanding");
     entries_.push_back(Entry{block, done, is_read, !is_read, tag});
     touchOccupancy(now); // record the new occupancy level
     ++stats_.allocations;
-    // The stalled request (if it was one) got its register; a later
-    // refusal of the same block is a new episode.
-    if (auto it = std::find(stalled_blocks_.begin(), stalled_blocks_.end(),
-                            block);
-        it != stalled_blocks_.end()) {
-        stalled_blocks_.erase(it);
-    }
     return true;
 }
 
@@ -116,8 +94,6 @@ MshrFile::drain(Cycles now)
     // the tracker untouched.
     if (entries_.size() != before)
         touchOccupancy(now);
-    if (entries_.empty())
-        stalled_blocks_.clear();
 }
 
 Cycles

@@ -27,8 +27,6 @@ struct MshrStats
 {
     std::uint64_t allocations = 0;   ///< primary misses
     std::uint64_t coalesced = 0;     ///< secondary misses merged
-    std::uint64_t full_stalls = 0;   ///< stalled requests refused (full);
-                                     ///< one per request, not per retry
     stats::OccupancyTracker occupancy{64};      ///< all misses
     stats::OccupancyTracker read_occupancy{64}; ///< read misses only
 
@@ -37,7 +35,6 @@ struct MshrStats
     {
         w.u64(allocations);
         w.u64(coalesced);
-        w.u64(full_stalls);
         occupancy.saveState(w);
         read_occupancy.saveState(w);
     }
@@ -47,7 +44,6 @@ struct MshrStats
     {
         allocations = r.u64();
         coalesced = r.u64();
-        full_stalls = r.u64();
         occupancy.restoreState(r);
         read_occupancy.restoreState(r);
     }
@@ -135,9 +131,6 @@ class MshrFile
             w.boolean(e.has_write);
             w.u8(e.tag);
         }
-        w.u64(stalled_blocks_.size());
-        for (Addr b : stalled_blocks_)
-            w.u64(b);
         stats_.saveState(w);
     }
 
@@ -157,10 +150,6 @@ class MshrFile
             e.tag = r.u8();
             entries_.push_back(e);
         }
-        const std::size_t s = r.length(8);
-        stalled_blocks_.clear();
-        for (std::size_t i = 0; i < s; ++i)
-            stalled_blocks_.push_back(r.u64());
         stats_.restoreState(r);
     }
 
@@ -177,19 +166,10 @@ class MshrFile
     int findIdx(Addr block) const;
     void touchOccupancy(Cycles now);
     std::uint32_t readsInUse() const;
-    void recordFullStall(Addr block);
 
     std::uint32_t capacity_;
     std::vector<Entry> entries_;
     MshrStats stats_;
-
-    /**
-     * Blocks refused while the file was full, so a request retrying its
-     * allocation every cycle counts one full-stall episode instead of
-     * one per attempt.  A block leaves the set when it finally
-     * allocates (or coalesces); the set empties with the file.
-     */
-    std::vector<Addr> stalled_blocks_;
 };
 
 } // namespace dbsim::mem

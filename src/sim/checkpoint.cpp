@@ -32,7 +32,7 @@ namespace {
 
 constexpr char kCheckpointMagic[8] = {'D', 'B', 'S', 'I', 'M',
                                       'C', 'K', 'P'};
-constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::uint32_t kCheckpointVersion = 3;
 
 void
 signCacheLevel(snap::Writer &w, const CacheLevelParams &p)

@@ -1,5 +1,7 @@
 #include "trace/source.hpp"
 
+#include <string>
+
 #include "common/log.hpp"
 
 namespace dbsim::trace {
@@ -23,23 +25,25 @@ GeneratingSource::reload()
 }
 
 void
-GeneratingSource::saveBurst(snap::Writer &w,
-                            std::span<const TraceRecord> rest) const
+GeneratingSource::saveState(snap::Writer &w) const
 {
-    w.u64(ring_.size() - head_ + rest.size());
+    w.u64(ring_.size() - head_);
     for (std::size_t i = head_; i < ring_.size(); ++i)
         saveRecord(w, ring_[i]);
-    for (const TraceRecord &rec : rest)
-        saveRecord(w, rec);
     w.boolean(done_);
 }
 
 void
-GeneratingSource::restoreBurst(snap::Reader &r)
+GeneratingSource::restoreState(snap::Reader &r)
 {
-    ring_.clear();
-    head_ = 0;
     const std::size_t n = r.length(28);
+    if (n > kRingRecords)
+        throw snap::SnapshotError("snapshot: " + std::to_string(n) +
+                                  " trace records, more than the ring "
+                                  "holds");
+    ring_.clear();
+    ring_.reserve(kRingRecords);
+    head_ = 0;
     for (std::size_t i = 0; i < n; ++i)
         ring_.push_back(loadRecord(r));
     done_ = r.boolean();

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "trace/record.hpp"
@@ -214,17 +215,16 @@ class LimitSource : public TraceSource
  * implement refill(), appending records to buffer().
  *
  * The buffer is a ring of kRingRecords records, allocated at the first
- * refill.  refill() is called only when every buffered record has been
- * consumed; it appends steps of at most kStepRecords records while the
- * buffer has room for another step, and stops early at the end of a
- * burst, so the ring never holds records of two bursts.
+ * refill or restore.  refill() is called only when every buffered record
+ * has been consumed; it appends steps of at most kStepRecords records
+ * while the buffer has room for another step, and stops early at the end
+ * of a burst, so the ring never holds records of two bursts.
  *
- * Checkpoints keep the layout a whole-burst buffer had: the records of
- * the current burst not yet delivered, then the generator's state after
- * that burst.  The derived saveState() runs a copy of its generator to
- * the end of the burst and hands the records to saveBurst(); a restored
- * source drains those records first (the ring grows to hold them), then
- * generates from the next burst on.
+ * A checkpoint holds the undelivered records (at most kRingRecords)
+ * and the finished flag, then the derived generator's RNG, builder and
+ * position within its burst; a restored source delivers those records
+ * and carries on generating mid-burst, so a save costs the same however
+ * long a burst is.
  */
 class GeneratingSource : public TraceSource
 {
@@ -255,6 +255,13 @@ class GeneratingSource : public TraceSource
 
     void consume(std::size_t n) override { head_ += n; }
 
+    /**
+     * The undelivered records and the finished flag.  Derived
+     * generators chain their engine state behind these.
+     */
+    void saveState(snap::Writer &w) const override;
+    void restoreState(snap::Reader &r) override;
+
   protected:
     /**
      * Append records to buffer() as the class comment says, or call
@@ -266,14 +273,19 @@ class GeneratingSource : public TraceSource
     void finish() { done_ = true; }
 
     /**
-     * Serialize the undelivered records followed by @p rest, the
-     * remainder of the current burst, then the finished flag.  Derived
-     * generators chain their state after the burst behind this.
+     * Read a generator position saved as one byte; throws unless it is
+     * a value of @p At up to @p last.
      */
-    void saveBurst(snap::Writer &w, std::span<const TraceRecord> rest) const;
-
-    /** Load what saveBurst() wrote as the backlog to deliver first. */
-    void restoreBurst(snap::Reader &r);
+    template <typename At>
+    static At
+    loadPosition(snap::Reader &r, At last)
+    {
+        const std::uint8_t v = r.u8();
+        if (v > static_cast<std::uint8_t>(last))
+            throw snap::SnapshotError("snapshot: trace generator position " +
+                                      std::to_string(v) + " out of range");
+        return static_cast<At>(v);
+    }
 
   private:
     /** Refill the emptied ring; false once the stream has ended. */

@@ -38,9 +38,14 @@ CodeLayout::CodeLayout(Addr base, std::uint64_t code_bytes,
 TraceBuilder::TraceBuilder(const CodeLayout *code, Rng *rng,
                            trace::RecordBuffer *out, BuilderParams params,
                            std::size_t limit)
-    : code_(code), p_(params), branch_step_(1.0 / params.branch_every)
+    : code_(code), rng_(rng), out_(out),
+      stop_(limit == kUnbounded
+                ? kUnbounded
+                : limit - trace::GeneratingSource::kStepRecords),
+      p_(params), branch_step_(1.0 / params.branch_every)
 {
-    rebind(rng, out, limit);
+    DBSIM_ASSERT(limit >= trace::GeneratingSource::kStepRecords,
+                 "trace buffer smaller than one step");
     enter(0);
     pc_ = cur_start_;
 }
@@ -52,18 +57,6 @@ TraceBuilder::enter(std::uint32_t routine)
     cur_start_ = code_->routineStart(routine);
     cur_end_ = cur_start_ +
                static_cast<Addr>(code_->routineInstrs(routine)) * 4;
-}
-
-void
-TraceBuilder::rebind(Rng *rng, trace::RecordBuffer *out, std::size_t limit)
-{
-    DBSIM_ASSERT(limit >= trace::GeneratingSource::kStepRecords,
-                 "trace buffer smaller than one step");
-    rng_ = rng;
-    out_ = out;
-    stop_ = limit == kUnbounded
-                ? kUnbounded
-                : limit - trace::GeneratingSource::kStepRecords;
 }
 
 void

@@ -18,9 +18,9 @@
  * The engines generate through a builder bound to their source's fixed
  * ring: they emit one bounded step at a time, stop when full() says the
  * ring has no room for another, and resume at the next refill; a long
- * compute run is split with computeSome().  A copy of an engine, its
- * builder rebound to the copy's RNG and to an unbounded buffer, runs to
- * the end of the burst when a checkpoint is saved.
+ * compute run is split with computeSome().  A checkpoint saves the
+ * builder's walk position next to the engine's own position, so a
+ * restored engine resumes mid-burst.
  */
 
 #ifndef DBSIM_WORKLOAD_CODE_LAYOUT_HPP
@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -92,7 +93,7 @@ struct BuilderParams
 class TraceBuilder
 {
   public:
-    /** No limit: full() never holds (tests, save-time materialization). */
+    /** No limit: full() never holds (tests). */
     static constexpr std::size_t kUnbounded = SIZE_MAX;
 
     /** @param out    where records go, usually the owning
@@ -101,9 +102,9 @@ class TraceBuilder
     TraceBuilder(const CodeLayout *code, Rng *rng, trace::RecordBuffer *out,
                  BuilderParams params = {}, std::size_t limit = kUnbounded);
 
-    /** Point a copied builder at its copy's RNG and at @p out. */
-    void rebind(Rng *rng, trace::RecordBuffer *out,
-                std::size_t limit = kUnbounded);
+    /** A copy would share the original's RNG and buffer. */
+    TraceBuilder(const TraceBuilder &) = delete;
+    TraceBuilder &operator=(const TraceBuilder &) = delete;
 
     /** The buffer lacks room for a step of GeneratingSource::kStepRecords
      *  records. */
@@ -186,13 +187,13 @@ class TraceBuilder
     void
     restoreState(snap::Reader &r)
     {
-        enter(r.u32());
+        enter(loadRoutine(r));
         pc_ = r.u64();
         stack_.clear();
         const std::size_t n = r.length(12);
         for (std::size_t i = 0; i < n; ++i) {
             Frame f;
-            f.routine = r.u32();
+            f.routine = loadRoutine(r);
             f.return_pc = r.u64();
             stack_.push_back(f);
         }
@@ -201,6 +202,18 @@ class TraceBuilder
     }
 
   private:
+    /** Read a routine index; throws unless the code layout has it. */
+    std::uint32_t
+    loadRoutine(snap::Reader &r) const
+    {
+        const std::uint32_t routine = r.u32();
+        if (routine >= code_->numRoutines())
+            throw snap::SnapshotError("snapshot: trace builder routine " +
+                                      std::to_string(routine) +
+                                      " out of range");
+        return routine;
+    }
+
     void enter(std::uint32_t routine); ///< make @p routine current
     void emit(trace::TraceRecord rec);
     void fillerOp();

@@ -1,7 +1,5 @@
 #include "workload/dss_engine.hpp"
 
-#include <vector>
-
 #include "common/log.hpp"
 
 namespace dbsim::workload {
@@ -24,29 +22,31 @@ class DssProcessSource : public trace::GeneratingSource
     void
     saveState(snap::Writer &w) const override
     {
-        // The rest of the current block comes from a copy, so saving
-        // leaves this source as it was.
-        Scan s = scan_;
-        std::vector<trace::TraceRecord> rest;
-        s.b.rebind(&s.rng, &rest);
-        if (s.at != At::Start)
-            scan(s);
-        saveBurst(w, rest);
-        s.rng.saveState(w);
-        s.b.saveState(w);
-        w.u32(s.next_block);
-        w.u32(s.end_block);
+        GeneratingSource::saveState(w);
+        scan_.rng.saveState(w);
+        scan_.b.saveState(w);
+        w.u8(static_cast<std::uint8_t>(scan_.at));
+        w.u32(scan_.blk);
+        w.u32(scan_.row);
+        w.u32(scan_.i);
+        w.u32(scan_.fill);
+        w.u32(scan_.next_block);
+        w.u32(scan_.end_block);
     }
 
     void
     restoreState(snap::Reader &r) override
     {
-        restoreBurst(r);
+        GeneratingSource::restoreState(r);
         scan_.rng.restoreState(r);
         scan_.b.restoreState(r);
+        scan_.at = loadPosition(r, At::EpilogueEnd);
+        scan_.blk = r.u32();
+        scan_.row = r.u32();
+        scan_.i = r.u32();
+        scan_.fill = r.u32();
         scan_.next_block = r.u32();
         scan_.end_block = r.u32();
-        scan_.at = At::Start;
     }
 
   protected:
@@ -61,7 +61,10 @@ class DssProcessSource : public trace::GeneratingSource
     }
 
   private:
-    /** Where the scan of a block stands between refills. */
+    /**
+     * Where the scan of a block stands between refills.  restoreState()
+     * rejects a value past EpilogueEnd.
+     */
     enum class At : std::uint8_t {
         Start,       ///< before the next block's prologue
         Fields,      ///< row field loads, from field i
@@ -72,7 +75,7 @@ class DssProcessSource : public trace::GeneratingSource
         EpilogueEnd, ///< aggregate maintenance and the return
     };
 
-    /** The generator state a checkpoint copies. */
+    /** The generator state: RNG, builder and position in the scan. */
     struct Scan
     {
         Scan(const CodeLayout *code, Rng r, trace::RecordBuffer *out,

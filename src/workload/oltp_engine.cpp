@@ -24,38 +24,47 @@ class OltpProcessSource : public trace::GeneratingSource
     void
     saveState(snap::Writer &w) const override
     {
-        // The rest of the current transaction comes from a copy, so
-        // saving leaves this source as it was.
-        Txn t = txn_;
-        std::vector<trace::TraceRecord> rest;
-        t.b.rebind(&t.rng, &rest);
-        if (t.at != At::Start)
-            transaction(t);
-        saveBurst(w, rest);
-        t.rng.saveState(w);
-        t.b.saveState(w);
-        w.u64(t.txns);
-        w.u64(t.hist_seq);
-        w.u64(t.log_off);
+        GeneratingSource::saveState(w);
+        txn_.rng.saveState(w);
+        txn_.b.saveState(w);
+        w.u8(static_cast<std::uint8_t>(txn_.at));
+        w.u32(txn_.i);
+        w.u32(txn_.k);
+        w.u32(txn_.fill);
+        w.u32(txn_.teller);
+        w.u32(txn_.branch);
+        w.u64(txn_.account);
+        w.u64(txn_.txns);
+        w.u64(txn_.hist_seq);
+        w.u64(txn_.log_off);
     }
 
     void
     restoreState(snap::Reader &r) override
     {
-        restoreBurst(r);
+        GeneratingSource::restoreState(r);
         txn_.rng.restoreState(r);
         txn_.b.restoreState(r);
+        txn_.at = loadPosition(r, At::Commit);
+        txn_.i = r.u32();
+        txn_.k = r.u32();
+        txn_.fill = r.u32();
+        txn_.teller = r.u32();
+        txn_.branch = r.u32();
+        txn_.account = r.u64();
         txn_.txns = r.u64();
         txn_.hist_seq = r.u64();
         txn_.log_off = r.u64();
-        txn_.at = At::Start;
     }
 
   protected:
     void refill() override { transaction(txn_); }
 
   private:
-    /** Where a transaction stands between refills. */
+    /**
+     * Where a transaction stands between refills.  restoreState()
+     * rejects a value past Commit.
+     */
     enum class At : std::uint8_t {
         Start,     ///< before the next transaction
         Parse,     ///< parse routine i's call, or past the last routine
@@ -71,7 +80,7 @@ class OltpProcessSource : public trace::GeneratingSource
         Commit,
     };
 
-    /** The generator state a checkpoint copies. */
+    /** The generator state: RNG, builder and position in a transaction. */
     struct Txn
     {
         Txn(const CodeLayout *code, Rng r, trace::RecordBuffer *out,

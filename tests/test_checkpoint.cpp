@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -258,6 +259,54 @@ TEST(Checkpoint, ConfigSignatureMismatchIsRejected)
                  snap::SnapshotError);
     // The facade degrades gracefully: warn and start fresh.
     EXPECT_FALSE(b.restoreFromCheckpoint(ckpt));
+    std::remove(ckpt.c_str());
+}
+
+/** A file written under another format version, with a valid integrity
+ *  trailer, is refused by name: the version field is checked before
+ *  any machine state is read. */
+TEST(Checkpoint, OtherVersionIsRejected)
+{
+    const std::string ckpt = tmpPath("dbsim_ckpt_version.ckpt");
+    std::remove(ckpt.c_str());
+
+    SimConfig cfg = smallConfig(WorkloadKind::Oltp, 1);
+    cfg.system.stop_at_cycle = 500;
+    Simulation a(cfg);
+    a.run();
+    a.system().saveCheckpoint(ckpt);
+
+    // magic (8 bytes) | u32 version | ... | u64 FNV-1a trailer
+    std::vector<std::uint8_t> bytes;
+    {
+        std::ifstream in(ckpt, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 20u);
+    for (int i = 0; i < 4; ++i)
+        bytes[8 + i] = static_cast<std::uint8_t>(2u >> (8 * i));
+    const std::size_t body = bytes.size() - 8;
+    const std::uint64_t trailer = snap::fnv1a(bytes.data(), body);
+    for (int i = 0; i < 8; ++i)
+        bytes[body + i] = static_cast<std::uint8_t>(trailer >> (8 * i));
+    {
+        std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+
+    Simulation b(cfg);
+    b.prepare();
+    try {
+        b.system().restoreCheckpoint(ckpt);
+        ADD_FAILURE() << "a version-2 checkpoint was restored";
+    } catch (const snap::SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported version 2 (this build reads version 3)"),
+                  std::string::npos)
+            << e.what();
+    }
     std::remove(ckpt.c_str());
 }
 

@@ -35,45 +35,8 @@ TEST(Mshr, FullRefusesAllocation)
     EXPECT_TRUE(m.allocate(0x0, true, 0, 100));
     EXPECT_TRUE(m.allocate(0x40, true, 0, 100));
     EXPECT_FALSE(m.allocate(0x80, true, 0, 100));
-    EXPECT_EQ(m.stats().full_stalls, 1u);
     m.drain(100);
     EXPECT_TRUE(m.allocate(0x80, true, 100, 200));
-}
-
-TEST(Mshr, RetriedFullStallCountsOnce)
-{
-    MshrFile m(1);
-    ASSERT_TRUE(m.allocate(0x0, true, 0, 100));
-    // A stalled request retries every cycle until an entry frees up;
-    // that is one stall episode, not five.
-    for (Cycles now = 1; now <= 5; ++now) {
-        m.drain(now);
-        EXPECT_FALSE(m.allocate(0x40, true, now, now + 100));
-    }
-    EXPECT_EQ(m.stats().full_stalls, 1u);
-}
-
-TEST(Mshr, DistinctBlocksStallSeparately)
-{
-    MshrFile m(1);
-    ASSERT_TRUE(m.allocate(0x0, true, 0, 100));
-    EXPECT_FALSE(m.allocate(0x40, true, 1, 101));
-    EXPECT_FALSE(m.allocate(0x80, true, 1, 101));
-    EXPECT_FALSE(m.allocate(0x40, true, 2, 102)); // retry, same episode
-    EXPECT_EQ(m.stats().full_stalls, 2u);
-}
-
-TEST(Mshr, NewEpisodeAfterSuccessfulAllocation)
-{
-    MshrFile m(1);
-    ASSERT_TRUE(m.allocate(0x0, true, 0, 50));
-    EXPECT_FALSE(m.allocate(0x40, true, 1, 101));
-    m.drain(50);
-    ASSERT_TRUE(m.allocate(0x40, true, 50, 150)); // episode over
-    m.drain(150);
-    ASSERT_TRUE(m.allocate(0x0, true, 150, 250));
-    EXPECT_FALSE(m.allocate(0x40, true, 151, 251)); // new episode
-    EXPECT_EQ(m.stats().full_stalls, 2u);
 }
 
 TEST(Mshr, RetriedStallDoesNotSkewOccupancy)

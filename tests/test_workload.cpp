@@ -511,16 +511,42 @@ hex(std::uint64_t v)
 }
 
 /**
+ * Read @p n records from @p src view by view; @p high records the
+ * largest view seen.
+ */
+std::vector<TraceRecord>
+drainViews(trace::TraceSource &src, std::size_t n, std::size_t &high)
+{
+    std::vector<TraceRecord> out;
+    while (out.size() < n) {
+        const std::span<const TraceRecord> v = src.view();
+        if (v.empty())
+            break;
+        high = std::max(high, v.size());
+        const std::size_t take = std::min(v.size(), n - out.size());
+        out.insert(out.end(), v.begin(), v.begin() + take);
+        src.consume(take);
+    }
+    return out;
+}
+
+/**
  * Save a source after @p k records and return the digest of the bytes.
+ * The saved bytes hold at most a ring of records plus the engine state.
  * The saved source, a fresh source restored from the bytes, and a
  * second fresh source restored from a save taken right after that
- * restore all continue with the uninterrupted stream for 100K records.
+ * restore all continue with the uninterrupted stream for 100K records,
+ * and the restored ones never show more than a ring's worth at once.
  */
 std::string
 resumeDigest(const std::function<std::unique_ptr<trace::TraceSource>()> &make,
              int k)
 {
     constexpr int kAfter = 100'000;
+    constexpr std::size_t kRing = trace::GeneratingSource::kRingRecords;
+    // 28 bytes a record; the RNG, a builder a few calls deep and the
+    // position take well under 256.
+    constexpr std::size_t kMaxSavedBytes = kRing * 28 + 256;
     const std::vector<TraceRecord> whole = drain(*make(), k + kAfter);
     const std::vector<TraceRecord> expect(whole.begin() + k, whole.end());
 
@@ -528,6 +554,7 @@ resumeDigest(const std::function<std::unique_ptr<trace::TraceSource>()> &make,
     drain(*src, k);
     snap::Writer saved;
     src->saveState(saved);
+    EXPECT_LE(saved.size(), kMaxSavedBytes) << "saved at " << k;
 
     const auto restored = make();
     snap::Reader r(saved.bytes());
@@ -542,15 +569,18 @@ resumeDigest(const std::function<std::unique_ptr<trace::TraceSource>()> &make,
     restored_again->restoreState(r2);
 
     EXPECT_EQ(drain(*src, kAfter), expect) << "saving changed the source";
-    EXPECT_EQ(drain(*restored, kAfter), expect) << "restored at " << k;
-    EXPECT_EQ(drain(*restored_again, kAfter), expect)
+    std::size_t high = 0;
+    EXPECT_EQ(drainViews(*restored, kAfter, high), expect)
+        << "restored at " << k;
+    EXPECT_EQ(drainViews(*restored_again, kAfter, high), expect)
         << "restored after a restore at " << k;
+    EXPECT_LE(high, kRing) << "a restored view outgrew the ring at " << k;
     return hex(saved.hash());
 }
 
-// The digests were recorded when each burst was generated whole: the
-// saved bytes are still the rest of the current burst followed by the
-// generator state after it.
+// The digests lock a source checkpoint's bytes: the undelivered ring
+// records and the finished flag, then the engine's RNG, builder walk
+// and position within its burst.
 TEST(StreamedGeneration, DssResumesAtEveryPosition)
 {
     DssWorkload wl(DssParams{});
@@ -558,11 +588,11 @@ TEST(StreamedGeneration, DssResumesAtEveryPosition)
     const int ret =
         static_cast<int>(firstOf(drain(*make(), 20'000), OpClass::BranchRet));
     ASSERT_EQ(ret, 8107);
-    EXPECT_EQ(resumeDigest(make, 2), "0x396e6e896792f05d"); // prologue
-    EXPECT_EQ(resumeDigest(make, ret / 2), "0xd618ca144049eb51"); // rows
+    EXPECT_EQ(resumeDigest(make, 2), "0x44eabe93b3b6a8a6"); // prologue
+    EXPECT_EQ(resumeDigest(make, ret / 2), "0xfb9c5d6aa1e2216c"); // rows
     EXPECT_EQ(resumeDigest(make, ret - 100),
-              "0x554ea7b9e8cb6762"); // epilogue
-    EXPECT_EQ(resumeDigest(make, ret + 1), "0x319a6190cb3f8c72"); // next
+              "0xb9d7cafa23801b44"); // epilogue
+    EXPECT_EQ(resumeDigest(make, ret + 1), "0x134a6f351a2f0882"); // next
 }
 
 TEST(StreamedGeneration, OltpResumesAtEveryPosition)
@@ -574,12 +604,96 @@ TEST(StreamedGeneration, OltpResumesAtEveryPosition)
     const int commit = static_cast<int>(firstOf(head, OpClass::SyscallBlock));
     ASSERT_EQ(acquire, 1212);
     ASSERT_EQ(commit, 10244);
-    EXPECT_EQ(resumeDigest(make, 300), "0xfd6dfeb7e3269565"); // parse
+    EXPECT_EQ(resumeDigest(make, 300), "0x32c4772ca9f5b714"); // parse
     EXPECT_EQ(resumeDigest(make, acquire - 10),
-              "0x5e127b4aab7e8237"); // body
+              "0xf6f3cd1186b15c43"); // body
     EXPECT_EQ(resumeDigest(make, commit - 3),
-              "0x3560a28faab06eff"); // commit
-    EXPECT_EQ(resumeDigest(make, commit + 1), "0xafe0be13d79ca4d3");
+              "0xc81f4f88defa0c63"); // commit
+    EXPECT_EQ(resumeDigest(make, commit + 1), "0xb2be88ed124afb37");
+
+    // 50x the compute per routine makes a transaction about 40x as
+    // long; it saves no more bytes (the digests above lock the layout).
+    OltpParams long_txn;
+    long_txn.compute_per_routine *= 50;
+    OltpWorkload long_wl(long_txn);
+    const auto make_long = [&long_wl] { return long_wl.makeProcess(2); };
+    const int long_commit = static_cast<int>(
+        firstOf(drain(*make_long(), 1'000'000), OpClass::SyscallBlock));
+    ASSERT_GT(long_commit, 40 * commit);
+    for (const int k : {20'000, long_commit / 2, long_commit - 3})
+        resumeDigest(make_long, k);
+}
+
+/** Restore @p bytes into @p src; expect a SnapshotError naming @p what. */
+void
+expectRejected(trace::TraceSource &src, const std::vector<std::uint8_t> &bytes,
+               const std::string &what)
+{
+    snap::Reader r(bytes);
+    try {
+        src.restoreState(r);
+        ADD_FAILURE() << "restored a checkpoint with " << what;
+    } catch (const snap::SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(StreamedGeneration, RestoreRejectsWhatNoGeneratorCouldHaveSaved)
+{
+    constexpr std::size_t kRing = trace::GeneratingSource::kRingRecords;
+    DssWorkload dss(DssParams{});
+    OltpWorkload oltp(OltpParams{});
+    // A save after 1000 records: u64 ring count, the ring records, the
+    // finished flag, then the engine state ending in the position byte
+    // and its counters (six u32 for a DSS scan, five u32 and four u64
+    // for an OLTP transaction).
+    const auto saveAfter1000 = [](trace::TraceSource &src) {
+        drain(src, 1000);
+        snap::Writer w;
+        src.saveState(w);
+        snap::Reader ok(w.bytes());
+        src.restoreState(ok); // the unmodified bytes restore
+        EXPECT_TRUE(ok.atEnd());
+        return w.bytes();
+    };
+
+    // One record more than the ring holds, ahead of a valid engine
+    // state.
+    {
+        const auto src = dss.makeProcess(0);
+        const std::vector<std::uint8_t> ok = saveAfter1000(*src);
+        snap::Reader r(ok);
+        const std::size_t n = r.length(28);
+        snap::Writer w;
+        w.u64(kRing + 1);
+        for (std::size_t i = 0; i <= kRing; ++i)
+            trace::saveRecord(w, TraceRecord{});
+        std::vector<std::uint8_t> bytes = w.bytes();
+        bytes.insert(bytes.end(), ok.begin() + 8 + n * 28, ok.end());
+        expectRejected(*src, bytes, "more than the ring holds");
+    }
+
+    // A position byte that is no position.
+    const auto badPosition = [&](trace::TraceSource &src, std::size_t tail) {
+        std::vector<std::uint8_t> bytes = saveAfter1000(src);
+        bytes[bytes.size() - tail - 1] = 0xff;
+        expectRejected(src, bytes, "position 255 out of range");
+    };
+    badPosition(*dss.makeProcess(0), 6 * 4);
+    badPosition(*oltp.makeProcess(0), 5 * 4 + 4 * 8);
+
+    // A builder routine the code layout does not have.  The builder's
+    // state follows the ring, the finished flag and the RNG's 32 bytes.
+    {
+        const auto src = dss.makeProcess(0);
+        std::vector<std::uint8_t> bytes = saveAfter1000(*src);
+        snap::Reader r(bytes);
+        const std::size_t routine_at = 8 + r.length(28) * 28 + 1 + 32;
+        for (std::size_t i = 0; i < 4; ++i)
+            bytes[routine_at + i] = 0xff;
+        expectRejected(*src, bytes, "routine 4294967295 out of range");
+    }
 }
 
 } // namespace
