@@ -171,8 +171,10 @@ Core::pushWb(const WbEntry &w)
 {
     wb_.push_back(w);
     ++mem_in_flight_;
-    if (!w.is_flush)
-        ++wb_stores_unperformed_;
+    ++wb_unissued_;
+    wb_gate_ = 0;
+    if (!w.is_flush && wb_stores_unperformed_++ == 0)
+        mem_gate_ = 0; // wbAllPerformed() flips: stores_done changes
 }
 
 void
@@ -180,8 +182,8 @@ Core::markWbPerformed(WbEntry &w)
 {
     w.performed = true;
     --mem_in_flight_;
-    if (!w.is_flush)
-        --wb_stores_unperformed_;
+    if (!w.is_flush && --wb_stores_unperformed_ == 0)
+        mem_gate_ = 0;
 }
 
 void
@@ -208,13 +210,19 @@ Core::rebuildDerived()
         linkProducers(e);
     }
     wb_stores_unperformed_ = 0;
+    wb_unissued_ = 0;
     for (const WbEntry &w : wb_) {
         if (!w.performed) {
             ++mem_in_flight_;
             if (!w.is_flush)
                 ++wb_stores_unperformed_;
         }
+        if (!w.issued)
+            ++wb_unissued_;
     }
+    // Both stages walk at the next tick, and nextEvent walks until then.
+    mem_gate_ = mem_next_ = 0;
+    wb_gate_ = wb_next_ = 0;
 }
 
 StallCat
@@ -369,7 +377,11 @@ Core::retireStage(Cycles now)
                 releaseConsumers(e);
             if (trace::isMemory(e.rec.op) && !e.performed)
                 --mem_in_flight_;
-            mem_pending_.reset(slotOf(head_seq_));
+            if (mem_pending_.test(slotOf(head_seq_))) {
+                // The ordering prefix of the younger ops changes.
+                mem_pending_.reset(slotOf(head_seq_));
+                mem_gate_ = 0;
+            }
             ++head_seq_;
             ++retired;
         }
@@ -640,6 +652,11 @@ Core::attemptMemIssue(WindowEntry &e, Cycles now, bool loads_done,
 void
 Core::memoryStage(Cycles now)
 {
+    // Before its gate no pending op can act: none reaches its address,
+    // spin-retry or perform time, and the ordering prefix is as the
+    // last walk left it.
+    if (now < mem_gate_)
+        return;
     bool loads_done = true;
     bool stores_done = wbAllPerformed();
     bool fence_before = false;
@@ -647,6 +664,7 @@ Core::memoryStage(Cycles now)
     // Only memory ops and MBs act or move the ordering prefix, and a
     // settled one (performed, not speculative) does neither: it cannot
     // issue, and it leaves loads_done and stores_done as they are.
+    Cycles next = kNever;
     mem_pending_.forEachFrom(slotOf(head_seq_), [&](std::size_t slot) {
         WindowEntry &e = window_[slot];
         const OpClass op = e.rec.op;
@@ -704,16 +722,30 @@ Core::memoryStage(Cycles now)
         }
         if (settled(e))
             mem_pending_.reset(slot);
+        else
+            next = std::min(next, memActionAfter(e, now));
         return true;
     });
+    mem_next_ = next;
+    // A refused access retries at the next tick.
+    mem_gate_ = mem_retry_at_ != kNever ? now + 1 : next;
 }
 
 void
 Core::writeBufferStage(Cycles now)
 {
+    // Before its gate no issued entry performs, and every unissued one
+    // waits for an earlier one to perform.
+    if (now < wb_gate_)
+        return;
+    Cycles next = kNever;
     for (auto &w : wb_) {
-        if (w.issued && !w.performed && w.performed_at <= now)
+        if (!w.issued || w.performed)
+            continue;
+        if (w.performed_at <= now)
             markWbPerformed(w);
+        else
+            next = std::min(next, w.performed_at);
     }
     while (!wb_.empty() && wb_.front().performed) {
         wb_.pop_front();
@@ -724,6 +756,7 @@ Core::writeBufferStage(Cycles now)
     // epochs.  PC additionally serializes stores one at a time.
     bool earlier_unperformed = false;
     std::uint32_t earlier_unperformed_epoch = 0;
+    bool refused = false;
     for (auto &w : wb_) {
         if (w.issued) {
             if (!w.performed) {
@@ -753,6 +786,7 @@ Core::writeBufferStage(Cycles now)
                 continue;
             mem_->flushHint(w.vaddr, now);
             w.issued = true;
+            --wb_unissued_;
             markWbPerformed(w);
             w.performed_at = now;
             progress_ = true;
@@ -769,16 +803,24 @@ Core::writeBufferStage(Cycles now)
                                   /*prefetch=*/false, &retry);
         if (!r) {
             mem_retry_at_ = std::min(mem_retry_at_, retry);
+            refused = true;
             break;
         }
         w.issued = true;
+        --wb_unissued_;
         progress_ = true;
         w.performed_at = r->ready;
+        next = std::min(next, w.performed_at);
         if (!earlier_unperformed) {
             earlier_unperformed = true;
             earlier_unperformed_epoch = w.epoch;
         }
     }
+    wb_next_ = next;
+    // A refused store retries, and a flush that performed at the front
+    // pops, at the next tick.
+    wb_gate_ = refused || (!wb_.empty() && wb_.front().performed) ? now + 1
+                                                                  : next;
 }
 
 // ---------------------------------------------------------------------
@@ -788,8 +830,9 @@ Core::writeBufferStage(Cycles now)
 void
 Core::issueStage(Cycles now)
 {
-    if (!proc_ || now < run_resume_at_ || now < issue_block_until_)
-        return;
+    if (!proc_ || now < run_resume_at_ || now < issue_block_until_ ||
+        !ready_.any())
+        return; // nothing can issue
 
     std::uint32_t mem_budget =
         params_.mem_queue_size > mem_in_flight_
@@ -859,6 +902,8 @@ Core::tryIssue(WindowEntry &e, Cycles now, std::uint32_t &mem_budget,
     const Cycles lat = fu_.latency(op);
     if (is_mem) {
         e.addr_ready_at = now + lat; // address generation
+        mem_gate_ = std::min(mem_gate_, e.addr_ready_at);
+        mem_next_ = std::min(mem_next_, e.addr_ready_at);
         // Write-buffered stores and flushes complete after address
         // generation (they perform later, from the write buffer); the
         // rest complete when their access returns or the hint fires.
@@ -1056,17 +1101,17 @@ Cycles
 Core::nextEvent(Cycles now) const
 {
     bool overdue = false;
-    return computeNextEvent(now, &overdue);
+    return horizon(now, computeWake(now, &overdue));
 }
 
 Cycles
 Core::rearm(Cycles now)
 {
     bool overdue = false;
-    next_event_ = computeNextEvent(now, &overdue);
-    wake_at_ = next_event_;
+    wake_at_ = computeWake(now, &overdue);
+    next_event_ = horizon(now, wake_at_);
     wake_reason_ = WakeReason::Event;
-    // Work the next tick does that nextEvent() does not announce: a
+    // Work the next tick does that its timed events do not announce: a
     // refused access retries at every tick, and a hint that fired after
     // completeStage completes at the next one.  Either way the core is
     // due at the next iteration, whenever the run loop places it.
@@ -1101,7 +1146,7 @@ wakeReasonName(WakeReason r)
 }
 
 Cycles
-Core::computeNextEvent(Cycles now, bool *overdue) const
+Core::computeWake(Cycles now, bool *overdue) const
 {
     // now + 1 is the earliest cycle consider() accepts, so the first
     // candidate equal to it is the answer (and *overdue only matters
@@ -1144,27 +1189,24 @@ Core::computeNextEvent(Cycles now, bool *overdue) const
     if (next == now + 1)
         return next;
 
-    for (const auto &w : wb_) {
-        if (!w.issued)
-            return now + 1;
-        if (!w.performed)
-            consider(w.performed_at);
+    // The write buffer's and the pending memory ops' timed actions, as
+    // their stages' last walks left them; walked only when unknown
+    // (after a rollback, detach or restore, until the next tick).
+    if (wb_next_ > now) {
+        consider(wb_next_);
+    } else {
+        for (const auto &w : wb_)
+            if (w.issued && !w.performed)
+                consider(w.performed_at);
     }
-    mem_pending_.forEachFrom(slotOf(head_seq_), [&](std::size_t slot) {
-        const WindowEntry &e = window_[slot];
-        if (e.issued && trace::isMemory(e.rec.op)) {
-            if (!e.mem_issued) {
-                consider(e.addr_ready_at);
-                if (e.rec.op == OpClass::LockAcquire &&
-                    e.addr_ready_at <= now) {
-                    consider(e.spin_retry_at);
-                }
-            } else if (!e.performed) {
-                consider(e.performed_at);
-            }
-        }
-        return next != now + 1;
-    });
+    if (mem_next_ > now) {
+        consider(mem_next_);
+    } else {
+        mem_pending_.forEachFrom(slotOf(head_seq_), [&](std::size_t slot) {
+            consider(memActionAfter(window_[slot], now));
+            return next != now + 1;
+        });
+    }
     if (proc_) {
         consider(run_resume_at_);
         consider(fetch_resume_at_);

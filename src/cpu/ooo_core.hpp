@@ -288,6 +288,7 @@ class Core
         void resize(std::size_t slots) { words_.assign(slots / 64, 0); }
         void set(std::size_t s) { words_[s >> 6] |= bit(s); }
         void reset(std::size_t s) { words_[s >> 6] &= ~bit(s); }
+        bool test(std::size_t s) const { return words_[s >> 6] & bit(s); }
         void clear() { std::fill(words_.begin(), words_.end(), 0); }
 
         bool
@@ -357,7 +358,14 @@ class Core
     StallCat classifyHead() const;
     StallCat readCat(const WindowEntry &e) const;
     bool wbAllPerformed() const { return wb_stores_unperformed_ == 0; }
-    Cycles computeNextEvent(Cycles now, bool *overdue) const;
+    Cycles computeWake(Cycles now, bool *overdue) const;
+    /** The loop horizon: the wake, or now + 1 while a write-buffer
+     *  entry is unissued. */
+    Cycles
+    horizon(Cycles now, Cycles wake) const
+    {
+        return wb_unissued_ != 0 ? now + 1 : wake;
+    }
     Cycles rearm(Cycles now);
 
     // incremental state (DESIGN.md §5a, "Incremental core")
@@ -375,6 +383,25 @@ class Core
     settled(const WindowEntry &e)
     {
         return e.mem_issued && e.performed && !e.speculative;
+    }
+    /** The first cycle after @p now at which @p e, a pending memory op,
+     *  can act by itself: its address is ready, its lock spin retries,
+     *  or its access performs (kNever if none). */
+    static Cycles
+    memActionAfter(const WindowEntry &e, Cycles now)
+    {
+        if (!e.issued || !trace::isMemory(e.rec.op))
+            return kNever;
+        if (!e.mem_issued) {
+            if (e.addr_ready_at > now)
+                return e.addr_ready_at;
+            if (e.rec.op == trace::OpClass::LockAcquire &&
+                e.spin_retry_at > now)
+                return e.spin_retry_at;
+            return kNever;
+        }
+        return !e.performed && e.performed_at > now ? e.performed_at
+                                                    : kNever;
     }
     void setCompleteAt(WindowEntry &e, Cycles at);
     void complete(WindowEntry &e, Cycles now);
@@ -443,6 +470,17 @@ class Core
     std::uint32_t wb_stores_unperformed_ = 0; ///< wb entries not performed,
                                               ///< flushes (non-binding
                                               ///< hints) excepted
+    std::uint32_t wb_unissued_ = 0; ///< wb entries not issued
+
+    // Stage gates (DESIGN.md §5a, "Stage gates"): memoryStage and
+    // writeBufferStage walk only from their gate cycle on.  Each
+    // *_next_ is the earliest timed action the stage's last walk found
+    // after its cycle (lowered where an action is added); 0 means
+    // unknown, and a value at or before now makes nextEvent walk.
+    Cycles mem_gate_ = 0;
+    Cycles mem_next_ = 0;
+    Cycles wb_gate_ = 0;
+    Cycles wb_next_ = 0;
 
     // wake state: derived from the pipeline state above, so it is not
     // serialized (a restored core is simply due)

@@ -100,13 +100,6 @@ Scheduler::recountIncomplete()
     }
 }
 
-Cycles
-Scheduler::nextWake(CpuId cpu) const
-{
-    const CpuQueue &q = queues_[cpu];
-    return q.blocked.empty() ? kNever : q.blocked.front().wake_at;
-}
-
 void
 Scheduler::saveState(snap::Writer &w) const
 {

@@ -7,9 +7,9 @@
  *
  * Blocked processes are kept in a per-CPU min-heap keyed on
  * (wake_at, block order), so the run loop's event-skip computation
- * (System::run calls nextWake for every CPU every iteration) is O(1)
- * and waking is O(log n) per woken process instead of a linear scan of
- * the blocked list.
+ * (System::run calls nextWake for every CPU every iteration) is an
+ * inline read of the heap root and waking is O(log n) per woken process
+ * instead of a linear scan of the blocked list.
  */
 
 #ifndef DBSIM_SIM_SCHEDULER_HPP
@@ -67,7 +67,12 @@ class Scheduler
      * Earliest wake time among blocked processes of @p cpu (kNever if
      * none are blocked).  O(1): the heap root.
      */
-    Cycles nextWake(CpuId cpu) const;
+    Cycles
+    nextWake(CpuId cpu) const
+    {
+        const CpuQueue &q = queues_[cpu];
+        return q.blocked.empty() ? kNever : q.blocked.front().wake_at;
+    }
 
     /** True iff a Ready process is queued on @p cpu. */
     bool hasReady(CpuId cpu) const { return !queues_[cpu].ready.empty(); }

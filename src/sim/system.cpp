@@ -429,8 +429,8 @@ System::run(std::uint64_t max_instructions,
     std::uint32_t poll_count = 0;
     bool stopped_early = false;
 
-    // Retired-instruction total, refreshed once per iteration after the
-    // ticks (nothing else retires instructions).
+    // Retired-instruction total, advanced by each tick's retirements
+    // (nothing else retires instructions).
     std::uint64_t retired = totalRetired();
     while (sched_.anyIncomplete() && retired < max_instructions) {
         // Early stop for bisection / restore tests: leave the state of
@@ -494,7 +494,12 @@ System::run(std::uint64_t max_instructions,
             std::cerr << progressLine(*this) << "\n";
         }
 
-        // Dispatch processes onto idle cores.
+        // First pass: dispatch a process onto each idle core, and run
+        // one cycle on every core that is due; the others would only
+        // account a stalled cycle, which waits for their next settle
+        // point (wake contract, DESIGN.md §5a).  A tick only records a
+        // scheduling request (cs.pending), so no core's dispatch
+        // depends on another core's tick.
         for (std::uint32_t i = 0; i < cpus_.size(); ++i) {
             CpuState &cs = cpus_[i];
             if (!cs.core->current()) {
@@ -505,63 +510,59 @@ System::run(std::uint64_t max_instructions,
                     cs.run_start = now_;
                 }
             }
-        }
-
-        // One cycle of execution on every core that is due; the others
-        // would only account a stalled cycle, which waits for their next
-        // settle point (wake contract, DESIGN.md §5a).
-        for (auto &cs : cpus_) {
             if (cs.core->due(now_)) {
                 settle(cs, now_);
+                const std::uint64_t before = cs.core->stats().instructions;
                 cs.core->tick(now_);
+                retired += cs.core->stats().instructions - before;
                 cs.accounted_to = now_ + 1;
             }
         }
-
-        // Scheduling actions requested during the tick.
-        for (auto &cs : cpus_)
-            if (cs.pending != Pending::None)
-                handlePending(cs);
 
         // Audit the blocks the fabric transacted on this cycle (the
         // requesting nodes have installed their grants by now).
         if (checker_)
             checker_->auditPending(fabric_, now_);
 
-        // Round-robin backstop: preempt over-quantum processes when
-        // someone else is waiting.
-        for (std::uint32_t i = 0; i < cpus_.size(); ++i) {
-            CpuState &cs = cpus_[i];
-            if (cs.core->current() &&
-                now_ - cs.run_start >= params_.sched_quantum &&
-                sched_.hasReady(i)) {
-                cpu::ProcessContext *p = cs.core->current();
-                settle(cs, now_ + 1);
-                cs.core->detachCurrent();
-                sched_.makeReady(p);
-            }
-        }
-
-        retired = totalRetired();
+        // Warm-up ends once the ticks have retired enough.  settleAll
+        // books every core through this cycle in the state the first
+        // pass left it; a core preempted below would be booked in that
+        // same state.  The second pass retires and counts nothing.
         if (!warmed_ && retired >= warmup_instructions) {
             settleAll(now_ + 1);
             resetStats();
             warmed_ = true;
         }
 
-        // Advance time, skipping cycles in which nothing can happen.
+        // Second pass: the scheduling actions requested during the
+        // tick, the round-robin backstop (preempt an over-quantum
+        // process when another is waiting), and the next event.
+        // Everything here reads and writes one CPU's core and queue.
         Cycles next = kNever;
         for (std::uint32_t i = 0; i < cpus_.size(); ++i) {
             CpuState &cs = cpus_[i];
-            // Every core re-arms (a no-op unless it ticked); an idle one
-            // still drains its write buffer when its event comes.
+            if (cs.pending != Pending::None)
+                handlePending(cs);
+            const bool has_ready = sched_.hasReady(i);
+            if (cs.core->current() &&
+                now_ - cs.run_start >= params_.sched_quantum && has_ready) {
+                cpu::ProcessContext *p = cs.core->current();
+                settle(cs, now_ + 1);
+                cs.core->detachCurrent();
+                sched_.makeReady(p);
+            }
+
+            // Advance time, skipping cycles in which nothing can
+            // happen.  Every core re-arms (a no-op unless it ticked); an
+            // idle one still drains its write buffer when its event
+            // comes.
             const Cycles core_next = cs.core->arm(now_);
             Cycles e;
             if (!cs.core->current()) {
                 e = sched_.hasReady(i) ? now_ + 1 : sched_.nextWake(i);
             } else {
                 e = core_next;
-                if (sched_.hasReady(i)) {
+                if (has_ready) {
                     // A waiting process bounds the skip at the quantum.
                     e = std::min(e, cs.run_start + params_.sched_quantum);
                 }

@@ -150,7 +150,10 @@ loadRecord(snap::Reader &r)
     rec.pc = r.u64();
     rec.vaddr = r.u64();
     rec.extra = r.u64();
-    rec.op = static_cast<OpClass>(r.u8());
+    const std::uint8_t op = r.u8();
+    if (op >= kNumOpClasses)
+        throw snap::SnapshotError("snapshot: record op names no class");
+    rec.op = static_cast<OpClass>(op);
     rec.dep1 = r.u8();
     rec.dep2 = r.u8();
     rec.taken = r.boolean();

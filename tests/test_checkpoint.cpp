@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,8 @@
 #include "core/config.hpp"
 #include "core/simulation.hpp"
 #include "sim/diagnostics.hpp"
+#include "trace/record.hpp"
+#include "workload/dss_engine.hpp"
 
 namespace {
 
@@ -83,6 +87,29 @@ expectSameOutcome(const FullRun &a, const FullRun &b)
     }
     EXPECT_EQ(a.state_hash, b.state_hash);
     EXPECT_EQ(a.dump, b.dump) << "machine-state dumps differ";
+}
+
+/** The bytes of the file at @p path. */
+std::vector<std::uint8_t>
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** Write checkpoint @p bytes to @p path with a valid FNV-1a trailer
+ *  over everything before it. */
+void
+writeWithTrailer(const std::string &path, std::vector<std::uint8_t> bytes)
+{
+    const std::size_t body = bytes.size() - 8;
+    const std::uint64_t trailer = snap::fnv1a(bytes.data(), body);
+    for (int i = 0; i < 8; ++i)
+        bytes[body + i] = static_cast<std::uint8_t>(trailer >> (8 * i));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(Snapshot, WriterReaderRoundTrip)
@@ -277,24 +304,11 @@ TEST(Checkpoint, OtherVersionIsRejected)
     a.system().saveCheckpoint(ckpt);
 
     // magic (8 bytes) | u32 version | ... | u64 FNV-1a trailer
-    std::vector<std::uint8_t> bytes;
-    {
-        std::ifstream in(ckpt, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
+    std::vector<std::uint8_t> bytes = readFile(ckpt);
     ASSERT_GT(bytes.size(), 20u);
     for (int i = 0; i < 4; ++i)
         bytes[8 + i] = static_cast<std::uint8_t>(2u >> (8 * i));
-    const std::size_t body = bytes.size() - 8;
-    const std::uint64_t trailer = snap::fnv1a(bytes.data(), body);
-    for (int i = 0; i < 8; ++i)
-        bytes[body + i] = static_cast<std::uint8_t>(trailer >> (8 * i));
-    {
-        std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
+    writeWithTrailer(ckpt, bytes);
 
     Simulation b(cfg);
     b.prepare();
@@ -307,6 +321,97 @@ TEST(Checkpoint, OtherVersionIsRejected)
                   std::string::npos)
             << e.what();
     }
+    std::remove(ckpt.c_str());
+}
+
+/** A record whose op byte names no class, in a checkpoint file with a
+ *  valid integrity trailer, is refused by name: in a trace source's ring
+ *  and in a core's window alike. */
+TEST(Checkpoint, RecordOpNamingNoClassIsRejected)
+{
+    const std::string ckpt = tmpPath("dbsim_ckpt_bad_op.ckpt");
+    std::remove(ckpt.c_str());
+
+    // Two DSS processes on one node; the machine is built directly so
+    // the test keeps a handle on a trace source.
+    const SimConfig cfg = core::makeScaledConfig(WorkloadKind::Dss, 1);
+    const workload::DssWorkload dss(cfg.dss);
+    const auto build = [&](trace::TraceSource **first) {
+        sim::SystemParams params = cfg.system;
+        params.stop_at_cycle = 500;
+        auto sys = std::make_unique<sim::System>(params);
+        for (ProcId p = 0; p < 2; ++p) {
+            std::unique_ptr<trace::TraceSource> src = dss.makeProcess(p);
+            if (p == 0 && first)
+                *first = src.get();
+            sys->addProcess(std::move(src), 0);
+        }
+        return sys;
+    };
+    trace::TraceSource *source = nullptr;
+    const auto live = build(&source);
+    live->run(30000, 0);
+    live->saveCheckpoint(ckpt);
+    const std::vector<std::uint8_t> file = readFile(ckpt);
+    const auto bytesOf = [](const auto &component) {
+        snap::Writer w;
+        component.saveState(w);
+        return w.bytes();
+    };
+
+    // Each component's bytes appear verbatim in the file.  Patch the op
+    // of the first record at @p record_at within them to 238, rewrite
+    // the trailer, and restore into a fresh machine.
+    const auto expectRejected = [&](const std::vector<std::uint8_t> &part,
+                                    std::size_t record_at,
+                                    const char *what) {
+        const auto at = std::search(file.begin(), file.end(), part.begin(),
+                                    part.end());
+        ASSERT_NE(at, file.end()) << what;
+        std::vector<std::uint8_t> bytes = file;
+        // pc, vaddr and extra (three u64) precede the op byte.
+        const std::size_t op_at =
+            static_cast<std::size_t>(at - file.begin()) + record_at + 24;
+        ASSERT_LT(bytes[op_at], trace::kNumOpClasses) << what;
+        bytes[op_at] = 238;
+        writeWithTrailer(ckpt, bytes);
+        const auto fresh = build(nullptr);
+        try {
+            fresh->restoreCheckpoint(ckpt);
+            ADD_FAILURE() << "restored a " << what << " with op 238";
+        } catch (const snap::SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find("op names no class"),
+                      std::string::npos)
+                << what << ": " << e.what();
+        }
+    };
+
+    // A source saves its ring's record count, then the records.
+    const std::vector<std::uint8_t> src_bytes = bytesOf(*source);
+    {
+        snap::Reader r(src_bytes);
+        ASSERT_GT(r.length(28), 0u) << "the ring is empty";
+    }
+    expectRejected(src_bytes, 8, "source ring record");
+
+    // A core saves its process, its pending record and its fetch state
+    // ahead of the window's entry count and entries.
+    const std::vector<std::uint8_t> core_bytes = bytesOf(live->core(0));
+    snap::Reader r(core_bytes);
+    r.u32();
+    if (r.boolean())
+        trace::loadRecord(r);
+    for (int i = 0; i < 3; ++i)
+        r.u64();
+    r.boolean();
+    r.u64();
+    r.u64();
+    r.boolean();
+    r.u64();
+    r.boolean();
+    ASSERT_GT(r.length(28), 0u) << "the window is empty";
+    expectRejected(core_bytes, core_bytes.size() - r.remaining(),
+                   "window record");
     std::remove(ckpt.c_str());
 }
 

@@ -10,7 +10,8 @@
  * OLTP and DSS trace windows, that a core which is not due() would do
  * nothing in a tick but account one stalled cycle, and that a core
  * rebuilt from its saved bytes announces the same next event as the
- * live one.
+ * live one, and that gating the memory and write-buffer stages never
+ * skips a walk that would act.
  */
 
 #include <gtest/gtest.h>
@@ -1164,6 +1165,141 @@ TEST_P(WakeContract, SkippedTickEqualsAccountStall)
     EXPECT_EQ(r.retired, records);
     // The contract was exercised, not vacuously true.
     EXPECT_GT(r.checked, r.ticks / 10);
+}
+
+/** One core over a set of trace windows with its own memory,
+ *  environment and processes, scheduled round-robin as the run loop
+ *  would. */
+struct CoreWorld
+{
+    CoreWorld(const CoreParams &params,
+              const std::vector<std::vector<TraceRecord>> &windows,
+              std::uint64_t seed)
+        : mem(seed), core(0, params, &mem, &env)
+    {
+        for (ProcId p = 0; p < windows.size(); ++p) {
+            sources.push_back(
+                std::make_unique<trace::VectorSource>(windows[p]));
+            procs.push_back(
+                std::make_unique<ProcessContext>(p, sources.back().get()));
+            ready.push_back(procs.back().get());
+        }
+    }
+
+    // The core points at this world's memory and environment.
+    CoreWorld(const CoreWorld &) = delete;
+    CoreWorld &operator=(const CoreWorld &) = delete;
+
+    /** Switch the next process in if the core is idle; false once every
+     *  process ran and the core drained. */
+    bool
+    dispatch(Cycles now)
+    {
+        if (core.current())
+            return true;
+        if (ready.empty())
+            return !core.drained();
+        core.switchTo(ready.front(), now, ever_ran);
+        ready.pop_front();
+        ever_ran = true;
+        return true;
+    }
+
+    /** Carry out the scheduling request of the last tick. */
+    void
+    serveRequest()
+    {
+        if (env.request == FakeEnv::Request::None)
+            return;
+        ProcessContext *p = core.current();
+        core.detachCurrent();
+        if (env.request == FakeEnv::Request::Switch) {
+            ready.push_back(p);
+        } else {
+            std::erase_if(env.holders, [p](const auto &kv) {
+                return kv.second == p->id();
+            });
+        }
+        env.request = FakeEnv::Request::None;
+    }
+
+    /** Restore the core from its own bytes: every derived structure,
+     *  the stage gates included, is rebuilt or unknown. */
+    void
+    rebuild()
+    {
+        const std::vector<std::uint8_t> bytes = coreBytes(core);
+        snap::Reader r(bytes);
+        core.restoreState(r, [this](ProcId id) -> ProcessContext * {
+            return id < procs.size() ? procs[id].get() : nullptr;
+        });
+    }
+
+    NoisyMem mem;
+    FakeEnv env;
+    Core core;
+    std::vector<std::unique_ptr<trace::VectorSource>> sources;
+    std::vector<std::unique_ptr<ProcessContext>> procs;
+    std::deque<ProcessContext *> ready;
+    bool ever_ran = false;
+};
+
+TEST_P(WakeContract, GatedStagesEqualFullWalks)
+{
+    // Two identical worlds tick at every cycle.  One core keeps its
+    // stage gates; the other is rebuilt from its bytes before each tick,
+    // so its memory and write-buffer stages walk every time.  Both must
+    // save the same bytes after every tick: a gate never skips a walk
+    // that would act.
+    const WakeCase &c = GetParam();
+    CoreParams p;
+    p.model = c.model;
+    p.cons.spec_loads = true;
+    // A small predictor, as above: the core is saved three times a cycle.
+    p.bp.pa_entries = 64;
+    p.bp.pa_hist_bits = 6;
+    p.bp.g_hist_bits = 6;
+    p.bp.g_pht_bits = 6;
+    p.bp.chooser_entries = 64;
+    p.bp.btb_entries = 32;
+    if (!c.out_of_order)
+        p = makeInOrderParams(p);
+    const bool oltp = c.kind == core::WorkloadKind::Oltp;
+    const auto windows = traceWindows(c.kind, /*hints=*/oltp, 3, 1500);
+    std::vector<Addr> load_blocks;
+    std::size_t records = 0;
+    for (const auto &w : windows) {
+        records += w.size();
+        for (const TraceRecord &r : w)
+            if (r.op == OpClass::Load)
+                load_blocks.push_back(blockAlign(r.vaddr, 64));
+    }
+
+    CoreWorld gated(p, windows, 17), walked(p, windows, 17);
+    Rng rng(17 ^ 0x5bd1e995);
+    for (Cycles now = 0; now < 2'000'000; ++now) {
+        const bool more = gated.dispatch(now);
+        ASSERT_EQ(walked.dispatch(now), more) << "cycle " << now;
+        if (!more)
+            break;
+        if (rng.chance(0.02)) {
+            // Another node's write to a line a load may have read.
+            const Addr block = load_blocks[rng.below(load_blocks.size())];
+            gated.core.onLineInvalidated(block);
+            walked.core.onLineInvalidated(block);
+        }
+        walked.rebuild();
+        gated.core.tick(now);
+        walked.core.tick(now);
+        if (coreBytes(gated.core) != coreBytes(walked.core)) {
+            ADD_FAILURE() << "a gated stage skipped work at cycle " << now
+                          << " (" << gated.core.debugString() << ")";
+            return;
+        }
+        gated.serveRequest();
+        walked.serveRequest();
+    }
+    EXPECT_EQ(gated.core.stats().instructions, records);
 }
 
 std::vector<WakeCase>

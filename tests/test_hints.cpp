@@ -130,8 +130,9 @@ TEST(HintInserter, HotLockFilter)
     HintInserter hi(std::make_unique<trace::VectorSource>(v), opts);
     const auto out = drainAll(hi);
     for (const auto &r : out) {
-        if (r.op == OpClass::Flush)
+        if (r.op == OpClass::Flush) {
             EXPECT_NE(r.vaddr, blockAlign(0x9100, 64));
+        }
     }
 }
 
