@@ -15,6 +15,9 @@
  *   --on-failure MODE     abort (default) or collect: keep going past a
  *                         failed item and record it in the report
  *
+ * Any other argument must be one of the bench's own flags, or the bench
+ * exits 2 naming it.
+ *
  * Exit codes: 0 clean; 1 JSON write failure; 2 config rejection;
  * 3 invariant failure; core::kSweepPartialFailureExit (4) when a
  * collect sweep finished with failed items in the report.
@@ -23,7 +26,9 @@
 #ifndef DBSIM_BENCH_BENCH_UTIL_HPP
 #define DBSIM_BENCH_BENCH_UTIL_HPP
 
+#include <algorithm>
 #include <exception>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -36,13 +41,13 @@
 
 namespace dbsim::bench {
 
-/** Harness flags plus whatever bench-specific flags remain. */
+/** Harness flags plus the bench-specific flags given. */
 struct BenchOptions
 {
     unsigned jobs = 0;       ///< 0 = resolve via DBSIM_JOBS / hardware
     std::string json_path;   ///< empty = no JSON report
     bool collect_failures = false; ///< --on-failure collect
-    std::vector<std::string> rest; ///< unconsumed (bench-specific) args
+    std::vector<std::string> rest; ///< bench-specific flags given
 
     bool
     has(const char *flag) const
@@ -56,11 +61,13 @@ struct BenchOptions
 
 /**
  * Parse the shared harness flags (each accepts both `--flag V` and
- * `--flag=V`); everything else is passed through in `rest`.  Bad values
- * throw ConfigError (guardedMain turns that into exit code 2).
+ * `--flag=V`) and the bench's own @p bench_flags, which are passed
+ * through in `rest`.  Bad values and any other argument throw
+ * ConfigError (guardedMain turns that into exit code 2).
  */
 inline BenchOptions
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int argc, char **argv,
+               std::initializer_list<const char *> bench_flags = {})
 {
     BenchOptions opts;
     auto apply = [&](const std::string &flag, const std::string &v) {
@@ -112,8 +119,12 @@ parseBenchArgs(int argc, char **argv)
                 break;
             }
         }
-        if (!consumed)
-            opts.rest.push_back(a);
+        if (consumed)
+            continue;
+        if (std::find(bench_flags.begin(), bench_flags.end(), a) ==
+            bench_flags.end())
+            throw ConfigError("cli", "unknown flag \"" + a + "\"");
+        opts.rest.push_back(a);
     }
     return opts;
 }

@@ -31,6 +31,8 @@ run(const dbsim::bench::BenchOptions &opts)
 int
 main(int argc, char **argv)
 {
-    return dbsim::core::guardedMain(
-        [&] { return run(dbsim::bench::parseBenchArgs(argc, argv)); });
+    return dbsim::core::guardedMain([&] {
+        return run(dbsim::bench::parseBenchArgs(
+            argc, argv, {"--occupancy"}));
+    });
 }

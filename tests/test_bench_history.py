@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Tests of tools/bench_history.py's check: a traced simbench run's exact
+counts against the last history entry of each workload."""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+import unittest
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_history as bh  # noqa: E402
+
+
+def counts(workload):
+    """Distinct exact counts per workload, ints and ratios alike."""
+    base = 1000 * (1 + bh.WORKLOADS.index(workload))
+    return {k: base + i + (0.25 if i % 2 else 0)
+            for i, k in enumerate(bh.EXACT)}
+
+
+class Check(unittest.TestCase):
+    def setUp(self):
+        tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(tmp.cleanup)
+        self.results = Path(tmp.name) / "results"
+        self.results.mkdir()
+        self.history = Path(tmp.name) / "history.json"
+        # An older entry with other counts: only the last one counts.
+        old = {w: dict(counts(w), **{"sim.cycles": 1}) for w in bh.WORKLOADS}
+        self.write_history([old, {w: counts(w) for w in bh.WORKLOADS}])
+        for w in bh.WORKLOADS:
+            self.write_result(w, counts(w))
+
+    def write_history(self, generations):
+        entries = [{"workload": w, "exact": exact}
+                   for gen in generations for w, exact in gen.items()]
+        self.history.write_text(json.dumps(
+            {"schema": bh.SCHEMA, "entries": entries}))
+
+    def write_result(self, workload, exact):
+        layers = {k: {"value": v, "unit": "count"} for k, v in exact.items()}
+        (self.results / f"{workload}-seed{bh.SEED}-trace1.json").write_text(
+            json.dumps({"report": {"layers": layers}}))
+
+    def run_check(self):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = bh.check(self.results, self.history)
+        return code, err.getvalue()
+
+    def test_equal_counts_pass(self):
+        self.assertEqual(self.run_check(), (0, ""))
+
+    def test_changed_count_fails_and_names_the_field(self):
+        changed = counts("oltp-1n")
+        changed["cpu.ticks_per_instr"] += 1
+        self.write_result("oltp-1n", changed)
+        code, err = self.run_check()
+        self.assertEqual(code, 1)
+        self.assertEqual(err.count("\n"), 1)
+        self.assertIn("oltp-1n: cpu.ticks_per_instr", err)
+        self.assertIn(str(changed["cpu.ticks_per_instr"]), err)
+
+    def test_missing_results_file_fails_with_a_message(self):
+        (self.results / f"dss-4n-seed{bh.SEED}-trace1.json").unlink()
+        code, err = self.run_check()
+        self.assertEqual(code, 1)
+        self.assertIn("dss-4n: no traced result", err)
+        self.assertNotIn("Traceback", err)
+
+    def test_workload_without_history_entry_fails_with_a_message(self):
+        self.write_history([{w: counts(w) for w in bh.WORKLOADS
+                             if w != "oltp-4n"}])
+        code, err = self.run_check()
+        self.assertEqual(code, 1)
+        self.assertIn("oltp-4n: no entry", err)
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -541,7 +541,7 @@ parse(std::vector<std::string> args)
     for (auto &a : args)
         argv.push_back(a.data());
     return bench::parseBenchArgs(static_cast<int>(argv.size()),
-                                 argv.data());
+                                 argv.data(), {"--sharing"});
 }
 
 TEST(BenchArgs, ParsesSharedFlagsInBothForms)
@@ -569,6 +569,7 @@ TEST(BenchArgs, RejectsBadValues)
     EXPECT_THROW(parse({"--jobs", "-1"}), ConfigError);
     EXPECT_THROW(parse({"--on-failure", "maybe"}), ConfigError);
     EXPECT_THROW(parse({"--json"}), ConfigError); // missing value
+    EXPECT_THROW(parse({"--unii"}), ConfigError);  // not a flag of the bench
 }
 
 TEST(BenchHarness, UnwritableReportYieldsExitOne)
