@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/errors.hpp"
+#include "core/cli_guard.hpp"
 #include "core/config.hpp"
 #include "core/report.hpp"
 #include "core/sweep.hpp"
@@ -72,20 +73,7 @@ parseBenchArgs(int argc, char **argv,
     BenchOptions opts;
     auto apply = [&](const std::string &flag, const std::string &v) {
         if (flag == "--jobs") {
-            std::size_t pos = 0;
-            unsigned long n = 0;
-            try {
-                n = std::stoul(v, &pos);
-            } catch (const std::exception &) {
-                pos = 0;
-            }
-            if (pos != v.size() || n == 0 ||
-                v.find('-') != std::string::npos) {
-                throw ConfigError("cli.jobs",
-                                  "--jobs wants a positive integer, got \"" +
-                                      v + "\"");
-            }
-            opts.jobs = static_cast<unsigned>(n);
+            opts.jobs = core::parseUnsigned<unsigned>(flag, v, 1);
         } else if (flag == "--json") {
             opts.json_path = v;
         } else { // --on-failure

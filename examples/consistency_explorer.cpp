@@ -13,7 +13,7 @@
  */
 
 #include <cstdio>
-#include <cstring>
+#include <cmath>
 #include <iostream>
 #include <string>
 
@@ -28,24 +28,26 @@ using namespace dbsim;
 static int
 run(int argc, char **argv)
 {
+    if (argc > 4)
+        throw ConfigError("cli", "usage: consistency_explorer [oltp|dss] "
+                                 "[sc|pc|rc] [plain|pf|spec]");
+
     core::WorkloadKind kind = core::WorkloadKind::Oltp;
     cpu::ConsistencyModel model = cpu::ConsistencyModel::SC;
-    int impl = 2; // 0 plain, 1 +prefetch, 2 +prefetch+spec
+    std::size_t impl = 2; // 0 plain, 1 +prefetch, 2 +prefetch+spec
 
-    if (argc > 1 && !std::strcmp(argv[1], "dss"))
+    if (argc > 1 && core::parseChoice("workload", argv[1], {"oltp", "dss"}))
         kind = core::WorkloadKind::Dss;
     if (argc > 2) {
-        if (!std::strcmp(argv[2], "pc"))
-            model = cpu::ConsistencyModel::PC;
-        else if (!std::strcmp(argv[2], "rc"))
-            model = cpu::ConsistencyModel::RC;
+        constexpr cpu::ConsistencyModel kModels[] = {
+            cpu::ConsistencyModel::SC, cpu::ConsistencyModel::PC,
+            cpu::ConsistencyModel::RC};
+        model = kModels[core::parseChoice("model", argv[2],
+                                          {"sc", "pc", "rc"})];
     }
-    if (argc > 3) {
-        if (!std::strcmp(argv[3], "plain"))
-            impl = 0;
-        else if (!std::strcmp(argv[3], "pf"))
-            impl = 1;
-    }
+    if (argc > 3)
+        impl = core::parseChoice("implementation", argv[3],
+                                 {"plain", "pf", "spec"});
 
     core::SimConfig cfg = core::makeScaledConfig(kind);
     cfg.system.core.model = model;

@@ -12,7 +12,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/config.hpp"
@@ -60,8 +59,11 @@ runScan(std::uint32_t nodes, std::uint32_t procs_per_cpu)
 static int
 run(int argc, char **argv)
 {
+    if (argc > 2)
+        throw ConfigError("cli", "usage: dss_parallel_query [instructions]");
+
     if (argc > 1)
-        g_budget = std::strtoull(argv[1], nullptr, 10);
+        g_budget = core::parseUnsigned("instructions", argv[1]);
 
     core::printHeader(std::cout,
                       "DSS parallel query: machine-size scaling "

@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/config.hpp"
@@ -55,8 +54,11 @@ runAndReport(core::SimConfig cfg, const std::string &label)
 static int
 run(int argc, char **argv)
 {
+    if (argc > 2)
+        throw ConfigError("cli", "usage: oltp_server_study [instructions]");
+
     if (argc > 1)
-        g_budget = std::strtoull(argv[1], nullptr, 10);
+        g_budget = core::parseUnsigned("instructions", argv[1]);
 
     core::printHeader(std::cout, "OLTP server study: base system");
     runAndReport(core::makeScaledConfig(core::WorkloadKind::Oltp),

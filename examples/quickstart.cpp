@@ -7,9 +7,7 @@
  * Usage: quickstart [oltp|dss] [instructions]
  */
 
-#include <cstdlib>
 #include <iostream>
-#include <string>
 
 #include "core/config.hpp"
 #include "core/report.hpp"
@@ -22,13 +20,18 @@ run(int argc, char **argv)
 {
     using namespace dbsim;
 
+    if (argc > 3)
+        throw ConfigError("cli",
+                          "usage: quickstart [oltp|dss] [instructions]");
+
     core::WorkloadKind kind = core::WorkloadKind::Oltp;
-    if (argc > 1 && std::string(argv[1]) == "dss")
+    if (argc > 1 && core::parseChoice("workload", argv[1], {"oltp", "dss"}))
         kind = core::WorkloadKind::Dss;
 
     core::SimConfig cfg = core::makeScaledConfig(kind);
     if (argc > 2) {
-        cfg.total_instructions = std::strtoull(argv[2], nullptr, 10);
+        cfg.total_instructions =
+            core::parseUnsigned("instructions", argv[2]);
         cfg.warmup_instructions = cfg.total_instructions / 5;
     }
 

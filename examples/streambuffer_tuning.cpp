@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/config.hpp"
@@ -27,9 +26,12 @@ using namespace dbsim;
 static int
 run(int argc, char **argv)
 {
+    if (argc > 2)
+        throw ConfigError("cli", "usage: streambuffer_tuning [instructions]");
+
     std::uint64_t budget = 1'000'000;
     if (argc > 1)
-        budget = std::strtoull(argv[1], nullptr, 10);
+        budget = core::parseUnsigned("instructions", argv[1]);
 
     core::printHeader(std::cout,
                       "Instruction stream buffer depth sweep (OLTP)");

@@ -1,6 +1,5 @@
 #include "coherence/checker.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "coherence/directory.hpp"
@@ -97,19 +96,6 @@ CoherenceChecker::auditBlock(CoherenceFabric &fabric, Addr block,
             return;
         }
     }
-}
-
-std::vector<Addr>
-CoherenceChecker::violatingBlocks() const
-{
-    std::vector<Addr> blocks;
-    blocks.reserve(violating_blocks_.size());
-    // dbsim-analyze: allow(determinism-unordered-iteration) -- collected
-    // into a vector and sorted immediately below.
-    for (const Addr b : violating_blocks_)
-        blocks.push_back(b);
-    std::sort(blocks.begin(), blocks.end());
-    return blocks;
 }
 
 void

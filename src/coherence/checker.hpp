@@ -37,8 +37,8 @@
 #define DBSIM_COHERENCE_CHECKER_HPP
 
 #include <cstdint>
+#include <set>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -96,13 +96,13 @@ class CoherenceChecker
     /** Violation descriptions (collecting mode; capped at kMaxRecorded). */
     const std::vector<std::string> &violations() const { return violations_; }
 
-    /**
-     * The distinct blocks that have had violations (uncapped), in
-     * ascending address order.  The tracking set is unordered; sorting
-     * here keeps every diagnostic path that renders the block list
-     * bitwise-deterministic (DESIGN.md §5c).
-     */
-    std::vector<Addr> violatingBlocks() const;
+    /** The distinct blocks that have had violations (uncapped), in
+     *  ascending address order. */
+    std::vector<Addr>
+    violatingBlocks() const
+    {
+        return {violating_blocks_.begin(), violating_blocks_.end()};
+    }
 
     static constexpr std::size_t kMaxRecorded = 32;
 
@@ -125,7 +125,7 @@ class CoherenceChecker
         for (const std::string &v : violations_)
             w.str(v);
         w.u64(violating_blocks_.size());
-        for (Addr b : snap::sortedKeys(violating_blocks_))
+        for (Addr b : violating_blocks_)
             w.u64(b);
     }
 
@@ -153,7 +153,7 @@ class CoherenceChecker
     bool panic_on_violation_;
     std::vector<std::pair<Addr, const char *>> pending_;
     std::vector<std::string> violations_;
-    std::unordered_set<Addr> violating_blocks_;
+    std::set<Addr> violating_blocks_;
     CheckerStats stats_;
 };
 

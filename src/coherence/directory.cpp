@@ -60,8 +60,6 @@ std::size_t
 CoherenceFabric::dirCachedEntries() const
 {
     std::size_t n = 0;
-    // dbsim-analyze: allow(determinism-unordered-iteration) -- pure
-    // count; the result is independent of traversal order.
     for (const auto &[block, e] : dir_)
         if (e.owner >= 0 || e.sharers != 0)
             ++n;

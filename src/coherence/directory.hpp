@@ -16,7 +16,7 @@
 #define DBSIM_COHERENCE_DIRECTORY_HPP
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "coherence/migratory.hpp"
@@ -244,8 +244,7 @@ class CoherenceFabric
         }
         mesh_.saveState(w);
         w.u64(dir_.size());
-        for (Addr block : snap::sortedKeys(dir_)) {
-            const DirEntry &e = dir_.at(block);
+        for (const auto &[block, e] : dir_) {
             w.u64(block);
             w.u32(e.sharers);
             w.i32(e.owner);
@@ -320,7 +319,7 @@ class CoherenceFabric
     net::Mesh mesh_;
     std::vector<NodeRes> res_;
     std::vector<CacheSite *> sites_;
-    std::unordered_map<Addr, DirEntry> dir_;
+    std::map<Addr, DirEntry> dir_;
     MigratoryDetector migratory_;
     FabricStats stats_;
     CoherenceChecker *checker_ = nullptr;

@@ -69,9 +69,6 @@ MigratoryDetector::lineConcentration(double frac) const
 {
     std::vector<std::uint64_t> counts;
     counts.reserve(line_write_refs_.size());
-    // dbsim-analyze: allow(determinism-unordered-iteration) --
-    // concentration() sorts the collected counts, so the result is
-    // independent of traversal order.
     for (const auto &[line, n] : line_write_refs_)
         counts.push_back(n);
     return concentration(std::move(counts), frac);
@@ -82,9 +79,6 @@ MigratoryDetector::pcConcentration(double frac) const
 {
     std::vector<std::uint64_t> counts;
     counts.reserve(pc_refs_.size());
-    // dbsim-analyze: allow(determinism-unordered-iteration) --
-    // concentration() sorts the collected counts, so the result is
-    // independent of traversal order.
     for (const auto &[pc, n] : pc_refs_)
         counts.push_back(n);
     return concentration(std::move(counts), frac);

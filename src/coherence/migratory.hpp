@@ -16,8 +16,8 @@
 #define DBSIM_COHERENCE_MIGRATORY_HPP
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "common/snapshot.hpp"
@@ -105,17 +105,17 @@ class MigratoryDetector
     saveState(snap::Writer &w) const
     {
         w.u64(migratory_.size());
-        for (Addr b : snap::sortedKeys(migratory_))
+        for (Addr b : migratory_)
             w.u64(b);
         w.u64(line_write_refs_.size());
-        for (Addr b : snap::sortedKeys(line_write_refs_)) {
+        for (const auto &[b, n] : line_write_refs_) {
             w.u64(b);
-            w.u64(line_write_refs_.at(b));
+            w.u64(n);
         }
         w.u64(pc_refs_.size());
-        for (Addr pc : snap::sortedKeys(pc_refs_)) {
+        for (const auto &[pc, n] : pc_refs_) {
             w.u64(pc);
-            w.u64(pc_refs_.at(pc));
+            w.u64(n);
         }
         w.u64(stats_.shared_writes);
         w.u64(stats_.migratory_writes);
@@ -154,9 +154,9 @@ class MigratoryDetector
     static double concentration(std::vector<std::uint64_t> counts,
                                 double frac);
 
-    std::unordered_set<Addr> migratory_;
-    std::unordered_map<Addr, std::uint64_t> line_write_refs_;
-    std::unordered_map<Addr, std::uint64_t> pc_refs_;
+    std::set<Addr> migratory_;
+    std::map<Addr, std::uint64_t> line_write_refs_;
+    std::map<Addr, std::uint64_t> pc_refs_;
     MigratoryStats stats_;
 };
 

@@ -22,15 +22,13 @@
  *    so restored values are bitwise-identical, not round-tripped
  *    through text;
  *  - strings and containers are a u64 element count followed by the
- *    elements;
- *  - unordered_{map,set} contents are emitted in sorted key order via
- *    sortedKeys(), making the stream independent of hash-table layout.
+ *    elements; keyed containers are std::map / std::set, so their
+ *    elements go out in ascending key order.
  */
 
 #ifndef DBSIM_COMMON_SNAPSHOT_HPP
 #define DBSIM_COMMON_SNAPSHOT_HPP
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
@@ -221,28 +219,6 @@ class Reader
     std::size_t size_;
     std::size_t pos_ = 0;
 };
-
-/**
- * Keys of an associative container in ascending order.  The only
- * sanctioned way to serialize unordered_{map,set} contents: iterate the
- * returned vector and look values up by key, so the byte stream never
- * depends on hash-table layout.
- */
-template <class Map>
-std::vector<typename Map::key_type>
-sortedKeys(const Map &m)
-{
-    std::vector<typename Map::key_type> keys;
-    keys.reserve(m.size());
-    for (auto it = m.begin(); it != m.end(); ++it) {
-        if constexpr (requires { it->first; })
-            keys.push_back(it->first); // map entry
-        else
-            keys.push_back(*it); // set element
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
 
 } // namespace dbsim::snap
 

@@ -14,7 +14,7 @@
 #define DBSIM_MEMORY_PAGE_MAP_HPP
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "common/snapshot.hpp"
@@ -57,8 +57,7 @@ class PageMap
     {
         w.u64(next_seq_);
         w.u64(map_.size());
-        for (Addr vpage : snap::sortedKeys(map_)) {
-            const Phys &ph = map_.at(vpage);
+        for (const auto &[vpage, ph] : map_) {
             w.u64(vpage);
             w.u64(ph.ppage);
             w.u32(ph.home);
@@ -99,7 +98,7 @@ class PageMap
     std::uint32_t num_bins_;
     std::uint32_t num_nodes_;
     std::uint64_t next_seq_ = 0;
-    std::unordered_map<Addr, Phys> map_; ///< vpage -> physical page info
+    std::map<Addr, Phys> map_; ///< vpage -> physical page info
     std::vector<std::uint32_t> home_by_ppage_; ///< indexed by ppage seq
 };
 

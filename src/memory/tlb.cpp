@@ -34,12 +34,10 @@ Tlb::touch(Addr vaddr, bool &hit)
     hit = false;
     ++stats_.misses;
     if (map_.size() >= entries_) {
-        // Evict true-LRU entry.  Use stamps are unique, so the minimum
-        // (the victim) is the same whatever order the scan visits.
-        // dbsim-analyze: allow(determinism-unordered-iteration)
+        // Evict the true-LRU entry: use stamps are unique, so the
+        // minimum stamp names one victim.
         auto victim = map_.begin();
         std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-        // dbsim-analyze: allow(determinism-unordered-iteration)
         for (auto jt = map_.begin(); jt != map_.end(); ++jt) {
             if (jt->second.stamp < oldest) {
                 oldest = jt->second.stamp;

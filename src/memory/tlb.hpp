@@ -12,7 +12,7 @@
 #define DBSIM_MEMORY_TLB_HPP
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
@@ -83,9 +83,9 @@ class Tlb
     {
         w.u64(stamp_);
         w.u64(map_.size());
-        for (Addr vpage : snap::sortedKeys(map_)) {
+        for (const auto &[vpage, e] : map_) {
             w.u64(vpage);
-            w.u64(map_.at(vpage).stamp);
+            w.u64(e.stamp);
         }
         w.u64(stats_.accesses);
         w.u64(stats_.misses);
@@ -121,7 +121,7 @@ class Tlb
     Addr page_mask_;
     std::uint64_t stamp_ = 0;
     /** vpage -> entry; size bounded by entries_. */
-    std::unordered_map<Addr, Entry> map_;
+    std::map<Addr, Entry> map_;
     TlbStats stats_;
 };
 

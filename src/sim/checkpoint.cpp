@@ -145,11 +145,11 @@ System::serializeState(snap::Writer &w) const
     w.u64(wd_last_retired_);
     w.u64(wd_last_progress_);
 
-    // Simulated-environment lock table, sorted for byte stability.
+    // Simulated-environment lock table, in lock address order.
     w.u64(lock_holder_.size());
-    for (Addr addr : snap::sortedKeys(lock_holder_)) {
+    for (const auto &[addr, proc] : lock_holder_) {
         w.u64(addr);
-        w.u32(lock_holder_.at(addr));
+        w.u32(proc);
     }
 
     // Per-CPU scheduling glue.

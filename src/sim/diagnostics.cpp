@@ -169,9 +169,8 @@ machineStateDump(const System &sys)
        << fabric.stats().invalidations_sent << " invalidations, "
        << fabric.stats().writebacks << " writebacks\n";
 
-    // Lock table and checker state are rendered from sorted snapshots:
-    // both live in unordered containers, and a crash dump must be
-    // bitwise-identical across runs (DESIGN.md §5c).
+    // Lock table and checker blocks come out in address order, so a
+    // crash dump is bitwise-identical across runs (DESIGN.md §5c).
     const auto locks = sys.heldLocks();
     os << "  locks: " << locks.size() << " held";
     constexpr std::size_t kMaxLocksShown = 16;

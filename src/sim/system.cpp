@@ -275,19 +275,6 @@ System::lockRelease(Addr addr, ProcId proc)
         lock_holder_.erase(it);
 }
 
-std::vector<std::pair<Addr, ProcId>>
-System::heldLocks() const
-{
-    std::vector<std::pair<Addr, ProcId>> locks;
-    locks.reserve(lock_holder_.size());
-    // dbsim-analyze: allow(determinism-unordered-iteration) -- collected
-    // into a vector and sorted immediately below.
-    for (const auto &[addr, proc] : lock_holder_)
-        locks.emplace_back(addr, proc);
-    std::sort(locks.begin(), locks.end());
-    return locks;
-}
-
 // ---------------------------------------------------------------------
 // CoreEnvIf: scheduling notifications
 // ---------------------------------------------------------------------

@@ -10,9 +10,9 @@
 #define DBSIM_SIM_SYSTEM_HPP
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "coherence/checker.hpp"
@@ -150,13 +150,13 @@ class System : public cpu::CoreEnvIf
     /** The coherence invariant checker, if enabled (else nullptr). */
     const coher::CoherenceChecker *checker() const { return checker_.get(); }
 
-    /**
-     * Snapshot of the simulated-environment lock table, sorted by lock
-     * address.  The table itself is an unordered map; diagnostics
-     * (machineStateDump) render this sorted view so crash dumps stay
-     * bitwise-deterministic (DESIGN.md §5c).
-     */
-    std::vector<std::pair<Addr, ProcId>> heldLocks() const;
+    /** Snapshot of the simulated-environment lock table, in lock
+     *  address order. */
+    std::vector<std::pair<Addr, ProcId>>
+    heldLocks() const
+    {
+        return {lock_holder_.begin(), lock_holder_.end()};
+    }
 
     /** Total instructions retired since construction (incl. warmup). */
     std::uint64_t totalRetired() const;
@@ -271,7 +271,7 @@ class System : public cpu::CoreEnvIf
     std::vector<std::unique_ptr<cpu::ProcessContext>> procs_;
     std::vector<std::unique_ptr<trace::TraceSource>> sources_;
     std::vector<CpuId> proc_cpu_;
-    std::unordered_map<Addr, ProcId> lock_holder_;
+    std::map<Addr, ProcId> lock_holder_;
     Cycles now_ = 0;
     std::uint64_t retired_before_reset_ = 0;
     Cycles window_start_ = 0;

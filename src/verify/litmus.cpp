@@ -1,7 +1,7 @@
 #include "verify/litmus.hpp"
 
+#include <set>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/log.hpp"
 
@@ -216,7 +216,7 @@ class LitmusExec
     cpu::ConsistencyPolicy policy_;
     const ProtocolMutator *mut_;
     LitmusResult res_;
-    std::unordered_set<std::string> memo_;
+    std::set<std::string> memo_;
 };
 
 } // namespace

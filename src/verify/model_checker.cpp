@@ -1,10 +1,10 @@
 #include "verify/model_checker.hpp"
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "coherence/checker.hpp"
 #include "common/log.hpp"
@@ -110,7 +110,7 @@ class Machine
     stateKey() const
     {
         std::ostringstream os;
-        std::unordered_map<std::uint64_t, std::uint64_t> relabel;
+        std::map<std::uint64_t, std::uint64_t> relabel;
         auto canon = [&](std::uint64_t v) {
             auto [it, fresh] = relabel.try_emplace(v, relabel.size());
             (void)fresh;
@@ -506,7 +506,7 @@ ModelChecker::check()
     McResult res;
     res.config = cfg_.name;
 
-    std::unordered_set<std::string> seen;
+    std::set<std::string> seen;
     std::vector<std::uint32_t> path; // schedule: node index per step
     bool stop = false;
 

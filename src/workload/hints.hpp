@@ -18,8 +18,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.hpp"
@@ -36,7 +36,7 @@ struct HintOptions
     std::uint32_t line_bytes = 64;
     /** Only sections on these lock addresses are transformed; empty
      *  means every critical section. */
-    std::unordered_set<Addr> hot_locks;
+    std::set<Addr> hot_locks;
     /** Safety cap on buffered section length. */
     std::uint32_t max_section = 512;
 };

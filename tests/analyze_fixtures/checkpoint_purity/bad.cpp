@@ -1,8 +1,7 @@
 // Seeded violations: a serialization body that writes host pointer
-// bits, a wall-clock value, and an unordered container in hash order.
+// bits and a wall-clock value.
 #include <chrono>
 #include <cstdint>
-#include <unordered_map>
 
 struct Writer
 {
@@ -18,10 +17,5 @@ class Table
         w.u64(reinterpret_cast<std::uintptr_t>(this));
         w.u64(static_cast<std::uint64_t>(
             std::chrono::steady_clock::now().time_since_epoch().count()));
-        for (const auto &kv : table_)
-            w.u64(kv.first + kv.second);
     }
-
-  private:
-    std::unordered_map<std::uint64_t, std::uint64_t> table_;
 };

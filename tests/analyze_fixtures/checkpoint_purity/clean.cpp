@@ -1,25 +1,12 @@
 // Clean twin: the same serialization shape, but pointers and clocks
-// stay out and the unordered container goes through sortedKeys().
-#include <algorithm>
+// stay out and the keyed container iterates in key order.
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
+#include <map>
 
 struct Writer
 {
     void u64(std::uint64_t);
 };
-
-template <typename Map>
-std::vector<std::uint64_t>
-sortedKeys(const Map &m)
-{
-    std::vector<std::uint64_t> keys;
-    for (auto it = m.begin(); it != m.end(); ++it)
-        keys.push_back(it->first);
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
 
 class Table
 {
@@ -27,11 +14,11 @@ class Table
     void
     saveState(Writer &w) const
     {
-        w.u64(sorted_table_.size());
-        for (const std::uint64_t key : sortedKeys(sorted_table_))
-            w.u64(key + sorted_table_.at(key));
+        w.u64(table_.size());
+        for (const auto &[key, value] : table_)
+            w.u64(key + value);
     }
 
   private:
-    std::unordered_map<std::uint64_t, std::uint64_t> sorted_table_;
+    std::map<std::uint64_t, std::uint64_t> table_;
 };

@@ -1,5 +1,5 @@
-// Seeded violation: range-for over an unordered container feeding an
-// output stream.
+// Seeded violation: a hash container, whose iteration order is
+// unspecified, feeding an output stream.
 #include <ostream>
 #include <unordered_map>
 

@@ -35,22 +35,24 @@ class Check(unittest.TestCase):
         for w in bh.WORKLOADS:
             self.write_result(w, counts(w))
 
-    def write_history(self, generations):
-        entries = [{"workload": w, "exact": exact}
+    def write_history(self, generations, source="aaaa"):
+        entries = [{"workload": w, "exact": exact, "source_sha256": source,
+                    "commit": "c0ffee"}
                    for gen in generations for w, exact in gen.items()]
         self.history.write_text(json.dumps(
             {"schema": bh.SCHEMA, "entries": entries}))
 
-    def write_result(self, workload, exact):
+    def write_result(self, workload, exact, source="aaaa"):
         layers = {k: {"value": v, "unit": "count"} for k, v in exact.items()}
         (self.results / f"{workload}-seed{bh.SEED}-trace1.json").write_text(
-            json.dumps({"report": {"layers": layers}}))
+            json.dumps({"report": {"layers": layers},
+                        "provenance": {"source_sha256": source}}))
 
     def run_check(self):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
             code = bh.check(self.results, self.history)
+        self.stdout = out.getvalue()
         return code, err.getvalue()
 
     def test_equal_counts_pass(self):
@@ -65,6 +67,18 @@ class Check(unittest.TestCase):
         self.assertEqual(err.count("\n"), 1)
         self.assertIn("oltp-1n: cpu.ticks_per_instr", err)
         self.assertIn(str(changed["cpu.ticks_per_instr"]), err)
+
+    def test_names_the_source_each_entry_measured(self):
+        self.assertEqual(self.run_check(), (0, ""))
+        self.assertIn("oltp-4n: the last entry (c0ffee) measured source "
+                      "aaaa, the same as the traced run's aaaa", self.stdout)
+        # Another source with equal counts: named, and still exit 0.
+        self.write_result("dss-4n", counts("dss-4n"), source="bbbb")
+        self.assertEqual(self.run_check(), (0, ""))
+        self.assertIn("dss-4n: the last entry (c0ffee) measured source "
+                      "aaaa, not the traced run's bbbb", self.stdout)
+        self.assertIn("oltp-1n: the last entry (c0ffee) measured source "
+                      "aaaa, the same as", self.stdout)
 
     def test_missing_results_file_fails_with_a_message(self):
         (self.results / f"dss-4n-seed{bh.SEED}-trace1.json").unlink()

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "bench_util.hpp"
 #include "common/errors.hpp"
 #include "common/log.hpp"
+#include "core/cli_guard.hpp"
 #include "core/json_writer.hpp"
 #include "core/sweep.hpp"
 #include "cpu/inorder_core.hpp"
@@ -570,6 +572,40 @@ TEST(BenchArgs, RejectsBadValues)
     EXPECT_THROW(parse({"--on-failure", "maybe"}), ConfigError);
     EXPECT_THROW(parse({"--json"}), ConfigError); // missing value
     EXPECT_THROW(parse({"--unii"}), ConfigError);  // not a flag of the bench
+}
+
+TEST(CliArgs, ParseUnsignedTakesDigitsOnly)
+{
+    EXPECT_EQ(parseUnsigned("--seed", "0"), 0u);
+    EXPECT_EQ(parseUnsigned("--seed", "18446744073709551615"),
+              18446744073709551615ull);
+    EXPECT_EQ(parseUnsigned<std::uint32_t>("--jobs", "8", 1), 8u);
+    for (const char *bad : {"", "8x", "-1", "+3", " 3", "0x10",
+                            "18446744073709551616"})
+        EXPECT_THROW(parseUnsigned("--seed", bad), ConfigError) << bad;
+    EXPECT_THROW(parseUnsigned<std::uint32_t>("--jobs", "4294967296"),
+                 ConfigError);
+    EXPECT_THROW(parseUnsigned<std::uint32_t>("--jobs", "0", 1),
+                 ConfigError);
+    EXPECT_THROW(parseUnsigned<std::uint32_t>("--max-nodes", "33", 1, 32),
+                 ConfigError);
+    try {
+        parseUnsigned<std::uint32_t>("--jobs", "-1", 1);
+        FAIL() << "--jobs -1 was accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.field(), "cli.jobs");
+        EXPECT_NE(std::string(e.what()).find("\"-1\""), std::string::npos);
+    }
+}
+
+TEST(CliArgs, ParseChoiceTakesOnlyItsWords)
+{
+    EXPECT_EQ(parseChoice("model", "sc", {"sc", "pc", "rc"}), 0u);
+    EXPECT_EQ(parseChoice("model", "rc", {"sc", "pc", "rc"}), 2u);
+    for (const char *bad : {"", "xc", "SC", "rc "})
+        EXPECT_THROW(parseChoice("model", bad, {"sc", "pc", "rc"}),
+                     ConfigError)
+            << bad;
 }
 
 TEST(BenchHarness, UnwritableReportYieldsExitOne)

@@ -61,28 +61,6 @@ scanRoot(const std::string &root, std::vector<SourceFile> &out,
     return true;
 }
 
-/// Advance `i` past a balanced <...> run; `i` points at the opening '<'
-/// on entry and one past the matching '>' on exit.  ">>" closes two.
-void
-skipAngles(const std::vector<Token> &t, std::size_t &i)
-{
-    int depth = 0;
-    for (; i < t.size(); ++i) {
-        if (t[i].kind != Tok::Punct)
-            continue;
-        if (t[i].text == "<")
-            ++depth;
-        else if (t[i].text == ">")
-            --depth;
-        else if (t[i].text == ">>")
-            depth -= 2;
-        if (depth <= 0) {
-            ++i;
-            return;
-        }
-    }
-}
-
 /// Advance `i` past a balanced {...} run; `i` points at '{' on entry.
 void
 skipBraces(const std::vector<Token> &t, std::size_t &i)
@@ -96,41 +74,6 @@ skipBraces(const std::vector<Token> &t, std::size_t &i)
         else if (t[i].text == "}" && --depth == 0) {
             ++i;
             return;
-        }
-    }
-}
-
-void
-indexUnorderedVars(const SourceFile &f, std::set<std::string> &vars)
-{
-    const std::vector<Token> &t = f.tokens;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (t[i].kind != Tok::Ident ||
-            (t[i].text != "unordered_map" && t[i].text != "unordered_set" &&
-             t[i].text != "unordered_multimap" &&
-             t[i].text != "unordered_multiset"))
-            continue;
-        std::size_t j = i + 1;
-        if (j >= t.size() || t[j].text != "<")
-            continue;
-        skipAngles(t, j);
-        // Skip declarator decorations, then take the declared name --
-        // but only when it really is a variable (next token ends the
-        // declarator), not a function return type or using-alias RHS.
-        while (j < t.size() && t[j].kind == Tok::Punct &&
-               (t[j].text == "&" || t[j].text == "*" ||
-                t[j].text == "const"))
-            ++j;
-        if (j < t.size() && t[j].text == "const")
-            ++j;
-        if (j >= t.size() || t[j].kind != Tok::Ident)
-            continue;
-        const std::string &name = t[j].text;
-        if (j + 1 < t.size()) {
-            const std::string &nx = t[j + 1].text;
-            if (nx == ";" || nx == "=" || nx == "{" || nx == "," ||
-                nx == ")")
-                vars.insert(name);
         }
     }
 }
@@ -416,7 +359,6 @@ buildCorpus(const std::string &corpus_root,
         indexIntAliases(f, out.int_aliases);
 
     for (const SourceFile &f : out.files) {
-        indexUnorderedVars(f, out.unordered_vars);
         indexStatsStructs(f, out.int_aliases, out.stats_structs);
         indexEnums(f, out.enums);
     }

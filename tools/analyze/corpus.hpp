@@ -2,8 +2,7 @@
  * @file
  * Corpus model for dbsim-analyze: the scanned file set, the include
  * graph resolved within it, and the cross-file declaration indexes the
- * rule passes consult (unordered-container variables, *Stats counter
- * structs, enum definitions).
+ * rule passes consult (*Stats counter structs, enum definitions).
  */
 
 #ifndef DBSIM_TOOLS_ANALYZE_CORPUS_HPP
@@ -37,10 +36,6 @@ struct Corpus
         int line; ///< line of the #include in `from`
     };
     std::vector<Edge> edges;
-
-    /// Names of variables/members declared with an unordered container
-    /// type anywhere in the corpus (iteration-order hazard roots).
-    std::set<std::string> unordered_vars;
 
     /// Type aliases that resolve to integral types (`using Cycles =
     /// std::uint64_t;`), derived from the corpus itself so alias-typed

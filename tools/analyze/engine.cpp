@@ -26,7 +26,7 @@ families()
 {
     static const std::vector<Family> kFamilies = {
         {runDeterminismRules,
-         {kRuleUnorderedIter, kRuleWallclock, kRuleRand,
+         {kRuleUnorderedContainer, kRuleWallclock, kRuleRand,
           kRulePointerFormat}},
         {runAccountingRules,
          {kRuleCounterCoverage, kRuleSwitchExhaustive}},
@@ -106,9 +106,10 @@ const std::vector<RuleInfo> &
 ruleCatalog()
 {
     static const std::vector<RuleInfo> kCatalog = {
-        {kRuleUnorderedIter, "determinism",
-         "Unordered-container iteration must not feed output paths; "
-         "sort a snapshot first (DESIGN.md §5c)."},
+        {kRuleUnorderedContainer, "determinism",
+         "No std::unordered_* containers: their iteration order is "
+         "unspecified; std::map / std::set iterate in key order "
+         "(DESIGN.md §5c)."},
         {kRuleWallclock, "determinism",
          "Host-clock reads are confined to annotated host-timing code "
          "and never feed simulated state or statistics."},
@@ -145,7 +146,7 @@ ruleCatalog()
         {kRuleCheckpointPurity, "checkpoint",
          "Serialization bodies (saveState/serializeState/stateHash/...) "
          "must stay byte-stable: no host pointer bits, no wall-clock "
-         "values, no unsorted unordered_* iteration (DESIGN.md §5g)."},
+         "values (DESIGN.md §5g)."},
     };
     return kCatalog;
 }

@@ -29,7 +29,7 @@ struct RawFinding
 };
 
 // Rule ids (shared between passes, engine, and tests).
-inline constexpr char kRuleUnorderedIter[] = "determinism-unordered-iteration";
+inline constexpr char kRuleUnorderedContainer[] = "determinism-unordered-container";
 inline constexpr char kRuleWallclock[] = "determinism-wallclock";
 inline constexpr char kRuleRand[] = "determinism-rand";
 inline constexpr char kRulePointerFormat[] = "determinism-pointer-format";

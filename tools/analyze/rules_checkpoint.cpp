@@ -15,10 +15,11 @@
  *   - reinterpret_cast: host pointer bits written into the stream
  *     (addresses vary run to run under ASLR);
  *   - host-clock reads (steady_clock, gettimeofday, ...): wall-clock
- *     values serialized into supposedly replayable state;
- *   - iteration over an unordered container that does not go through
- *     snap::sortedKeys(): hash-map order differs across processes, so
- *     the same machine state would serialize to different bytes.
+ *     values serialized into supposedly replayable state.
+ *
+ * Container order needs no check here: determinism-unordered-container
+ * keeps hash containers out of src/, so every keyed container
+ * serializes in key order.
  */
 
 #include <set>
@@ -107,7 +108,7 @@ matchSerializerDefinition(const std::vector<Token> &t, std::size_t i,
 }
 
 void
-checkBody(const Corpus &c, const SourceFile &f, const std::string &fn,
+checkBody(const SourceFile &f, const std::string &fn,
           std::size_t begin, std::size_t end,
           std::vector<RawFinding> &out)
 {
@@ -136,66 +137,6 @@ checkBody(const Corpus &c, const SourceFile &f, const std::string &fn,
                      "(): wall-clock values must never enter "
                      "serialized state (they differ on every run)",
                  0});
-            continue;
-        }
-
-        // Range-for over an unordered container: only sanctioned when
-        // the range expression routes through snap::sortedKeys().
-        if (t[i].text == "for" && i + 1 < end && isPunct(t[i + 1], "(")) {
-            int depth = 0;
-            std::size_t colon = 0, close = 0;
-            for (std::size_t j = i + 1; j < end; ++j) {
-                if (t[j].kind != Tok::Punct)
-                    continue;
-                if (t[j].text == "(")
-                    ++depth;
-                else if (t[j].text == ")" && --depth == 0) {
-                    close = j;
-                    break;
-                } else if (t[j].text == ":" && depth == 1 && colon == 0)
-                    colon = j;
-                else if (t[j].text == ";" && depth == 1) {
-                    colon = 0;
-                    break;
-                }
-            }
-            if (!colon || !close)
-                continue;
-            bool sanctioned = false;
-            for (std::size_t j = colon + 1; j < close; ++j)
-                if (t[j].kind == Tok::Ident && t[j].text == "sortedKeys")
-                    sanctioned = true;
-            for (std::size_t j = colon + 1; !sanctioned && j < close;
-                 ++j) {
-                if (t[j].kind == Tok::Ident &&
-                    c.unordered_vars.count(t[j].text)) {
-                    out.push_back(
-                        {kRuleCheckpointPurity, f.rel, t[i].line,
-                         "unsorted iteration over unordered container "
-                         "'" +
-                             t[j].text + "' inside " + fn +
-                             "(): hash-map order differs across "
-                             "processes; serialize through "
-                             "snap::sortedKeys()",
-                         0});
-                    break;
-                }
-            }
-            continue;
-        }
-
-        // Explicit iterator walk over an unordered container.
-        if (c.unordered_vars.count(t[i].text) && i + 2 < end &&
-            (isPunct(t[i + 1], ".") || isPunct(t[i + 1], "->")) &&
-            t[i + 2].kind == Tok::Ident &&
-            (t[i + 2].text == "begin" || t[i + 2].text == "cbegin")) {
-            out.push_back(
-                {kRuleCheckpointPurity, f.rel, t[i].line,
-                 "unsorted iteration over unordered container '" +
-                     t[i].text + "' inside " + fn +
-                     "(): hash-map order differs across processes; "
-                     "serialize through snap::sortedKeys()",
-                 0});
         }
     }
 }
@@ -210,7 +151,7 @@ runCheckpointRules(const Corpus &c, std::vector<RawFinding> &out)
         for (std::size_t i = 0; i < t.size(); ++i) {
             std::size_t begin = 0, end = 0;
             if (matchSerializerDefinition(t, i, begin, end)) {
-                checkBody(c, f, t[i].text, begin, end, out);
+                checkBody(f, t[i].text, begin, end, out);
                 i = begin; // bodies never nest serializer definitions
             }
         }

@@ -34,7 +34,10 @@ compares every exact count of each workload's traced seed-1 run with the
 last history entry for that workload, and exits 1 naming each field that
 differs (or a missing result or entry).  The counts do not depend on the
 host or on --seconds, so a change that alters the simulator's work on
-purpose appends its measured entry in the same change.
+purpose appends its measured entry in the same change.  It also prints
+whether that entry was measured on the source of the traced run (the
+source_sha256 simbench recorded for each); the exit code does not
+depend on it.
 """
 
 import argparse
@@ -112,7 +115,8 @@ def entry(results, workload, label, commit):
 
 def check(results, history_path):
     """Print one line per exact count of a traced seed-1 run in @results
-    that differs from the last entry for its workload in @history_path;
+    that differs from the last entry for its workload in @history_path,
+    and one line per workload naming the source that entry measured;
     return the exit code (0 when every workload matches)."""
     entries = load_history(history_path)["entries"]
     problems = []
@@ -126,9 +130,17 @@ def check(results, history_path):
         if not recorded:
             problems.append(f"{w}: no entry in {history_path}")
             continue
-        layers = json.loads(path.read_text())["report"]["layers"]
+        traced = json.loads(path.read_text())
+        last = recorded[-1]
+        source = traced.get("provenance", {}).get("source_sha256")
+        same = "the same as" if source == last.get("source_sha256") else \
+            "not"
+        print(f"bench_history: {w}: the last entry ({last.get('commit')}) "
+              f"measured source {last.get('source_sha256')}, {same} the "
+              f"traced run's {source}")
+        layers = traced["report"]["layers"]
         for k in EXACT:
-            want = recorded[-1]["exact"][k]
+            want = last["exact"][k]
             got = layers.get(k, {}).get("value")
             if got != want:
                 problems.append(f"{w}: {k} recorded {want}, measured {got}")

@@ -53,6 +53,7 @@
 
 #include "common/errors.hpp"
 #include "common/mutator.hpp"
+#include "core/cli_guard.hpp"
 #include "core/config.hpp"
 #include "core/simulation.hpp"
 #include "sim/diagnostics.hpp"
@@ -95,13 +96,9 @@ parseBugName(const std::string &name)
 core::WorkloadKind
 parseWorkloadName(const std::string &name)
 {
-    if (name == "oltp")
-        return core::WorkloadKind::Oltp;
-    if (name == "dss")
-        return core::WorkloadKind::Dss;
-    throw ConfigError("cli.workload",
-                      "--workload wants oltp or dss, got \"" + name +
-                          "\"");
+    return core::parseChoice("--workload", name, {"oltp", "dss"})
+               ? core::WorkloadKind::Dss
+               : core::WorkloadKind::Oltp;
 }
 
 /**
@@ -333,19 +330,17 @@ main(int argc, char **argv)
             else if (arg == "--b-workload")
                 b_workload = value();
             else if (arg == "--nodes")
-                nodes = static_cast<std::uint32_t>(
-                    std::stoul(value()));
+                nodes = core::parseUnsigned<std::uint32_t>(arg, value(), 1);
             else if (arg == "--b-nodes")
-                b_nodes = static_cast<std::uint32_t>(
-                    std::stoul(value()));
+                b_nodes = core::parseUnsigned<std::uint32_t>(arg, value());
             else if (arg == "--a-bug")
                 a_bug = value();
             else if (arg == "--b-bug")
                 b_bug = value();
             else if (arg == "--instructions")
-                instructions = std::stoull(value());
+                instructions = core::parseUnsigned(arg, value());
             else if (arg == "--epoch-interval")
-                epoch_interval = std::stoull(value());
+                epoch_interval = core::parseUnsigned<Cycles>(arg, value(), 1);
             else if (arg == "--dump-prefix")
                 dump_prefix = value();
             else if (arg == "--self-check")
@@ -353,9 +348,6 @@ main(int argc, char **argv)
             else
                 throw ConfigError("cli", "unknown flag " + arg);
         }
-        if (epoch_interval == 0)
-            throw ConfigError("cli.epoch-interval",
-                              "--epoch-interval must be nonzero");
 
         if (self_check)
             return selfCheck();

@@ -30,6 +30,7 @@
 #include <string>
 
 #include "common/errors.hpp"
+#include "core/cli_guard.hpp"
 #include "verify/fuzzer.hpp"
 
 namespace {
@@ -59,6 +60,7 @@ main(int argc, char **argv)
 {
     using namespace dbsim;
     using namespace dbsim::verify;
+    using core::parseUnsigned;
 
 #ifdef _WIN32
     _putenv("DBSIM_CHECK=");
@@ -81,13 +83,11 @@ main(int argc, char **argv)
                 return argv[++i];
             };
             if (arg == "--seed")
-                opts.seed = std::stoull(value());
+                opts.seed = parseUnsigned(arg, value());
             else if (arg == "--count")
-                opts.count =
-                    static_cast<std::uint32_t>(std::stoul(value()));
+                opts.count = parseUnsigned<std::uint32_t>(arg, value());
             else if (arg == "--jobs")
-                opts.jobs =
-                    static_cast<std::uint32_t>(std::stoul(value()));
+                opts.jobs = parseUnsigned<std::uint32_t>(arg, value(), 1);
             else if (arg == "--json")
                 json_path = value();
             else if (arg == "--repro-dir")
@@ -96,11 +96,11 @@ main(int argc, char **argv)
                 opts.scratch_dir = value();
             else if (arg == "--max-nodes")
                 opts.space.max_nodes =
-                    static_cast<std::uint32_t>(std::stoul(value()));
+                    parseUnsigned<std::uint32_t>(arg, value(), 1, 32);
             else if (arg == "--min-instructions")
-                opts.space.min_instructions = std::stoull(value());
+                opts.space.min_instructions = parseUnsigned(arg, value());
             else if (arg == "--max-instructions")
-                opts.space.max_instructions = std::stoull(value());
+                opts.space.max_instructions = parseUnsigned(arg, value());
             else if (arg == "--no-shrink")
                 opts.shrink = false;
             else if (arg == "--no-conservation")
@@ -122,7 +122,7 @@ main(int argc, char **argv)
                     throw ConfigError("cli.inject-fault",
                                       "unknown fault name " + name);
             } else if (arg == "--corrupt-checkpoint")
-                opts.corrupt_checkpoint_offset = std::stoull(value());
+                opts.corrupt_checkpoint_offset = parseUnsigned(arg, value());
             else if (arg == "--replay")
                 replay_path = value();
             else if (arg == "--self-check")
