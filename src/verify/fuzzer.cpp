@@ -795,12 +795,21 @@ parseRepro(const std::string &json, ReproFile *out, std::string *err)
     std::uint64_t v = 0;
     if (!num("config_seed", &r.config_seed))
         return bad("missing config_seed");
-    if (num("space.max_nodes", &v))
+    if (num("space.max_nodes", &v)) {
+        // The node-count draw doubles up to max_nodes: an unbounded
+        // value would wrap its loop counter and never end.
+        if (v < 1 || v > 32)
+            return bad("space.max_nodes " + std::to_string(v) +
+                       " is outside [1, 32]");
         r.space.max_nodes = static_cast<std::uint32_t>(v);
+    }
     if (num("space.min_instructions", &v))
         r.space.min_instructions = v;
     if (num("space.max_instructions", &v))
         r.space.max_instructions = v;
+    if (r.space.min_instructions > r.space.max_instructions)
+        return bad("space.min_instructions exceeds "
+                   "space.max_instructions");
     num("corrupt_checkpoint_offset", &r.corrupt_checkpoint_offset);
     for (const auto &[path, value] : mj.nums) {
         if (path.rfind("overrides.", 0) == 0)

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Tests of tools/bench_history.py's check: a traced simbench run's exact
-counts against the last history entry of each workload."""
+"""Tests of tools/bench_history.py: the check of a traced simbench run's
+exact counts against the last history entry of each workload, and the
+append of a measured entry per workload."""
 
 import contextlib
 import io
 import json
+import shutil
 import sys
 import tempfile
 import unittest
 from pathlib import Path
+from unittest import mock
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -93,6 +96,63 @@ class Check(unittest.TestCase):
         code, err = self.run_check()
         self.assertEqual(code, 1)
         self.assertIn("oltp-4n: no entry", err)
+
+
+class Append(unittest.TestCase):
+    def setUp(self):
+        tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(tmp.cleanup)
+        self.results = Path(tmp.name) / "results"
+        self.results.mkdir()
+        # main() appends to bh.HISTORY: point it at a scratch copy.
+        self.history = Path(tmp.name) / "history.json"
+        shutil.copy(bh.HISTORY, self.history)
+        patch = mock.patch.object(bh, "HISTORY", self.history)
+        patch.start()
+        self.addCleanup(patch.stop)
+        prov = {"git_commit": "parent", "source_sha256": "dddd",
+                "cpu": "cpu", "nproc": 4, "compiler": "c++",
+                "build_type": "Release"}
+        # 2M instructions in 0.5 s at the unloaded reference time.
+        sample = {"retired": 2_000_000, "run_s": 0.5, "setup_s": 0.1,
+                  "ref_s": bh.simbench.REFERENCE_S}
+        for w in bh.WORKLOADS:
+            untraced = {"report": {"samples": [sample] * 3,
+                                   "setup_only_s": [], "peak_rss_mb": 50.0},
+                        "result": {"failed": 0}, "provenance": prov}
+            layers = {k: {"value": v} for k, v in counts(w).items()}
+            traced = {"report": {"layers": layers}, "provenance": prov}
+            for trace, doc in ((0, untraced), (1, traced)):
+                (self.results / f"{w}-seed{bh.SEED}-trace{trace}.json"
+                 ).write_text(json.dumps(doc))
+
+    def run_main(self, *args):
+        argv = ["bench_history.py", "--results", str(self.results), *args]
+        with mock.patch.object(sys, "argv", argv), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            bh.main()
+
+    def test_appends_one_entry_per_workload(self):
+        before = json.loads(self.history.read_text())["entries"]
+        self.run_main("--label", "what changed", "--commit", "c0ffee")
+        after = json.loads(self.history.read_text())["entries"]
+        self.assertEqual(after[:len(before)], before)
+        added = after[len(before):]
+        self.assertEqual([e["workload"] for e in added], list(bh.WORKLOADS))
+        for e in added:
+            self.assertEqual(e["exact"], counts(e["workload"]))
+            self.assertEqual(e["commit"], "c0ffee")
+            self.assertEqual(e["source_sha256"], "dddd")
+            self.assertEqual(e["label"], "what changed")
+            self.assertEqual(e["sim_mips"]["median"], 4.0)
+
+    def test_refuses_to_append_without_a_label(self):
+        before = self.history.read_bytes()
+        with self.assertRaises(SystemExit) as refused:
+            self.run_main("--commit", "c0ffee")
+        self.assertEqual(refused.exception.code, 2)
+        self.assertEqual(self.history.read_bytes(), before)
 
 
 if __name__ == "__main__":

@@ -417,6 +417,30 @@ TEST(Repro, ParserRejectsGarbage)
         << "config_seed is mandatory";
 }
 
+TEST(Repro, ParserRejectsASpaceOutsideItsBounds)
+{
+    // Parsed only, never replayed: a max_nodes of 2^31 would hang
+    // randomSimConfig's node-count draw.
+    ReproFile rf;
+    rf.oracle = OracleKind::Conservation;
+    ReproFile back;
+    std::string err;
+    for (const std::uint32_t nodes : {0u, 33u, 1u << 31}) {
+        rf.space.max_nodes = nodes;
+        EXPECT_FALSE(parseRepro(renderRepro(rf), &back, &err)) << nodes;
+        EXPECT_NE(err.find("space.max_nodes " + std::to_string(nodes) +
+                           " is outside [1, 32]"),
+                  std::string::npos)
+            << err;
+    }
+    rf.space.max_nodes = 32;
+    ASSERT_TRUE(parseRepro(renderRepro(rf), &back, &err)) << err;
+    rf.space.min_instructions = rf.space.max_instructions + 1;
+    EXPECT_FALSE(parseRepro(renderRepro(rf), &back, &err));
+    EXPECT_NE(err.find("min_instructions exceeds"), std::string::npos)
+        << err;
+}
+
 TEST(Shrink, SeededFaultShrinksTowardMinimalConfig)
 {
     // CounterSkew fires regardless of machine shape, so the shrinker

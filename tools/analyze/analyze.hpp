@@ -9,9 +9,9 @@
  *
  * Findings can be suppressed inline with
  *     // dbsim-analyze: allow(<rule>[, <rule>...]) -- reason
- * on the offending line or on a comment line directly above it, or
- * grandfathered via a committed baseline file.  An allow() naming an
- * unknown rule, or a mark of any other kind, fails the run.
+ * on the offending line or on a comment line directly above it.  An
+ * allow() naming an unknown rule, or a mark of any other kind, fails
+ * the run.
  */
 
 #ifndef DBSIM_TOOLS_ANALYZE_ANALYZE_HPP
@@ -54,20 +54,14 @@ struct Options
     std::vector<std::string> usage_roots;
     /// Rule ids to run; empty = all.
     std::vector<std::string> rules;
-    /// Baseline file of grandfathered findings ("" = none).
-    std::string baseline_path;
-    /// Rewrite the baseline with the surviving findings instead of
-    /// reporting them.
-    bool write_baseline = false;
 };
 
 struct Result
 {
-    /// Surviving findings: not suppressed inline, not in the baseline.
-    /// Sorted by (file, line, rule, message).
+    /// Findings not suppressed inline, sorted by (file, line, rule,
+    /// message).
     std::vector<Finding> findings;
     std::size_t suppressed = 0;
-    std::size_t baselined = 0;
     std::size_t files_scanned = 0;
 };
 
@@ -78,10 +72,6 @@ bool runAnalysis(const Options &opt, Result &out, std::string &error);
 /// Plain-text report: one "file:line: [rule] message" per finding plus
 /// a one-line summary.
 void writeText(std::ostream &os, const Result &r);
-
-/// SARIF 2.1.0 document covering the full rule catalog and the
-/// surviving findings.
-void writeSarif(std::ostream &os, const Result &r);
 
 } // namespace dbsim::analyze
 

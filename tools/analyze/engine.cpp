@@ -1,10 +1,8 @@
 #include "analyze.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <ostream>
-#include <set>
 #include <tuple>
 
 #include "corpus.hpp"
@@ -36,33 +34,6 @@ families()
         {runCheckpointRules, {kRuleCheckpointPurity}},
     };
     return kFamilies;
-}
-
-/// Baseline entry key: rule, file, and message, tab-separated (none of
-/// the three can contain a tab).
-std::string
-baselineKey(const std::string &rule, const std::string &file,
-            const std::string &message)
-{
-    return rule + "\t" + file + "\t" + message;
-}
-
-bool
-loadBaseline(const std::string &path, std::multiset<std::string> &keys,
-             std::string &error)
-{
-    std::ifstream in(path);
-    if (!in) {
-        error = "cannot read baseline " + path;
-        return false;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        keys.insert(line);
-    }
-    return true;
 }
 
 bool
@@ -189,7 +160,6 @@ runAnalysis(const Options &opt, Result &out, std::string &error)
             fam.pass(corpus, raw);
     }
 
-    std::vector<Finding> surviving;
     for (const RawFinding &r : raw) {
         if (!enabled(r.rule))
             continue;
@@ -199,50 +169,13 @@ runAnalysis(const Options &opt, Result &out, std::string &error)
             ++out.suppressed;
             continue;
         }
-        surviving.push_back({r.rule, r.file, r.line, r.message});
+        out.findings.push_back({r.rule, r.file, r.line, r.message});
     }
-    std::sort(surviving.begin(), surviving.end(),
+    std::sort(out.findings.begin(), out.findings.end(),
               [](const Finding &a, const Finding &b) {
                   return std::tie(a.file, a.line, a.rule, a.message) <
                          std::tie(b.file, b.line, b.rule, b.message);
               });
-
-    if (!opt.baseline_path.empty() && !opt.write_baseline) {
-        std::multiset<std::string> keys;
-        std::ifstream probe(opt.baseline_path);
-        if (probe) { // a missing baseline simply baselines nothing
-            probe.close();
-            if (!loadBaseline(opt.baseline_path, keys, error))
-                return false;
-        }
-        for (const Finding &f : surviving) {
-            const auto it =
-                keys.find(baselineKey(f.rule, f.file, f.message));
-            if (it != keys.end()) {
-                keys.erase(it);
-                ++out.baselined;
-                continue;
-            }
-            out.findings.push_back(f);
-        }
-    } else {
-        out.findings = std::move(surviving);
-    }
-
-    if (opt.write_baseline) {
-        std::ofstream bl(opt.baseline_path);
-        if (!bl) {
-            error = "cannot write baseline " + opt.baseline_path;
-            return false;
-        }
-        bl << "# dbsim-analyze baseline: grandfathered findings, one per "
-              "line as rule<TAB>file<TAB>message.\n"
-              "# Regenerate with: dbsim-analyze --write-baseline\n";
-        for (const Finding &f : out.findings)
-            bl << baselineKey(f.rule, f.file, f.message) << "\n";
-        out.baselined = out.findings.size();
-        out.findings.clear();
-    }
     return true;
 }
 
@@ -254,7 +187,7 @@ writeText(std::ostream &os, const Result &r)
            << f.message << "\n";
     os << "dbsim-analyze: " << r.files_scanned << " files, "
        << r.findings.size() << " finding(s) (" << r.suppressed
-       << " suppressed, " << r.baselined << " baselined)\n";
+       << " suppressed)\n";
 }
 
 } // namespace dbsim::analyze

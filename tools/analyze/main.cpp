@@ -7,11 +7,10 @@
  *     dbsim-analyze --root /path/to/repo
  *
  * scans <root>/src with all rules, indexes <root>/{tests,bench,tools,
- * examples} for counter usage, applies <root>/tools/analyze/baseline.txt,
- * prints findings as text, and exits 1 if any survive.
+ * examples} for counter usage, prints findings as text, and exits 1 if
+ * any are not suppressed inline.
  */
 
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -22,24 +21,16 @@
 namespace {
 
 int
-usage(std::ostream &os, int code)
+usageError(const std::string &arg)
 {
-    os << "usage: dbsim-analyze [options]\n"
-          "  --root DIR         repo root (default: .); scans DIR/src\n"
-          "  --src DIR          scan DIR instead of <root>/src (also\n"
-          "                     disables default usage roots/baseline)\n"
-          "  --usage-root DIR   extra root indexed for counter usage\n"
-          "                     (repeatable)\n"
-          "  --rules a,b,c      run only these rules\n"
-          "  --list-rules       print the rule catalog and exit\n"
-          "  --baseline FILE    baseline file ('none' to disable)\n"
-          "  --write-baseline   rewrite the baseline with current "
-          "findings\n"
-          "  --sarif FILE       also write a SARIF 2.1.0 report ('-' = "
-          "stdout)\n"
-          "  --quiet            suppress the summary line on success\n"
-          "exit status: 0 clean, 1 findings, 2 usage/IO error\n";
-    return code;
+    std::cerr << "dbsim-analyze: unknown option " << arg << "\n"
+              << "usage: dbsim-analyze [options]\n"
+                 "  --root DIR         repo root (default: .); scans "
+                 "DIR/src\n"
+                 "  --rules a,b,c      run only these rules\n"
+                 "  --list-rules       print the rule catalog and exit\n"
+                 "exit status: 0 clean, 1 findings, 2 usage/IO error\n";
+    return 2;
 }
 
 std::vector<std::string>
@@ -62,11 +53,6 @@ main(int argc, char **argv)
     using namespace dbsim::analyze;
 
     std::string root = ".";
-    std::string src;
-    std::string baseline;
-    std::string sarif_path;
-    bool baseline_set = false;
-    bool quiet = false;
     Options opt;
 
     for (int i = 1; i < argc; ++i) {
@@ -81,53 +67,21 @@ main(int argc, char **argv)
         };
         if (arg == "--root")
             root = next();
-        else if (arg == "--src")
-            src = next();
-        else if (arg == "--usage-root")
-            opt.usage_roots.push_back(next());
         else if (arg == "--rules")
             for (std::string &r : splitCommas(next()))
                 opt.rules.push_back(std::move(r));
-        else if (arg == "--baseline") {
-            baseline = next();
-            baseline_set = true;
-        } else if (arg == "--write-baseline")
-            opt.write_baseline = true;
-        else if (arg == "--sarif")
-            sarif_path = next();
-        else if (arg == "--quiet")
-            quiet = true;
         else if (arg == "--list-rules") {
             for (const RuleInfo &r : ruleCatalog())
                 std::cout << r.id << "  [" << r.family << "]\n    "
                           << r.description << "\n";
             return 0;
-        } else if (arg == "--help" || arg == "-h")
-            return usage(std::cout, 0);
-        else {
-            std::cerr << "dbsim-analyze: unknown option " << arg << "\n";
-            return usage(std::cerr, 2);
-        }
+        } else
+            return usageError(arg);
     }
 
-    if (!src.empty()) {
-        opt.corpus_root = src;
-        // --src mode is for fixtures/tests: no implicit usage roots or
-        // baseline, everything explicit.
-    } else {
-        opt.corpus_root = root + "/src";
-        for (const char *aux : {"tests", "bench", "tools", "examples"})
-            opt.usage_roots.push_back(root + "/" + aux);
-        if (!baseline_set)
-            baseline = root + "/tools/analyze/baseline.txt";
-    }
-    if (baseline != "none")
-        opt.baseline_path = baseline;
-    if (opt.write_baseline && opt.baseline_path.empty()) {
-        std::cerr << "dbsim-analyze: --write-baseline needs a baseline "
-                     "path\n";
-        return 2;
-    }
+    opt.corpus_root = root + "/src";
+    for (const char *aux : {"tests", "bench", "tools", "examples"})
+        opt.usage_roots.push_back(root + "/" + aux);
 
     Result result;
     std::string error;
@@ -136,21 +90,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (!sarif_path.empty()) {
-        if (sarif_path == "-") {
-            writeSarif(std::cout, result);
-        } else {
-            std::ofstream out(sarif_path);
-            if (!out) {
-                std::cerr << "dbsim-analyze: cannot write " << sarif_path
-                          << "\n";
-                return 2;
-            }
-            writeSarif(out, result);
-        }
-    }
-
-    if (!result.findings.empty() || !quiet)
-        writeText(result.findings.empty() ? std::cout : std::cerr, result);
+    writeText(result.findings.empty() ? std::cout : std::cerr, result);
     return result.findings.empty() ? 0 : 1;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Internal rule-pass interface.  Each family pass scans the corpus and
- * appends raw findings; the engine then applies inline suppressions,
- * the baseline, and rule filtering.
+ * appends raw findings; the engine then applies inline suppressions
+ * and rule filtering.
  */
 
 #ifndef DBSIM_TOOLS_ANALYZE_RULES_HPP

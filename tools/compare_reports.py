@@ -8,7 +8,7 @@ scrubbed before comparing -- they legitimately differ between runs; all
 simulated results (cycles, instructions, IPC, breakdowns, miss rates,
 coherence counters) must match exactly.
 
-Usage: compare_reports.py REFERENCE.json CANDIDATE.json [--ignore KEY]...
+Usage: compare_reports.py REFERENCE.json CANDIDATE.json
 Exit status 0 when equivalent, 1 with a per-path diff otherwise.
 """
 
@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-DEFAULT_IGNORED = ("wall_seconds", "sim_instructions_per_host_second")
+IGNORED = ("sim_instructions_per_host_second", "wall_seconds")
 
 
 def scrub(node, ignored):
@@ -60,16 +60,13 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("reference")
     ap.add_argument("candidate")
-    ap.add_argument("--ignore", action="append", default=[],
-                    help="additional JSON keys to scrub before comparing")
     args = ap.parse_args()
 
-    ignored = set(DEFAULT_IGNORED) | set(args.ignore)
     docs = []
     for path in (args.reference, args.candidate):
         try:
             with open(path, encoding="utf-8") as f:
-                docs.append(scrub(json.load(f), ignored))
+                docs.append(scrub(json.load(f), IGNORED))
         except (OSError, json.JSONDecodeError) as e:
             print(f"compare_reports: {path}: {e}", file=sys.stderr)
             return 2
@@ -83,7 +80,7 @@ def main():
               f"{args.reference} and {args.candidate}")
         return 1
     print(f"compare_reports: {args.reference} == {args.candidate} "
-          f"(ignoring {', '.join(sorted(ignored))})")
+          f"(ignoring {', '.join(IGNORED)})")
     return 0
 
 

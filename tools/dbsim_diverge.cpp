@@ -11,16 +11,13 @@
  * sides from cycle 0 to the probe cycle and compares stateHash()),
  * and finally dumps both machine states at the first divergent cycle.
  *
- * Sides are configured with paired flags; a bug can be seeded into
- * either side through the verification layer's ProtocolMutator to
- * reproduce "one engine has a protocol bug -- where does it first
- * perturb the machine?":
+ * Both sides run the same machine; a bug can be seeded into side B
+ * through the verification layer's ProtocolMutator to reproduce "one
+ * engine has a protocol bug -- where does it first perturb the
+ * machine?":
  *
  *   --workload oltp|dss     both sides' workload          (default oltp)
- *   --b-workload oltp|dss   side B's workload override
  *   --nodes N               both sides' node count        (default 2)
- *   --b-nodes N             side B's node count override
- *   --a-bug NAME            protocol bug seeded into side A
  *   --b-bug NAME            protocol bug seeded into side B
  *                           (dropped-invalidation, stale-owner,
  *                           missing-downgrade, lost-sharer-bit,
@@ -67,7 +64,6 @@ struct Side
 {
     core::SimConfig cfg;
     verify::ProtocolBug bug = verify::ProtocolBug::None;
-    std::string name; ///< "A" or "B"
 };
 
 /** Hash stream + final state of one full run. */
@@ -268,8 +264,6 @@ selfCheck()
 
     const Cycles interval = 2000;
     Side a, b;
-    a.name = "A";
-    b.name = "B";
     a.cfg = b.cfg =
         smallConfig(core::WorkloadKind::Oltp, 2, 30000);
 
@@ -310,9 +304,9 @@ main(int argc, char **argv)
 #endif
 
     try {
-        std::string workload = "oltp", b_workload;
-        std::uint32_t nodes = 2, b_nodes = 0;
-        std::string a_bug, b_bug;
+        std::string workload = "oltp";
+        std::uint32_t nodes = 2;
+        std::string b_bug;
         std::uint64_t instructions = 60000;
         Cycles epoch_interval = 5000;
         std::string dump_prefix = "dbsim-diverge";
@@ -327,14 +321,8 @@ main(int argc, char **argv)
             };
             if (arg == "--workload")
                 workload = value();
-            else if (arg == "--b-workload")
-                b_workload = value();
             else if (arg == "--nodes")
                 nodes = core::parseUnsigned<std::uint32_t>(arg, value(), 1);
-            else if (arg == "--b-nodes")
-                b_nodes = core::parseUnsigned<std::uint32_t>(arg, value());
-            else if (arg == "--a-bug")
-                a_bug = value();
             else if (arg == "--b-bug")
                 b_bug = value();
             else if (arg == "--instructions")
@@ -353,24 +341,12 @@ main(int argc, char **argv)
             return selfCheck();
 
         Side a, b;
-        a.name = "A";
-        b.name = "B";
-        a.cfg = smallConfig(parseWorkloadName(workload), nodes,
-                            instructions);
-        b.cfg = smallConfig(
-            parseWorkloadName(b_workload.empty() ? workload
-                                                 : b_workload),
-            b_nodes ? b_nodes : nodes, instructions);
-        if (!a_bug.empty())
-            a.bug = parseBugName(a_bug);
+        a.cfg = b.cfg = smallConfig(parseWorkloadName(workload), nodes,
+                                    instructions);
         if (!b_bug.empty())
             b.bug = parseBugName(b_bug);
 
         std::cout << "dbsim-diverge\n  A: " << describe(a.cfg)
-                  << (a.bug != verify::ProtocolBug::None
-                          ? std::string(" [bug ") +
-                                verify::protocolBugName(a.bug) + "]"
-                          : "")
                   << "\n  B: " << describe(b.cfg)
                   << (b.bug != verify::ProtocolBug::None
                           ? std::string(" [bug ") +

@@ -41,15 +41,9 @@ usageError(const std::string &msg)
     std::cerr << "dbsim-fuzz: " << msg << "\n"
               << "usage: dbsim-fuzz [--seed N] [--count N] [--jobs N]\n"
               << "                  [--json FILE] [--repro-dir DIR]\n"
-              << "                  [--scratch-dir DIR] [--max-nodes N]\n"
-              << "                  [--min-instructions N]\n"
-              << "                  [--max-instructions N] [--no-shrink]\n"
-              << "                  [--no-conservation] [--no-determinism]\n"
-              << "                  [--no-checkpoint] [--no-coherence]\n"
-              << "                  [--inject-bug NAME]\n"
-              << "                  [--inject-fault NAME]\n"
-              << "                  [--corrupt-checkpoint OFFSET]\n"
-              << "                  [--self-check] [--replay FILE]\n";
+              << "                  [--scratch-dir DIR] [--inject-bug NAME]\n"
+              << "                  [--inject-fault NAME] [--self-check]\n"
+              << "                  [--replay FILE]\n";
     return 2;
 }
 
@@ -94,23 +88,6 @@ main(int argc, char **argv)
                 opts.repro_dir = value();
             else if (arg == "--scratch-dir")
                 opts.scratch_dir = value();
-            else if (arg == "--max-nodes")
-                opts.space.max_nodes =
-                    parseUnsigned<std::uint32_t>(arg, value(), 1, 32);
-            else if (arg == "--min-instructions")
-                opts.space.min_instructions = parseUnsigned(arg, value());
-            else if (arg == "--max-instructions")
-                opts.space.max_instructions = parseUnsigned(arg, value());
-            else if (arg == "--no-shrink")
-                opts.shrink = false;
-            else if (arg == "--no-conservation")
-                opts.oracle_conservation = false;
-            else if (arg == "--no-determinism")
-                opts.oracle_determinism = false;
-            else if (arg == "--no-checkpoint")
-                opts.oracle_checkpoint = false;
-            else if (arg == "--no-coherence")
-                opts.oracle_coherence = false;
             else if (arg == "--inject-bug") {
                 const std::string name = value();
                 if (!protocolBugFromName(name, &opts.inject_bug))
@@ -121,9 +98,7 @@ main(int argc, char **argv)
                 if (!artifactFaultFromName(name, &opts.inject_fault))
                     throw ConfigError("cli.inject-fault",
                                       "unknown fault name " + name);
-            } else if (arg == "--corrupt-checkpoint")
-                opts.corrupt_checkpoint_offset = parseUnsigned(arg, value());
-            else if (arg == "--replay")
+            } else if (arg == "--replay")
                 replay_path = value();
             else if (arg == "--self-check")
                 self_check = true;
