@@ -7,19 +7,6 @@
 
 namespace dbsim::coher {
 
-const char *
-accessClassName(AccessClass c)
-{
-    switch (c) {
-      case AccessClass::L1Hit:      return "L1Hit";
-      case AccessClass::L2Hit:      return "L2Hit";
-      case AccessClass::LocalMem:   return "LocalMem";
-      case AccessClass::RemoteMem:  return "RemoteMem";
-      case AccessClass::RemoteDirty:return "RemoteDirty";
-    }
-    return "?";
-}
-
 CoherenceFabric::CoherenceFabric(std::uint32_t num_nodes,
                                  FabricParams params,
                                  net::MeshParams mesh_params)

@@ -49,8 +49,6 @@ enum class AccessClass : std::uint8_t {
     RemoteDirty,///< L2 miss serviced by a cache-to-cache transfer
 };
 
-const char *accessClassName(AccessClass c);
-
 /**
  * Interface through which the fabric manipulates a node's cached state.
  * Implemented by sim::Node; it must invalidate/downgrade the L2 and the

@@ -12,7 +12,8 @@
  * (a checker that flags nothing is indistinguishable from a checker
  * that checks nothing).
  *
- * This header is a dependency leaf (nothing but <cstdint>).  It lives in
+ * This header is a dependency leaf (nothing but <cstdint> and
+ * <string_view>).  It lives in
  * common/ -- the bottom of the include-layer order -- so that both the
  * protocol layers below verify/ and the verification layer itself can
  * include it without creating an upward include or a directory cycle
@@ -28,6 +29,7 @@
 #define DBSIM_COMMON_MUTATOR_HPP
 
 #include <cstdint>
+#include <string_view>
 
 namespace dbsim::verify {
 
@@ -60,7 +62,17 @@ enum class ProtocolBug : std::uint8_t {
     ReorderedRelease,
 };
 
+/** The six catalogued bugs (every ProtocolBug but None), in order. */
+inline constexpr ProtocolBug kProtocolBugs[] = {
+    ProtocolBug::DroppedInvalidation, ProtocolBug::StaleOwner,
+    ProtocolBug::MissingDowngrade,    ProtocolBug::LostSharerBit,
+    ProtocolBug::SkippedSpecSquash,   ProtocolBug::ReorderedRelease,
+};
+
 const char *protocolBugName(ProtocolBug b);
+
+/** The bug named @p name ("none" included); false if no bug has it. */
+bool protocolBugFromName(std::string_view name, ProtocolBug *out);
 
 /**
  * Holds the single seeded bug and counts how often it actually fired.
@@ -97,6 +109,22 @@ protocolBugName(ProtocolBug b)
       case ProtocolBug::ReorderedRelease:    return "reordered-release";
     }
     return "?";
+}
+
+inline bool
+protocolBugFromName(std::string_view name, ProtocolBug *out)
+{
+    if (name == protocolBugName(ProtocolBug::None)) {
+        *out = ProtocolBug::None;
+        return true;
+    }
+    for (const ProtocolBug b : kProtocolBugs) {
+        if (name == protocolBugName(b)) {
+            *out = b;
+            return true;
+        }
+    }
+    return false;
 }
 
 } // namespace dbsim::verify

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 namespace dbsim::stats {
 
@@ -62,23 +61,6 @@ OccupancyTracker::reset()
     std::fill(time_at_.begin(), time_at_.end(), Cycles{0});
     last_ = 0;
     current_ = 0;
-}
-
-std::string
-formatTable(const std::vector<NamedValue> &rows)
-{
-    std::size_t width = 0;
-    for (const auto &r : rows)
-        width = std::max(width, r.name.size());
-    std::ostringstream os;
-    for (const auto &r : rows) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%12.4f", r.value);
-        os << r.name;
-        os << std::string(width - r.name.size() + 2, ' ');
-        os << buf << '\n';
-    }
-    return os.str();
 }
 
 std::string

@@ -146,16 +146,6 @@ class OccupancyTracker
     std::uint32_t current_ = 0;
 };
 
-/** A named scalar for report tables. */
-struct NamedValue
-{
-    std::string name;
-    double value;
-};
-
-/** Render "name value" lines with aligned columns. */
-std::string formatTable(const std::vector<NamedValue> &rows);
-
 /** Percentage with one decimal, e.g. 12.3%. */
 std::string pct(double fraction);
 

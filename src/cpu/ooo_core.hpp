@@ -199,7 +199,6 @@ class Core
     const Breakdown &breakdown() const { return breakdown_; }
     const CoreStats &stats() const { return stats_; }
     const BranchPredStats &branchStats() const { return bpred_.stats(); }
-    const FuncUnitPool &funcUnits() const { return fu_; }
 
     /** Zero statistical state (architectural state is preserved). */
     void resetStats();

@@ -46,7 +46,6 @@ class Resource
     }
 
     Cycles busyUntil() const { return busy_until_; }
-    Cycles totalHeld() const { return total_held_; }
     Cycles totalWait() const { return total_wait_; }
     std::uint64_t acquisitions() const { return acquisitions_; }
 

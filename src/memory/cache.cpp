@@ -18,7 +18,7 @@ coherStateName(CoherState s)
 
 CacheArray::CacheArray(std::uint64_t size_bytes, std::uint32_t assoc,
                        std::uint32_t line_bytes)
-    : size_(size_bytes), assoc_(assoc), line_bytes_(line_bytes)
+    : assoc_(assoc), line_bytes_(line_bytes)
 {
     if (!isPow2(size_bytes) || !isPow2(line_bytes))
         DBSIM_FATAL("cache size/line must be powers of two");

@@ -75,7 +75,6 @@ class CacheArray
     CoherState invalidate(Addr addr);
 
     std::uint32_t lineBytes() const { return line_bytes_; }
-    std::uint64_t sizeBytes() const { return size_; }
     std::uint32_t assoc() const { return assoc_; }
     std::uint32_t numSets() const { return sets_; }
 
@@ -120,7 +119,6 @@ class CacheArray
     Way *find(Addr addr);
     const Way *find(Addr addr) const;
 
-    std::uint64_t size_;
     std::uint32_t assoc_;
     std::uint32_t line_bytes_;
     std::uint32_t sets_;

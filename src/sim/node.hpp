@@ -73,18 +73,6 @@ struct NodeStats
     std::uint64_t l2_delayed_hits = 0;
     std::uint64_t prefetches_dropped = 0;
     std::uint64_t flush_hints = 0;
-
-    double
-    l1dMissRate() const
-    {
-        return l1d_accesses ? double(l1d_misses) / double(l1d_accesses) : 0.0;
-    }
-
-    double
-    l2MissRate() const
-    {
-        return l2_accesses ? double(l2_misses) / double(l2_accesses) : 0.0;
-    }
 };
 
 /**
@@ -131,8 +119,6 @@ class Node : public cpu::CoreMemIf, public coher::CacheSite
     void finalizeStats(Cycles now);
 
     /** Tag-array access for tests and diagnostics. */
-    const mem::CacheArray &l1iArray() const { return l1i_; }
-    const mem::CacheArray &l1dArray() const { return l1d_; }
     const mem::CacheArray &l2Array() const { return l2_; }
 
     void resetStats();

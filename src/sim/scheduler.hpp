@@ -87,8 +87,6 @@ class Scheduler
         return queues_[cpu].blocked.size();
     }
 
-    std::uint32_t numCpus() const { return static_cast<std::uint32_t>(queues_.size()); }
-
     /**
      * Serialize queue membership (as ProcIds) and the blocked heaps'
      * backing vectors verbatim, so a restore reproduces the exact heap

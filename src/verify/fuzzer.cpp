@@ -79,7 +79,7 @@ crashVerdict(const std::exception &e)
 OracleVerdict
 runOracleKind(const FuzzOptions &opts, OracleKind k,
               const core::SimConfig &cfg, const std::string &scratch,
-              bool localize)
+              bool bisect)
 {
     switch (k) {
       case OracleKind::Crash: {
@@ -121,7 +121,7 @@ runOracleKind(const FuzzOptions &opts, OracleKind k,
       case OracleKind::Differential: {
         const std::unique_ptr<Engine> ref = makeSerialEngine();
         const std::unique_ptr<Engine> cand = engineUnderTest(opts);
-        return compareEngines(*ref, *cand, cfg, localize);
+        return compareEngines(*ref, *cand, cfg, bisect);
       }
     }
     DBSIM_PANIC("runOracleKind: unknown oracle kind ",
@@ -320,52 +320,57 @@ runFuzzCase(const FuzzOptions &opts, std::uint32_t index)
             record(checkCoherence(cfg));
         if (opts.inject_bug != ProtocolBug::None) {
             const std::unique_ptr<Engine> ref = makeSerialEngine();
-            record(compareEngines(*ref, *engine, cfg, /*localize=*/true));
-        }
-    }
-
-    if (!r.failures.empty()) {
-        const OracleVerdict &first = r.failures.front();
-        if (opts.shrink) {
-            const OraclePredicate pred =
-                [&opts, &first, &scratch](const core::SimConfig &c) {
-                    return runOracleKind(opts, first.oracle, c, scratch,
-                                         /*localize=*/false);
-                };
-            ShrinkOutcome s =
-                shrinkConfig(opts, r.case_seed, first.signature, pred);
-            r.shrink_overrides = std::move(s.overrides);
-            r.shrink_runs = s.runs;
-        }
-        if (!opts.repro_dir.empty()) {
-            ReproFile rf;
-            rf.config_seed = r.case_seed;
-            rf.space = opts.space;
-            rf.overrides = r.shrink_overrides;
-            rf.oracle = first.oracle;
-            rf.bug = opts.inject_bug;
-            rf.fault = opts.inject_fault;
-            rf.corrupt_checkpoint_offset = opts.corrupt_checkpoint_offset;
-            rf.signature = first.signature;
-            rf.detail = firstLine(first.detail);
-            core::SimConfig shrunk;
-            rf.config_signature =
-                regenerate(opts, r.case_seed, rf.overrides, &shrunk)
-                    ? core::simConfigSignature(shrunk)
-                    : r.config_signature;
-            const std::string path =
-                opts.repro_dir + "/" + reproFileName(rf);
-            std::ofstream os(path, std::ios::binary | std::ios::trunc);
-            if (os) {
-                os << renderRepro(rf);
-                r.repro_path = path;
-            } else {
-                DBSIM_WARN("dbsim-fuzz: cannot write repro file ", path);
-            }
+            record(compareEngines(*ref, *engine, cfg, /*bisect=*/true));
         }
     }
     return r;
 }
+
+namespace {
+
+/** Shrink bucket @p b's lowest-index case @p c and write its repro. */
+void
+reduceBucket(const FuzzOptions &opts, const FuzzCaseResult &c,
+             TriageBucket &b)
+{
+    if (opts.shrink) {
+        const std::string scratch = scratchPath(opts, c.index);
+        const OraclePredicate pred =
+            [&opts, &b, &scratch](const core::SimConfig &cfg) {
+                return runOracleKind(opts, b.oracle, cfg, scratch,
+                                     /*bisect=*/false);
+            };
+        ShrinkOutcome s = shrinkConfig(opts, c.case_seed, b.signature, pred);
+        b.shrink_overrides = std::move(s.overrides);
+        b.shrink_runs = s.runs;
+    }
+    if (opts.repro_dir.empty())
+        return;
+    ReproFile rf;
+    rf.config_seed = c.case_seed;
+    rf.space = opts.space;
+    rf.overrides = b.shrink_overrides;
+    rf.oracle = b.oracle;
+    rf.bug = opts.inject_bug;
+    rf.fault = opts.inject_fault;
+    rf.corrupt_checkpoint_offset = opts.corrupt_checkpoint_offset;
+    rf.signature = b.signature;
+    rf.detail = b.detail;
+    core::SimConfig shrunk;
+    rf.config_signature = regenerate(opts, c.case_seed, rf.overrides, &shrunk)
+                              ? core::simConfigSignature(shrunk)
+                              : c.config_signature;
+    const std::string path = opts.repro_dir + "/" + reproFileName(rf);
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    if (os) {
+        os << renderRepro(rf);
+        b.repro_path = path;
+    } else {
+        DBSIM_WARN("dbsim-fuzz: cannot write repro file ", path);
+    }
+}
+
+} // namespace
 
 FuzzReport
 runFuzz(const FuzzOptions &opts, std::ostream *log)
@@ -422,16 +427,18 @@ runFuzz(const FuzzOptions &opts, std::ostream *log)
             TriageBucket &b = buckets[f.signature];
             if (b.count == 0) {
                 b.signature = f.signature;
+                b.oracle = f.oracle;
                 b.first_index = c.index;
                 b.detail = firstLine(f.detail);
-                b.repro_path = c.repro_path;
             }
             ++b.count;
         }
     }
     rep.buckets.reserve(buckets.size());
-    for (const auto &[sig, b] : buckets)
-        rep.buckets.push_back(b);
+    for (auto &[sig, b] : buckets) {
+        reduceBucket(opts, rep.cases[b.first_index], b);
+        rep.buckets.push_back(std::move(b));
+    }
     return rep;
 }
 
@@ -470,6 +477,11 @@ renderFuzzReport(const FuzzOptions &opts, const FuzzReport &rep)
         w.kv("count", b.count);
         w.kv("first_index", b.first_index);
         w.kv("detail", b.detail);
+        w.kv("shrink_runs", b.shrink_runs);
+        w.key("shrink_overrides").beginObject();
+        for (const auto &[key, value] : b.shrink_overrides)
+            w.kv(key, value);
+        w.endObject();
         w.kv("repro", b.repro_path);
         w.endObject();
     }
@@ -493,12 +505,6 @@ renderFuzzReport(const FuzzOptions &opts, const FuzzReport &rep)
             w.kv("oracle", oracleName(f.oracle));
             w.kv("signature", f.signature);
             w.kv("detail", firstLine(f.detail));
-            w.kv("shrink_runs", c.shrink_runs);
-            w.key("shrink_overrides").beginObject();
-            for (const auto &[key, value] : c.shrink_overrides)
-                w.kv(key, value);
-            w.endObject();
-            w.kv("repro", c.repro_path);
             w.endObject();
         }
     }
@@ -733,22 +739,6 @@ oracleKindFromName(const std::string &name, OracleKind *out)
 }
 
 bool
-protocolBugFromName(const std::string &name, ProtocolBug *out)
-{
-    for (const ProtocolBug b :
-         {ProtocolBug::None, ProtocolBug::DroppedInvalidation,
-          ProtocolBug::StaleOwner, ProtocolBug::MissingDowngrade,
-          ProtocolBug::LostSharerBit, ProtocolBug::SkippedSpecSquash,
-          ProtocolBug::ReorderedRelease}) {
-        if (name == protocolBugName(b)) {
-            *out = b;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
 artifactFaultFromName(const std::string &name, ArtifactFault *out)
 {
     for (const ArtifactFault f :
@@ -873,7 +863,7 @@ replayRepro(const ReproFile &r, const std::string &scratch_dir)
     const core::SimConfig cfg = reproConfig(r);
     const std::string scratch = scratch_dir + "/dbsim_fuzz_replay_" +
                                 hex16(r.config_seed) + ".ckpt";
-    return runOracleKind(opts, r.oracle, cfg, scratch, /*localize=*/true);
+    return runOracleKind(opts, r.oracle, cfg, scratch, /*bisect=*/true);
 }
 
 namespace {
@@ -950,15 +940,12 @@ fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir)
     // 2. Every catalogued protocol bug must be rediscovered, and must
     // actually have fired (a detection claim with zero triggers means
     // the config never exercised the decision point).
-    for (const ProtocolBug b :
-         {ProtocolBug::DroppedInvalidation, ProtocolBug::StaleOwner,
-          ProtocolBug::MissingDowngrade, ProtocolBug::LostSharerBit,
-          ProtocolBug::SkippedSpecSquash, ProtocolBug::ReorderedRelease}) {
+    for (const ProtocolBug b : kProtocolBugs) {
         const std::unique_ptr<Engine> mut = makeMutantEngine(b);
         // Bisect one of them to exercise the cycle-localization path;
         // epoch-granularity detection is enough evidence for the rest.
-        const bool localize = b == ProtocolBug::DroppedInvalidation;
-        const OracleVerdict v = compareEngines(*serial, *mut, cfg, localize);
+        const bool bisect = b == ProtocolBug::DroppedInvalidation;
+        const OracleVerdict v = compareEngines(*serial, *mut, cfg, bisect);
         std::string why;
         if (v.ok)
             why = "divergence not detected";
@@ -1008,8 +995,8 @@ fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir)
               "round-trip oracle missed the corruption");
     }
 
-    // 5. A seeded-fault fuzz case must fail, shrink, and write a repro
-    // that replays to the same bucket.
+    // 5. A seeded-fault campaign of one case must fail, shrink, and
+    // write a repro that replays to the same bucket.
     {
         FuzzOptions fo;
         fo.seed = 7;
@@ -1020,18 +1007,19 @@ fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir)
         fo.repro_dir = scratch_dir;
         fo.scratch_dir = scratch_dir;
         fo.max_shrink_runs = 24;
-        const FuzzCaseResult fc = runFuzzCase(fo, 0);
-        const bool caught = !fc.passed() &&
-                            fc.failures.front().oracle ==
+        const FuzzReport fr = runFuzz(fo, nullptr);
+        const bool caught = fr.buckets.size() == 1 &&
+                            fr.buckets.front().oracle ==
                                 OracleKind::Conservation;
         check("seeded fault fuzz case caught", caught);
-        check("seeded fault case shrunk", !fc.shrink_overrides.empty());
+        const TriageBucket fb = caught ? fr.buckets.front() : TriageBucket{};
+        check("seeded fault case shrunk", !fb.shrink_overrides.empty());
         bool replay_ok = false;
         std::string why;
-        if (fc.repro_path.empty()) {
+        if (fb.repro_path.empty()) {
             why = "no repro file written";
         } else {
-            std::ifstream is(fc.repro_path, std::ios::binary);
+            std::ifstream is(fb.repro_path, std::ios::binary);
             std::ostringstream buf;
             buf << is.rdbuf();
             ReproFile rf;
@@ -1045,7 +1033,7 @@ fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir)
                     why = v.ok ? "replay did not reproduce"
                                : "replay signature drifted: " + v.signature;
             }
-            std::remove(fc.repro_path.c_str());
+            std::remove(fb.repro_path.c_str());
         }
         check("repro replay reproduces", replay_ok, why);
     }

@@ -10,10 +10,11 @@
  * fields, so `--jobs 1` and `--jobs N` produce byte-identical reports
  * -- the fuzzer obeys the same determinism contract it enforces.
  *
- * Failures are triaged into buckets by OracleVerdict::signature,
- * greedily shrunk (delta-removal over the flat override catalog: each
- * candidate override is kept iff the same bucket signature still
- * fails), and emitted as replayable repro-<hash>.json files.  A repro
+ * Failures are triaged into buckets by OracleVerdict::signature.  Each
+ * bucket's lowest-index case is greedily shrunk once (delta-removal
+ * over the flat override catalog: each candidate override is kept iff
+ * the same bucket signature still fails) and emitted as one replayable
+ * repro-<hash>.json file.  A repro
  * file is just "generator seed + sorted override list + oracle +
  * injections": replayRepro() regenerates the exact config on any host
  * and re-runs the one oracle that failed.
@@ -68,7 +69,7 @@ struct FuzzOptions
     ArtifactFault inject_fault = ArtifactFault::None;
     std::uint64_t corrupt_checkpoint_offset = 0; ///< nonzero = flip that byte
 
-    bool shrink = true;              ///< shrink first failure per case
+    bool shrink = true;              ///< shrink once per triage bucket
     std::uint32_t max_shrink_runs = 40; ///< predicate-evaluation budget
 };
 
@@ -90,11 +91,6 @@ struct FuzzCaseResult
     std::uint32_t oracles_run = 0;
     std::vector<OracleVerdict> failures; ///< empty = case passed
 
-    /** Shrink outcome for failures[0] (when shrinking ran). */
-    std::map<std::string, std::uint64_t> shrink_overrides;
-    std::uint32_t shrink_runs = 0;
-    std::string repro_path; ///< written repro file ("" if none)
-
     bool passed() const { return failures.empty(); }
 };
 
@@ -102,10 +98,15 @@ struct FuzzCaseResult
 struct TriageBucket
 {
     std::string signature;
+    OracleKind oracle = OracleKind::Conservation;
     std::uint32_t count = 0;
     std::uint32_t first_index = 0; ///< lowest failing case index
     std::string detail;            ///< first line of the first failure
-    std::string repro_path;        ///< first written repro in the bucket
+
+    /** Shrink outcome for case first_index (when shrinking ran). */
+    std::map<std::string, std::uint64_t> shrink_overrides;
+    std::uint32_t shrink_runs = 0;
+    std::string repro_path;        ///< the bucket's repro file ("" if none)
 };
 
 struct FuzzReport
@@ -123,14 +124,16 @@ struct FuzzReport
  * Run one case through the enabled oracles: base run (a death is an
  * OracleKind::Crash finding), artifact-fault injection, conservation,
  * determinism, checkpoint round-trip, coherence, and -- when a bug is
- * injected -- the serial-vs-mutant differential.  On failure, shrinks
- * and writes a repro per @p opts.  Installs its own PanicThrowGuard.
+ * injected -- the serial-vs-mutant differential.  Installs its own
+ * PanicThrowGuard.
  */
 FuzzCaseResult runFuzzCase(const FuzzOptions &opts, std::uint32_t index);
 
 /**
  * Run the whole campaign across opts.jobs worker threads (atomic case
- * dispatch; results land by index).  @p log, when non-null, receives
+ * dispatch; results land by index), triage the failures, then shrink
+ * each bucket's lowest-index case and write its repro per @p opts.
+ * @p log, when non-null, receives
  * one progress line per failure and a summary (never stdout -- the
  * caller owns the stream).
  */
@@ -210,7 +213,6 @@ OracleVerdict replayRepro(const ReproFile &r, const std::string &scratch_dir);
 
 /** Name <-> enum helpers (CLI flags, repro files, tests). */
 bool oracleKindFromName(const std::string &name, OracleKind *out);
-bool protocolBugFromName(const std::string &name, ProtocolBug *out);
 bool artifactFaultFromName(const std::string &name, ArtifactFault *out);
 
 /**

@@ -1,5 +1,6 @@
 #include "verify/oracles.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -133,12 +134,7 @@ collectArtifacts(core::Simulation &simulation, const core::SimConfig &cfg,
     return a;
 }
 
-/**
- * The serial engine, optionally with one seeded protocol bug.  The
- * mutator is attached at both decision-point families (core-side
- * consistency bugs via CoreParams, fabric-side protocol bugs via
- * System::attachMutator) -- the dbsim-diverge idiom.
- */
+/** The serial engine, optionally with one seeded protocol bug. */
 class SerialEngine : public Engine
 {
   public:
@@ -152,42 +148,51 @@ class SerialEngine : public Engine
         return std::string("mutant:") + protocolBugName(bug_);
     }
 
-    RunArtifacts
-    execute(const core::SimConfig &cfg) const override
+    /** Run @p cfg with the bug attached at both decision-point families
+     *  (core-side consistency bugs via CoreParams, fabric-side protocol
+     *  bugs via System::attachMutator) and hand the finished machine,
+     *  its result and the bug's trigger count to @p collect. */
+    template <typename Collect>
+    auto
+    run(core::SimConfig cfg, Collect collect) const
     {
         ProtocolMutator mut;
         mut.bug = bug_;
-        core::SimConfig run_cfg = cfg;
         if (bug_ != ProtocolBug::None)
-            run_cfg.system.core.mutator = &mut;
-        core::Simulation simulation(run_cfg);
+            cfg.system.core.mutator = &mut;
+        core::Simulation simulation(cfg);
         simulation.prepare();
         if (bug_ != ProtocolBug::None)
             simulation.system().attachMutator(&mut);
         const sim::RunResult r = simulation.run();
-        RunArtifacts a = collectArtifacts(simulation, cfg, r);
-        a.bug_triggers = mut.triggers;
-        return a;
+        return collect(simulation, r, mut.triggers);
     }
 
-    bool
-    probeStateHash(const core::SimConfig &cfg, Cycles stop_at,
-                   std::uint64_t *hash) const override
+    RunArtifacts
+    execute(const core::SimConfig &cfg) const override
     {
-        ProtocolMutator mut;
-        mut.bug = bug_;
-        core::SimConfig run_cfg = cfg;
-        run_cfg.system.state_hash_interval = 0;
-        run_cfg.system.stop_at_cycle = stop_at;
-        if (bug_ != ProtocolBug::None)
-            run_cfg.system.core.mutator = &mut;
-        core::Simulation simulation(run_cfg);
-        simulation.prepare();
-        if (bug_ != ProtocolBug::None)
-            simulation.system().attachMutator(&mut);
-        simulation.run();
-        *hash = simulation.system().stateHash();
-        return true;
+        return run(cfg, [&cfg](core::Simulation &simulation,
+                               const sim::RunResult &r,
+                               std::uint64_t triggers) {
+            RunArtifacts a = collectArtifacts(simulation, cfg, r);
+            a.bug_triggers = triggers;
+            return a;
+        });
+    }
+
+    std::uint64_t
+    probe(const core::SimConfig &cfg, Cycles stop_at,
+          std::string *dump) const override
+    {
+        core::SimConfig stop_cfg = cfg;
+        stop_cfg.system.state_hash_interval = 0;
+        stop_cfg.system.stop_at_cycle = stop_at;
+        return run(stop_cfg, [dump](core::Simulation &simulation,
+                                    const sim::RunResult &, std::uint64_t) {
+            if (dump)
+                *dump = sim::machineStateDump(simulation.system());
+            return simulation.system().stateHash();
+        });
     }
 
   private:
@@ -444,29 +449,23 @@ checkDeterminism(const Engine &eng, const core::SimConfig &cfg,
         return failVerdict(OracleKind::Determinism,
                            std::string("re-run died: ") + e.what());
     }
-    const std::string ra = renderArtifacts(first);
-    const std::string rb = renderArtifacts(second);
-    if (ra == rb && first.final_dump == second.final_dump)
+    const Divergence d =
+        localizeDivergence(eng, eng, cfg, first, second, false);
+    if (d.kind == Divergence::Kind::None)
         return passVerdict(OracleKind::Determinism);
 
-    // Localize: first divergent epoch sample, if the streams differ.
-    const std::vector<sim::EpochHash> &ea = first.result.epoch_hashes;
-    const std::vector<sim::EpochHash> &eb = second.result.epoch_hashes;
-    const std::size_t n = ea.size() < eb.size() ? ea.size() : eb.size();
-    std::size_t k = 0;
-    while (k < n && ea[k].epoch == eb[k].epoch && ea[k].hash == eb[k].hash)
-        ++k;
     std::ostringstream os;
-    if (ra != rb)
+    if (renderArtifacts(first) != renderArtifacts(second))
         os << "same-seed re-run rendered different artifacts";
     else
         os << "same-seed re-run produced a different machine dump";
-    if (k < n) {
-        os << "\nfirst divergent epoch: cycle " << ea[k].epoch
-           << " (sample " << k << ")";
-    } else if (ea.size() != eb.size()) {
+    const std::vector<sim::EpochHash> &ea = first.result.epoch_hashes;
+    if (d.kind == Divergence::Kind::Epoch) {
+        os << "\nfirst divergent epoch: cycle " << ea[d.index].epoch
+           << " (sample " << d.index << ")";
+    } else if (d.kind == Divergence::Kind::Lengths) {
         os << "\nepoch streams have different lengths: " << ea.size()
-           << " vs " << eb.size();
+           << " vs " << second.result.epoch_hashes.size();
     }
     return failVerdict(OracleKind::Determinism, os.str());
 }
@@ -573,9 +572,48 @@ checkCoherence(const core::SimConfig &cfg)
     return passVerdict(OracleKind::Coherence);
 }
 
+Divergence
+localizeDivergence(const Engine &a, const Engine &b,
+                   const core::SimConfig &cfg, const RunArtifacts &ra,
+                   const RunArtifacts &rb, bool bisect)
+{
+    const std::vector<sim::EpochHash> &ea = ra.result.epoch_hashes;
+    const std::vector<sim::EpochHash> &eb = rb.result.epoch_hashes;
+    const std::size_t n = std::min(ea.size(), eb.size());
+    std::size_t k = 0;
+    while (k < n && ea[k].epoch == eb[k].epoch && ea[k].hash == eb[k].hash)
+        ++k;
+
+    Divergence d;
+    d.index = k;
+    if (k < n)
+        d.kind = Divergence::Kind::Epoch;
+    else if (ea.size() != eb.size())
+        d.kind = Divergence::Kind::Lengths;
+    else if (renderArtifacts(ra) != renderArtifacts(rb) ||
+             ra.final_dump != rb.final_dump)
+        d.kind = Divergence::Kind::CountersOnly;
+    if (d.kind != Divergence::Kind::Epoch || !bisect || k == 0)
+        return d;
+
+    // The states agree at epoch[k-1] and differ at epoch[k].
+    Cycles lo = ea[k - 1].epoch;
+    Cycles hi = ea[k].epoch;
+    while (hi - lo > 1) {
+        const Cycles mid = lo + (hi - lo) / 2;
+        if (a.probe(cfg, mid, nullptr) != b.probe(cfg, mid, nullptr))
+            hi = mid;
+        else
+            lo = mid;
+    }
+    d.identical_at = lo;
+    d.first_cycle = hi;
+    return d;
+}
+
 OracleVerdict
 compareEngines(const Engine &ref, const Engine &cand,
-               const core::SimConfig &cfg, bool localize)
+               const core::SimConfig &cfg, bool bisect)
 {
     PanicThrowGuard guard;
     RunArtifacts ra;
@@ -600,8 +638,8 @@ compareEngines(const Engine &ref, const Engine &cand,
         return v;
     }
 
-    if (renderArtifacts(ra) == renderArtifacts(ca) &&
-        ra.final_dump == ca.final_dump) {
+    const Divergence d = localizeDivergence(ref, cand, cfg, ra, ca, bisect);
+    if (d.kind == Divergence::Kind::None) {
         std::ostringstream os;
         os << "engines identical (candidate bug triggers: "
            << ca.bug_triggers << ")";
@@ -610,48 +648,18 @@ compareEngines(const Engine &ref, const Engine &cand,
         return v;
     }
 
-    // Localize via the epoch-hash streams (the dbsim-diverge idiom),
-    // then bisect to a cycle when both engines can probe.
     const std::vector<sim::EpochHash> &ea = ra.result.epoch_hashes;
-    const std::vector<sim::EpochHash> &eb = ca.result.epoch_hashes;
-    const std::size_t n = ea.size() < eb.size() ? ea.size() : eb.size();
-    std::size_t k = 0;
-    while (k < n && ea[k].epoch == eb[k].epoch && ea[k].hash == eb[k].hash)
-        ++k;
-
     std::ostringstream os;
     os << "engines diverge (" << ref.name() << " vs " << cand.name()
        << ", candidate bug triggers: " << ca.bug_triggers << ")";
-    if (k < n) {
-        os << "\nfirst divergent epoch: cycle " << ea[k].epoch << " (sample "
-           << k << ")";
-        const Cycles lo_epoch = k ? ea[k - 1].epoch : 0;
-        std::uint64_t h_ref = 0, h_cand = 0;
-        if (localize && ref.probeStateHash(cfg, ea[k].epoch, &h_ref) &&
-            cand.probeStateHash(cfg, ea[k].epoch, &h_cand)) {
-            // Binary search in (lo_epoch, ea[k].epoch]: runs agree at
-            // lo_epoch, differ at ea[k].epoch.
-            Cycles lo = lo_epoch, hi = ea[k].epoch;
-            while (hi - lo > 1) {
-                const Cycles mid = lo + (hi - lo) / 2;
-                std::uint64_t pa = 0, pb = 0;
-                if (!ref.probeStateHash(cfg, mid, &pa) ||
-                    !cand.probeStateHash(cfg, mid, &pb))
-                    break;
-                if (pa != pb)
-                    hi = mid;
-                else
-                    lo = mid;
-            }
-            os << "\nbisected first divergent cycle: " << hi;
-        }
-        os << "\nreproduce with: dbsim-diverge --workload "
-           << (cfg.workload == core::WorkloadKind::Oltp ? "oltp" : "dss")
-           << " --nodes " << cfg.system.num_nodes << " --instructions "
-           << cfg.total_instructions;
-    } else if (ea.size() != eb.size()) {
+    if (d.kind == Divergence::Kind::Epoch) {
+        os << "\nfirst divergent epoch: cycle " << ea[d.index].epoch
+           << " (sample " << d.index << ")";
+        if (d.first_cycle)
+            os << "\nbisected first divergent cycle: " << d.first_cycle;
+    } else if (d.kind == Divergence::Kind::Lengths) {
         os << "\nepoch streams agree but lengths differ: " << ea.size()
-           << " vs " << eb.size();
+           << " vs " << ca.result.epoch_hashes.size();
     } else {
         os << "\nepoch streams identical; divergence is counters-only";
     }

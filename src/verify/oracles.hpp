@@ -7,10 +7,9 @@
  * observable of one complete run (report fields, characterization,
  * counters, epoch-hash stream, final state hash and machine dump).
  * The serial engine wraps core::Simulation; a mutant engine seeds one
- * verify::ProtocolBug through the real decision points (the same
- * attachment idiom as tools/dbsim-diverge).  Any alternative engine
- * implements the same interface and inherits the entire fuzz corpus as
- * a differential test bed.
+ * verify::ProtocolBug through the real decision points.  Any
+ * alternative engine implements the same interface and inherits the
+ * entire fuzz corpus, and dbsim-diverge, as a differential test bed.
  *
  * Oracles return a structured OracleVerdict instead of asserting, so
  * the fuzzer can triage failures into buckets by signature and the
@@ -32,9 +31,12 @@
  *    (check_coherence = the DBSIM_CHECK=1 machinery), any panic
  *    converted into a verdict carrying the crash-dump excerpt;
  *  - differential: reference vs candidate engine on rendered
- *    artifacts; on mismatch the epoch-hash streams localize the first
- *    divergent epoch, refined to a cycle via probeStateHash()
- *    bisection when both engines support it.
+ *    artifacts; on mismatch localizeDivergence() names the first
+ *    divergent epoch and bisects it to a cycle with Engine::probe().
+ *
+ * localizeDivergence() is the one divergence localizer (DESIGN.md
+ * §5g): the differential and determinism oracles and dbsim-diverge
+ * all call it.
  */
 
 #ifndef DBSIM_VERIFY_ORACLES_HPP
@@ -98,18 +100,11 @@ class Engine
      *  as a detected divergence. */
     virtual RunArtifacts execute(const core::SimConfig &cfg) const = 0;
 
-    /** Optional bisection probe: run @p cfg to stop_at_cycle @p stop_at
-     *  and store the machine stateHash().  Returns false when the
-     *  engine cannot probe (bisection degrades to epoch granularity). */
-    virtual bool
-    probeStateHash(const core::SimConfig &cfg, Cycles stop_at,
-                   std::uint64_t *hash) const
-    {
-        (void)cfg;
-        (void)stop_at;
-        (void)hash;
-        return false;
-    }
+    /** The bisection probe: run @p cfg to stop_at_cycle @p stop_at with
+     *  epoch hashing off and return the machine's stateHash().  When
+     *  @p dump is non-null it receives the machineStateDump() there. */
+    virtual std::uint64_t probe(const core::SimConfig &cfg, Cycles stop_at,
+                                std::string *dump) const = 0;
 };
 
 /** The production serial engine (core::Simulation). */
@@ -117,6 +112,39 @@ std::unique_ptr<Engine> makeSerialEngine();
 
 /** The serial engine with one seeded protocol bug (teeth tests). */
 std::unique_ptr<Engine> makeMutantEngine(ProtocolBug bug);
+
+/** Where two runs of one config first differ (DESIGN.md §5g). */
+struct Divergence
+{
+    enum class Kind : std::uint8_t
+    {
+        None,         ///< byte-identical renders and final dumps
+        Epoch,        ///< the epoch-hash streams differ at sample `index`
+        Lengths,      ///< one stream is a strict prefix of the other
+        CountersOnly, ///< identical streams, different renders or dumps
+    };
+    Kind kind = Kind::None;
+    /** Epoch: the first divergent sample.  Lengths: the length of the
+     *  shared prefix. */
+    std::size_t index = 0;
+    /** The bisection's result: the states agree at cycle identical_at
+     *  and first differ at first_cycle.  Both stay 0 unless bisection
+     *  was asked for and the divergent sample is not the first. */
+    Cycles identical_at = 0;
+    Cycles first_cycle = 0;
+};
+
+/**
+ * Compare two runs of @p cfg, @p ra on engine @p a and @p rb on @p b.
+ * The first epoch sample whose cycle or hash differs is the divergent
+ * epoch.  With @p bisect set, a divergence at sample k > 0 is narrowed
+ * to a cycle by binary search over (epoch[k-1], epoch[k]], one probe
+ * pair per step; each probe re-runs its engine from cycle zero.
+ */
+Divergence localizeDivergence(const Engine &a, const Engine &b,
+                              const core::SimConfig &cfg,
+                              const RunArtifacts &ra, const RunArtifacts &rb,
+                              bool bisect);
 
 /** Which oracle produced a verdict. */
 enum class OracleKind : std::uint8_t
@@ -200,14 +228,13 @@ OracleVerdict checkCoherence(const core::SimConfig &cfg);
  * Differential oracle: @p ref and @p cand both run @p cfg; their
  * renders must be byte-identical.  A candidate that dies (panic /
  * invariant / timeout) is a detected divergence, not a harness error.
- * On mismatch with @p localize set, the detail names the first
- * divergent epoch and -- when both engines can probe -- the bisected
- * first divergent cycle; the shrinker passes false (it only needs the
- * bucket signature, and each probe is a partial re-run).
+ * On mismatch the detail names the first divergent epoch and, with
+ * @p bisect set, the bisected first divergent cycle; the shrinker
+ * passes false (it only needs the bucket signature, and each probe is
+ * a partial re-run).
  */
 OracleVerdict compareEngines(const Engine &ref, const Engine &cand,
-                             const core::SimConfig &cfg,
-                             bool localize = true);
+                             const core::SimConfig &cfg, bool bisect);
 
 } // namespace dbsim::verify
 

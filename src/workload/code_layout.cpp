@@ -9,7 +9,7 @@ using trace::TraceRecord;
 
 CodeLayout::CodeLayout(Addr base, std::uint64_t code_bytes,
                        std::uint64_t seed)
-    : base_(base), footprint_(code_bytes)
+    : base_(base)
 {
     if (code_bytes < 4096)
         DBSIM_FATAL("code footprint too small");

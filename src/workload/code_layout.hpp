@@ -62,11 +62,9 @@ class CodeLayout
     std::uint32_t routineInstrs(std::uint32_t r) const { return sizes_.at(r); }
 
     Addr base() const { return base_; }
-    std::uint64_t footprintBytes() const { return footprint_; }
 
   private:
     Addr base_;
-    std::uint64_t footprint_;
     std::vector<Addr> starts_;
     std::vector<std::uint32_t> sizes_;
 };

@@ -361,9 +361,8 @@ TEST(FuzzCampaign, SeededFaultShrinksAndReplaysIdentically)
     EXPECT_EQ(v1.detail, v2.detail);
     EXPECT_EQ(v1.dump_excerpt, v2.dump_excerpt);
 
-    for (const FuzzCaseResult &c : serial.cases)
-        if (!c.repro_path.empty())
-            std::remove(c.repro_path.c_str());
+    for (const TriageBucket &b : serial.buckets)
+        std::remove(b.repro_path.c_str());
 }
 
 TEST(Repro, RenderParseRoundTripIsLossless)
@@ -456,18 +455,20 @@ TEST(Shrink, SeededFaultShrinksTowardMinimalConfig)
     opts.repro_dir.clear();
     opts.max_shrink_runs = 24;
     opts.space.max_instructions = 30000;
-    const FuzzCaseResult r = runFuzzCase(opts, 0);
-    ASSERT_FALSE(r.passed());
-    EXPECT_FALSE(r.shrink_overrides.empty())
+    opts.count = 1;
+    const FuzzReport r = runFuzz(opts, nullptr);
+    ASSERT_EQ(r.buckets.size(), 1u);
+    const TriageBucket &b = r.buckets.front();
+    EXPECT_FALSE(b.shrink_overrides.empty())
         << "shrinker kept no reduction on a config-independent fault";
-    EXPECT_GT(r.shrink_runs, 0u);
-    EXPECT_LE(r.shrink_runs, opts.max_shrink_runs);
+    EXPECT_GT(b.shrink_runs, 0u);
+    EXPECT_LE(b.shrink_runs, opts.max_shrink_runs);
 
     // The shrunk config regenerates and still validates.
     ReproFile rf;
-    rf.config_seed = r.case_seed;
+    rf.config_seed = r.cases.front().case_seed;
     rf.space = opts.space;
-    rf.overrides = r.shrink_overrides;
+    rf.overrides = b.shrink_overrides;
     EXPECT_NO_THROW(reproConfig(rf));
 }
 

@@ -1,19 +1,16 @@
 /**
  * @file
  * Unit tests for the trace layer: record classification, sources,
- * limits, and binary serialization round-trips.
+ * and limits.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <span>
-#include <sstream>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "trace/record.hpp"
-#include "trace/serialize.hpp"
 #include "trace/source.hpp"
 
 namespace dbsim::trace {
@@ -234,60 +231,6 @@ TEST(GeneratingSource, ViewServesEachRefillInPlace)
     ASSERT_EQ(pcs.size(), 12u);
     for (std::size_t i = 0; i < pcs.size(); ++i)
         EXPECT_EQ(pcs[i], i);
-}
-
-TEST(Serialize, RoundTripEmpty)
-{
-    std::stringstream ss;
-    save(ss, {});
-    EXPECT_TRUE(load(ss).empty());
-}
-
-TEST(Serialize, RoundTripRandomRecords)
-{
-    Rng rng(77);
-    std::vector<TraceRecord> v;
-    for (int i = 0; i < 500; ++i) {
-        TraceRecord r;
-        r.op = static_cast<OpClass>(rng.below(kNumOpClasses));
-        r.pc = rng.next();
-        r.vaddr = rng.next();
-        r.extra = rng.next();
-        r.dep1 = static_cast<std::uint8_t>(rng.below(256));
-        r.dep2 = static_cast<std::uint8_t>(rng.below(256));
-        r.taken = rng.chance(0.5);
-        v.push_back(r);
-    }
-    std::stringstream ss;
-    save(ss, v);
-    const auto back = load(ss);
-    EXPECT_EQ(back, v);
-}
-
-TEST(Serialize, RejectsBadMagic)
-{
-    std::stringstream ss;
-    ss << "not a trace file at all";
-    EXPECT_THROW(load(ss), std::runtime_error);
-}
-
-TEST(Serialize, RejectsTruncated)
-{
-    std::vector<TraceRecord> v(5, TraceRecord{});
-    std::stringstream ss;
-    save(ss, v);
-    std::string s = ss.str();
-    s.resize(s.size() / 2);
-    std::stringstream cut(s);
-    EXPECT_THROW(load(cut), std::runtime_error);
-}
-
-TEST(Serialize, FileRoundTrip)
-{
-    std::vector<TraceRecord> v{rec(OpClass::Load, 0x4, 0x8)};
-    const std::string path = "/tmp/dbsim_trace_test.bin";
-    saveFile(path, v);
-    EXPECT_EQ(loadFile(path), v);
 }
 
 } // namespace

@@ -1,20 +1,15 @@
 /**
  * @file
- * dbsim-diverge: run two configurations side-by-side and localize the
+ * dbsim-diverge: run one configuration on two engines and localize the
  * first cycle at which their machine states diverge (DESIGN.md §5g).
  *
- * Both sides run with epoch state-hashing enabled: every
- * --epoch-interval cycles the run loop records an FNV-1a hash of the
- * complete serialized machine state.  The tool compares the two hash
- * streams to find the first divergent epoch, then binary-searches
- * inside that epoch with stop_at_cycle re-runs (each probe runs both
- * sides from cycle 0 to the probe cycle and compares stateHash()),
- * and finally dumps both machine states at the first divergent cycle.
- *
- * Both sides run the same machine; a bug can be seeded into side B
- * through the verification layer's ProtocolMutator to reproduce "one
- * engine has a protocol bug -- where does it first perturb the
- * machine?":
+ * A thin front end over verify::localizeDivergence: side A is
+ * verify::makeSerialEngine(), side B verify::makeMutantEngine() with
+ * the bug named by --b-bug (none by default).  Both sides run with
+ * epoch state-hashing every --epoch-interval cycles; the localizer
+ * finds the first divergent epoch and bisects it to a cycle with
+ * stop_at_cycle probes, and the tool dumps both machine states at that
+ * cycle:
  *
  *   --workload oltp|dss     both sides' workload          (default oltp)
  *   --nodes N               both sides' node count        (default 2)
@@ -44,104 +39,27 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/errors.hpp"
-#include "common/mutator.hpp"
 #include "core/cli_guard.hpp"
 #include "core/config.hpp"
-#include "core/simulation.hpp"
-#include "sim/diagnostics.hpp"
+#include "verify/oracles.hpp"
 
 namespace {
 
 using namespace dbsim;
 
-/** One side of the comparison: a config plus an optional seeded bug. */
-struct Side
+/** What one comparison found. */
+struct Outcome
 {
-    core::SimConfig cfg;
-    verify::ProtocolBug bug = verify::ProtocolBug::None;
+    bool found = false;
+    Cycles cycle = 0;             ///< first divergent cycle (when found)
+    std::uint64_t b_triggers = 0; ///< side B's bug trigger count
 };
-
-/** Hash stream + final state of one full run. */
-struct RunTrace
-{
-    std::vector<sim::EpochHash> epochs;
-    std::uint64_t bug_triggers = 0;
-};
-
-verify::ProtocolBug
-parseBugName(const std::string &name)
-{
-    using verify::ProtocolBug;
-    for (const ProtocolBug b :
-         {ProtocolBug::None, ProtocolBug::DroppedInvalidation,
-          ProtocolBug::StaleOwner, ProtocolBug::MissingDowngrade,
-          ProtocolBug::LostSharerBit, ProtocolBug::SkippedSpecSquash,
-          ProtocolBug::ReorderedRelease}) {
-        if (name == verify::protocolBugName(b))
-            return b;
-    }
-    throw ConfigError("cli.bug",
-                      "unknown protocol bug \"" + name + "\"");
-}
-
-core::WorkloadKind
-parseWorkloadName(const std::string &name)
-{
-    return core::parseChoice("--workload", name, {"oltp", "dss"})
-               ? core::WorkloadKind::Dss
-               : core::WorkloadKind::Oltp;
-}
-
-/**
- * Run @p side to completion (or to @p stop_at cycles when nonzero) and
- * return its epoch-hash stream; when @p final_hash / @p final_dump are
- * non-null they receive the machine's stateHash() / machineStateDump()
- * at the point the run ended.
- */
-RunTrace
-runSide(const Side &side, Cycles epoch_interval, Cycles stop_at,
-        std::uint64_t *final_hash, std::string *final_dump)
-{
-    core::SimConfig cfg = side.cfg;
-    cfg.system.state_hash_interval = stop_at ? 0 : epoch_interval;
-    cfg.system.stop_at_cycle = stop_at;
-
-    verify::ProtocolMutator mut;
-    mut.bug = side.bug;
-    if (side.bug != verify::ProtocolBug::None)
-        cfg.system.core.mutator = &mut; // core-side decision points
-
-    core::Simulation simulation(cfg);
-    simulation.prepare();
-    if (side.bug != verify::ProtocolBug::None)
-        simulation.system().attachMutator(&mut); // fabric-side points
-    simulation.run();
-
-    RunTrace trace;
-    trace.epochs = simulation.system().epochHashes();
-    trace.bug_triggers = mut.triggers;
-    if (final_hash)
-        *final_hash = simulation.system().stateHash();
-    if (final_dump)
-        *final_dump = sim::machineStateDump(simulation.system());
-    return trace;
-}
-
-/** True when the two sides' states differ at (the loop-top reaching)
- *  cycle @p c.  Each probe re-runs both sides from cycle zero. */
-bool
-divergedByCycle(const Side &a, const Side &b, Cycles c)
-{
-    std::uint64_t ha = 0, hb = 0;
-    runSide(a, 0, c, &ha, nullptr);
-    runSide(b, 0, c, &hb, nullptr);
-    return ha != hb;
-}
 
 bool
 writeDump(const std::string &path, const std::string &text)
@@ -151,83 +69,67 @@ writeDump(const std::string &path, const std::string &text)
     return static_cast<bool>(out);
 }
 
-/** Full comparison: hash streams, bisection, dumps.  Returns the first
- *  divergent cycle, or 0 stored in @p found = false when identical. */
-Cycles
-diverge(const Side &a, const Side &b, Cycles epoch_interval,
-        const std::string &dump_prefix, bool &found,
-        std::uint64_t *b_triggers = nullptr)
+/** Run @p cfg on both engines, print what the localizer finds, and
+ *  dump both machine states at the first divergent cycle. */
+Outcome
+diverge(const verify::Engine &a, const verify::Engine &b,
+        const core::SimConfig &cfg, const std::string &dump_prefix)
 {
-    found = false;
+    const verify::RunArtifacts ra = a.execute(cfg);
+    const verify::RunArtifacts rb = b.execute(cfg);
+    const std::vector<sim::EpochHash> &ea = ra.result.epoch_hashes;
+    const std::vector<sim::EpochHash> &eb = rb.result.epoch_hashes;
+    std::cout << "epochs: A=" << ea.size() << " B=" << eb.size()
+              << " (interval " << cfg.system.state_hash_interval
+              << " cycles)\n";
 
-    const RunTrace ta = runSide(a, epoch_interval, 0, nullptr, nullptr);
-    const RunTrace tb = runSide(b, epoch_interval, 0, nullptr, nullptr);
-    if (b_triggers)
-        *b_triggers = tb.bug_triggers;
-
-    std::cout << "epochs: A=" << ta.epochs.size()
-              << " B=" << tb.epochs.size() << " (interval "
-              << epoch_interval << " cycles)\n";
-
-    const std::size_t n = std::min(ta.epochs.size(), tb.epochs.size());
-    std::size_t k = 0;
-    while (k < n && ta.epochs[k].epoch == tb.epochs[k].epoch &&
-           ta.epochs[k].hash == tb.epochs[k].hash)
-        ++k;
-    if (k == n && ta.epochs.size() == tb.epochs.size()) {
-        std::cout << "no divergence: all " << n
+    const verify::Divergence d =
+        verify::localizeDivergence(a, b, cfg, ra, rb, /*bisect=*/true);
+    Outcome out;
+    out.b_triggers = rb.bug_triggers;
+    switch (d.kind) {
+    case verify::Divergence::Kind::None:
+        std::cout << "no divergence: all " << ea.size()
                   << " epoch hashes identical\n";
-        return 0;
-    }
-    found = true;
-
-    Cycles first_cycle = 0;
-    if (k == n) {
-        // One stream is a strict prefix of the other: the runs agree at
-        // every shared boundary but one side ran longer.
-        std::cout << "divergence: hash streams agree for " << n
-                  << " epochs, then lengths differ ("
-                  << ta.epochs.size() << " vs " << tb.epochs.size()
-                  << ")\n";
-        first_cycle = n ? ta.epochs[n - 1].epoch : 0;
-    } else {
+        return out;
+    case verify::Divergence::Kind::Lengths:
+        std::cout << "divergence: hash streams agree for " << d.index
+                  << " epochs, then lengths differ (" << ea.size()
+                  << " vs " << eb.size() << ")\n";
+        out.cycle = d.index ? ea[d.index - 1].epoch : 0;
+        break;
+    case verify::Divergence::Kind::Epoch: {
         std::ostringstream ha, hb;
-        ha << std::hex << ta.epochs[k].hash;
-        hb << std::hex << tb.epochs[k].hash;
-        std::cout << "first divergent epoch: cycle "
-                  << ta.epochs[k].epoch << " (epoch index " << k
-                  << "; A=0x" << ha.str() << " B=0x" << hb.str()
-                  << ")\n";
-        first_cycle = ta.epochs[k].epoch;
-
-        if (k > 0) {
-            // Bisect inside (previous boundary, divergent boundary]:
-            // the state is known identical at lo and divergent at hi.
-            Cycles lo = ta.epochs[k - 1].epoch;
-            Cycles hi = ta.epochs[k].epoch;
-            while (hi - lo > 1) {
-                const Cycles mid = lo + (hi - lo) / 2;
-                if (divergedByCycle(a, b, mid))
-                    hi = mid;
-                else
-                    lo = mid;
-            }
-            first_cycle = hi;
-            std::cout << "bisect: states identical at cycle " << lo
-                      << ", first divergent probe at cycle " << hi
-                      << "\n";
+        ha << std::hex << ea[d.index].hash;
+        hb << std::hex << eb[d.index].hash;
+        std::cout << "first divergent epoch: cycle " << ea[d.index].epoch
+                  << " (epoch index " << d.index << "; A=0x" << ha.str()
+                  << " B=0x" << hb.str() << ")\n";
+        out.cycle = ea[d.index].epoch;
+        if (d.first_cycle) {
+            std::cout << "bisect: states identical at cycle "
+                      << d.identical_at << ", first divergent probe at cycle "
+                      << d.first_cycle << "\n";
+            out.cycle = d.first_cycle;
         } else {
             std::cout << "divergence at the first epoch boundary: the "
                          "two sides differ from their initial state\n";
         }
+        break;
     }
+    case verify::Divergence::Kind::CountersOnly:
+        std::cout << "divergence: all " << ea.size()
+                  << " epoch hashes identical, counters differ\n";
+        out.cycle = ra.final_cycle;
+        break;
+    }
+    out.found = true;
 
     if (dump_prefix != "none") {
-        const Cycles at = first_cycle ? first_cycle : 1;
-        std::uint64_t ha = 0, hb = 0;
+        const Cycles at = out.cycle ? out.cycle : 1;
         std::string da, db;
-        runSide(a, 0, at, &ha, &da);
-        runSide(b, 0, at, &hb, &db);
+        a.probe(cfg, at, &da);
+        b.probe(cfg, at, &db);
         const std::string pa = dump_prefix + "-a.txt";
         const std::string pb = dump_prefix + "-b.txt";
         if (writeDump(pa, da) && writeDump(pb, db)) {
@@ -238,16 +140,17 @@ diverge(const Side &a, const Side &b, Cycles epoch_interval,
                       << pa << " / " << pb << "\n";
         }
     }
-    return first_cycle;
+    return out;
 }
 
 core::SimConfig
 smallConfig(core::WorkloadKind kind, std::uint32_t nodes,
-            std::uint64_t instructions)
+            std::uint64_t instructions, Cycles epoch_interval)
 {
     core::SimConfig cfg = core::makeScaledConfig(kind, nodes);
     cfg.total_instructions = instructions;
     cfg.warmup_instructions = 0;
+    cfg.system.state_hash_interval = epoch_interval;
     return cfg;
 }
 
@@ -262,26 +165,24 @@ selfCheck()
             ++failures;
     };
 
-    const Cycles interval = 2000;
-    Side a, b;
-    a.cfg = b.cfg =
-        smallConfig(core::WorkloadKind::Oltp, 2, 30000);
+    const core::SimConfig cfg =
+        smallConfig(core::WorkloadKind::Oltp, 2, 30000, 2000);
+    const std::unique_ptr<verify::Engine> a = verify::makeSerialEngine();
 
     std::cout << "scenario: identical configurations\n";
-    bool found = false;
-    diverge(a, b, interval, "none", found);
-    check(!found, "identical configs produce zero divergence");
+    const Outcome same =
+        diverge(*a, *verify::makeSerialEngine(), cfg, "none");
+    check(!same.found, "identical configs produce zero divergence");
 
     std::cout << "scenario: seeded dropped-invalidation in side B\n";
-    b.bug = verify::ProtocolBug::DroppedInvalidation;
-    std::uint64_t triggers = 0;
-    const Cycles cycle =
-        diverge(a, b, interval, "none", found, &triggers);
-    check(found, "seeded bug produces a divergence");
-    check(triggers > 0, "the seeded bug actually fired (triggers=" +
-                            std::to_string(triggers) + ")");
-    check(cycle > 0, "bisected first divergent cycle is nonzero (" +
-                         std::to_string(cycle) + ")");
+    const Outcome bug = diverge(
+        *a, *verify::makeMutantEngine(verify::ProtocolBug::DroppedInvalidation),
+        cfg, "none");
+    check(bug.found, "seeded bug produces a divergence");
+    check(bug.b_triggers > 0, "the seeded bug actually fired (triggers=" +
+                                  std::to_string(bug.b_triggers) + ")");
+    check(bug.cycle > 0, "bisected first divergent cycle is nonzero (" +
+                             std::to_string(bug.cycle) + ")");
 
     std::cout << (failures ? "dbsim-diverge self-check: FAILED\n"
                            : "dbsim-diverge self-check: all ok\n");
@@ -306,7 +207,7 @@ main(int argc, char **argv)
     try {
         std::string workload = "oltp";
         std::uint32_t nodes = 2;
-        std::string b_bug;
+        verify::ProtocolBug b_bug = verify::ProtocolBug::None;
         std::uint64_t instructions = 60000;
         Cycles epoch_interval = 5000;
         std::string dump_prefix = "dbsim-diverge";
@@ -323,9 +224,12 @@ main(int argc, char **argv)
                 workload = value();
             else if (arg == "--nodes")
                 nodes = core::parseUnsigned<std::uint32_t>(arg, value(), 1);
-            else if (arg == "--b-bug")
-                b_bug = value();
-            else if (arg == "--instructions")
+            else if (arg == "--b-bug") {
+                const std::string name = value();
+                if (!verify::protocolBugFromName(name, &b_bug))
+                    throw ConfigError("cli.bug", "unknown protocol bug \"" +
+                                                     name + "\"");
+            } else if (arg == "--instructions")
                 instructions = core::parseUnsigned(arg, value());
             else if (arg == "--epoch-interval")
                 epoch_interval = core::parseUnsigned<Cycles>(arg, value(), 1);
@@ -340,23 +244,24 @@ main(int argc, char **argv)
         if (self_check)
             return selfCheck();
 
-        Side a, b;
-        a.cfg = b.cfg = smallConfig(parseWorkloadName(workload), nodes,
-                                    instructions);
-        if (!b_bug.empty())
-            b.bug = parseBugName(b_bug);
-
-        std::cout << "dbsim-diverge\n  A: " << describe(a.cfg)
-                  << "\n  B: " << describe(b.cfg)
-                  << (b.bug != verify::ProtocolBug::None
+        const core::WorkloadKind kind =
+            core::parseChoice("--workload", workload, {"oltp", "dss"})
+                ? core::WorkloadKind::Dss
+                : core::WorkloadKind::Oltp;
+        const core::SimConfig cfg =
+            smallConfig(kind, nodes, instructions, epoch_interval);
+        std::cout << "dbsim-diverge\n  A: " << describe(cfg)
+                  << "\n  B: " << describe(cfg)
+                  << (b_bug != verify::ProtocolBug::None
                           ? std::string(" [bug ") +
-                                verify::protocolBugName(b.bug) + "]"
+                                verify::protocolBugName(b_bug) + "]"
                           : "")
                   << "\n";
 
-        bool found = false;
-        diverge(a, b, epoch_interval, dump_prefix, found);
-        return found ? 1 : 0;
+        const Outcome out = diverge(*verify::makeSerialEngine(),
+                                    *verify::makeMutantEngine(b_bug), cfg,
+                                    dump_prefix);
+        return out.found ? 1 : 0;
     } catch (const ConfigError &e) {
         std::cerr << "dbsim-diverge: " << e.what() << "\n";
         return 2;

@@ -7,7 +7,8 @@
  * runs each through the invariant-oracle suite (conservation,
  * determinism, checkpoint round-trip, coherence; plus the differential
  * harness when a mutant is injected).  Failures are triaged into
- * buckets, shrunk, and written as replayable repro-<hash>.json files.
+ * buckets; each bucket is shrunk once and written as one replayable
+ * repro-<hash>.json file.
  *
  *   dbsim-fuzz --seed 1 --count 200 --jobs 4 --repro-dir repros
  *   dbsim-fuzz --replay repros/repro-0123456789abcdef.json
