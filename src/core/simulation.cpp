@@ -1,7 +1,5 @@
 #include "core/simulation.hpp"
 
-#include <fstream>
-
 #include "common/log.hpp"
 #include "workload/hints.hpp"
 
@@ -66,24 +64,6 @@ Simulation::prepare()
 {
     if (!system_)
         build();
-}
-
-bool
-Simulation::restoreFromCheckpoint(const std::string &path)
-{
-    prepare();
-    {
-        std::ifstream probe(path, std::ios::binary);
-        if (!probe)
-            return false; // no checkpoint yet: start fresh, silently
-    }
-    try {
-        system_->restoreCheckpoint(path);
-        return true;
-    } catch (const snap::SnapshotError &e) {
-        DBSIM_WARN("ignoring unusable checkpoint ", path, ": ", e.what());
-        return false;
-    }
 }
 
 Characterization

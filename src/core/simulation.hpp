@@ -50,19 +50,9 @@ class Simulation
 
     /**
      * Build the machine and workload without running (idempotent).
-     * Needed before restoreFromCheckpoint() or system() access.
+     * Needed before system() access, e.g. system().restore(bytes).
      */
     void prepare();
-
-    /**
-     * Restore the machine from a checkpoint file.  Returns true on
-     * success; a missing file returns false (caller starts fresh), and
-     * an unusable file (corrupt, version or config mismatch) logs a
-     * warning and also returns false -- a stale checkpoint must never
-     * turn a runnable item into a failure.  Builds the machine first if
-     * needed.
-     */
-    bool restoreFromCheckpoint(const std::string &path);
 
     /** The simulated machine (valid after run() or prepare()). */
     sim::System &system() { return *system_; }

@@ -251,6 +251,30 @@ class SweepCollector
 
 } // namespace
 
+void
+forEachIndex(std::size_t n, unsigned jobs,
+             const std::function<void(std::size_t)> &fn)
+{
+    const std::size_t workers = std::min<std::size_t>(jobs, n);
+    if (workers <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+        pool.emplace_back([&] {
+            for (std::size_t i = next.fetch_add(1); i < n;
+                 i = next.fetch_add(1))
+                fn(i);
+        });
+    }
+    for (std::thread &t : pool)
+        t.join();
+}
+
 SweepOutcome
 SweepRunner::runChecked(const std::vector<SweepItem> &items) const
 {
@@ -264,31 +288,9 @@ SweepRunner::runChecked(const std::vector<SweepItem> &items) const
         guard.emplace();
 
     SweepCollector collector(items.size());
-    auto work = [&](std::size_t i) {
+    forEachIndex(items.size(), jobs_, [&](std::size_t i) {
         collector.deliver(i, runIsolated(items[i], i));
-    };
-
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, items.size()));
-
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < items.size(); ++i)
-            work(i);
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w) {
-            pool.emplace_back([&] {
-                for (std::size_t i = next.fetch_add(1);
-                     i < items.size(); i = next.fetch_add(1)) {
-                    work(i);
-                }
-            });
-        }
-        for (auto &t : pool)
-            t.join();
-    }
+    });
     return collector.take();
 }
 

@@ -28,8 +28,10 @@
 #ifndef DBSIM_CORE_SWEEP_HPP
 #define DBSIM_CORE_SWEEP_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -167,6 +169,16 @@ struct SweepOutcome
  * invariant abort (3) and generic/IO failure (1).
  */
 inline constexpr int kSweepPartialFailureExit = 4;
+
+/**
+ * Call @p fn(i) for every i in [0, n) on min(@p jobs, n) host threads;
+ * with one thread, inline and in order.  Threads claim indices from one
+ * atomic counter, so completion order depends on the job count: callers
+ * place each result by its index.  @p fn must be safe to call
+ * concurrently.
+ */
+void forEachIndex(std::size_t n, unsigned jobs,
+                  const std::function<void(std::size_t)> &fn);
 
 /**
  * Runs a list of configurations across a bounded pool of host threads.

@@ -4,24 +4,20 @@
  *
  * serializeState() walks every stateful component of the machine in a
  * fixed order, producing the byte-stable stream that feeds both the
- * on-disk checkpoint format and the per-epoch FNV state hashes.
- * saveCheckpoint()/restoreCheckpoint() wrap that stream in a versioned
- * file format:
+ * checkpoint bytes and the per-epoch FNV state hashes.
+ * checkpoint()/restore() wrap that stream in a versioned byte layout:
  *
  *     magic "DBSIMCKP" | u32 version | u64 config signature |
  *     machine state    | epoch bookkeeping | u64 FNV-1a of the above
  *
- * Files are written atomically (tmp + rename), so a checkpoint path
- * never holds a torn file even if the writer is SIGKILLed mid-write.
  * The config signature hashes the structural configuration (machine
  * geometry + process placement) but not host observation knobs
  * (state-hash interval, stop_at_cycle), so a checkpoint taken at one
  * interval restores under any other.
  */
 
-#include <cstdio>
-#include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/errors.hpp"
 #include "sim/system.hpp"
@@ -249,8 +245,8 @@ System::stateHash() const
     return w.hash();
 }
 
-void
-System::saveCheckpoint(const std::string &path) const
+std::vector<std::uint8_t>
+System::checkpoint() const
 {
     snap::Writer w;
     for (char c : kCheckpointMagic)
@@ -270,71 +266,40 @@ System::saveCheckpoint(const std::string &path) const
         w.u64(eh.hash);
     }
 
-    w.u64(w.hash()); // whole-file integrity trailer
-
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            throw snap::SnapshotError("checkpoint: cannot open " + tmp +
-                                      " for writing");
-        }
-        out.write(reinterpret_cast<const char *>(w.bytes().data()),
-                  static_cast<std::streamsize>(w.size()));
-        out.flush();
-        if (!out)
-            throw snap::SnapshotError("checkpoint: short write to " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw snap::SnapshotError("checkpoint: cannot rename " + tmp +
-                                  " to " + path);
-    }
+    w.u64(w.hash()); // integrity trailer over everything above
+    return w.bytes();
 }
 
 void
-System::restoreCheckpoint(const std::string &path)
+System::restore(const std::vector<std::uint8_t> &bytes)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw snap::SnapshotError("checkpoint: cannot open " + path);
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-
     if (bytes.size() < sizeof(kCheckpointMagic) + 4 + 8 + 8)
-        throw snap::SnapshotError("checkpoint: file too short: " + path);
+        throw snap::SnapshotError("checkpoint: too short");
 
     // Integrity first: everything before the trailer must hash to it.
     const std::size_t body = bytes.size() - 8;
     std::uint64_t trailer = 0;
     for (int i = 0; i < 8; ++i)
         trailer |= static_cast<std::uint64_t>(bytes[body + i]) << (8 * i);
-    if (snap::fnv1a(bytes.data(), body) != trailer) {
-        throw snap::SnapshotError(
-            "checkpoint: integrity hash mismatch (torn or corrupt "
-            "file): " +
-            path);
-    }
+    if (snap::fnv1a(bytes.data(), body) != trailer)
+        throw snap::SnapshotError("checkpoint: integrity hash mismatch");
 
     snap::Reader r(bytes.data(), body);
     for (char c : kCheckpointMagic) {
         if (r.u8() != static_cast<std::uint8_t>(c))
-            throw snap::SnapshotError("checkpoint: bad magic in " + path);
+            throw snap::SnapshotError("checkpoint: bad magic");
     }
     const std::uint32_t version = r.u32();
     if (version != kCheckpointVersion) {
         throw snap::SnapshotError(
             "checkpoint: unsupported version " + std::to_string(version) +
             " (this build reads version " +
-            std::to_string(kCheckpointVersion) + "): " + path);
+            std::to_string(kCheckpointVersion) + ")");
     }
-    const std::uint64_t sig = r.u64();
-    if (sig != configSignature()) {
+    if (r.u64() != configSignature()) {
         throw snap::SnapshotError(
             "checkpoint: config signature mismatch (checkpoint was taken "
-            "under a structurally different configuration): " +
-            path);
+            "under a structurally different configuration)");
     }
 
     deserializeState(r);
@@ -350,10 +315,8 @@ System::restoreCheckpoint(const std::string &path)
         epoch_hashes_.push_back(eh);
     }
 
-    if (!r.atEnd()) {
-        throw snap::SnapshotError(
-            "checkpoint: trailing bytes after state: " + path);
-    }
+    if (!r.atEnd())
+        throw snap::SnapshotError("checkpoint: trailing bytes after state");
 }
 
 } // namespace dbsim::sim

@@ -73,7 +73,7 @@ struct SystemParams
      * Stop the run loop at the first iteration where now() >= this
      * cycle.  The machine is left mid-flight: the end-of-run quiescence
      * audit is skipped and the partial-window RunResult is returned, so
-     * the caller can saveCheckpoint() exactly the state an
+     * the caller can checkpoint() exactly the state an
      * uninterrupted run would next act on.  Used by the
      * restore-determinism tests and the dbsim-diverge bisector.
      * 0 disables.
@@ -197,13 +197,14 @@ class System : public cpu::CoreEnvIf
      */
     std::uint64_t configSignature() const;
 
-    /** Write a checkpoint file (atomic tmp + rename).  Throws
-     *  snap::SnapshotError on I/O failure. */
-    void saveCheckpoint(const std::string &path) const;
+    /** The checkpoint bytes: magic, version, config signature,
+     *  serializeState(), epoch bookkeeping and an FNV-1a trailer. */
+    std::vector<std::uint8_t> checkpoint() const;
 
-    /** Restore from a checkpoint file; validates magic, version,
-     *  config signature, and a whole-file integrity hash. */
-    void restoreCheckpoint(const std::string &path);
+    /** Restore from checkpoint() bytes; throws snap::SnapshotError if
+     *  they are too short, corrupt (trailer), of another magic or
+     *  version, of another config signature, or carry trailing bytes. */
+    void restore(const std::vector<std::uint8_t> &bytes);
 
     /** Epoch hash samples recorded so far (see state_hash_interval). */
     const std::vector<EpochHash> &epochHashes() const

@@ -1,17 +1,15 @@
 #include "verify/fuzzer.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "common/errors.hpp"
 #include "common/log.hpp"
 #include "common/snapshot.hpp"
 #include "core/json_writer.hpp"
+#include "core/sweep.hpp"
 #include "cpu/consistency.hpp"
 
 namespace dbsim::verify {
@@ -55,13 +53,6 @@ engineUnderTest(const FuzzOptions &opts)
                : makeSerialEngine();
 }
 
-std::string
-scratchPath(const FuzzOptions &opts, std::uint32_t index)
-{
-    return opts.scratch_dir + "/dbsim_fuzz_" + std::to_string(opts.seed) +
-           "_" + std::to_string(index) + ".ckpt";
-}
-
 OracleVerdict
 crashVerdict(const std::exception &e)
 {
@@ -78,8 +69,7 @@ crashVerdict(const std::exception &e)
  */
 OracleVerdict
 runOracleKind(const FuzzOptions &opts, OracleKind k,
-              const core::SimConfig &cfg, const std::string &scratch,
-              bool bisect)
+              const core::SimConfig &cfg, bool bisect)
 {
     switch (k) {
       case OracleKind::Crash: {
@@ -114,8 +104,7 @@ runOracleKind(const FuzzOptions &opts, OracleKind k,
         return checkDeterminism(*eng, cfg, a);
       }
       case OracleKind::CheckpointRoundTrip:
-        return checkCheckpointRoundTrip(cfg, scratch,
-                                        opts.corrupt_checkpoint_offset);
+        return checkCheckpointRoundTrip(cfg);
       case OracleKind::Coherence:
         return checkCoherence(cfg);
       case OracleKind::Differential: {
@@ -277,7 +266,6 @@ runFuzzCase(const FuzzOptions &opts, std::uint32_t index)
     r.case_seed = fuzzCaseSeed(opts.seed, index);
     const core::SimConfig cfg = fuzzCaseConfig(opts, index);
     r.config_signature = core::simConfigSignature(cfg);
-    const std::string scratch = scratchPath(opts, index);
     const std::unique_ptr<Engine> engine = engineUnderTest(opts);
 
     const auto record = [&r](const OracleVerdict &v) {
@@ -312,10 +300,8 @@ runFuzzCase(const FuzzOptions &opts, std::uint32_t index)
             opts.inject_fault == ArtifactFault::None) {
             record(checkDeterminism(*engine, cfg, base));
         }
-        if (opts.oracle_checkpoint) {
-            record(checkCheckpointRoundTrip(
-                cfg, scratch, opts.corrupt_checkpoint_offset));
-        }
+        if (opts.oracle_checkpoint)
+            record(checkCheckpointRoundTrip(cfg));
         if (opts.oracle_coherence)
             record(checkCoherence(cfg));
         if (opts.inject_bug != ProtocolBug::None) {
@@ -334,12 +320,9 @@ reduceBucket(const FuzzOptions &opts, const FuzzCaseResult &c,
              TriageBucket &b)
 {
     if (opts.shrink) {
-        const std::string scratch = scratchPath(opts, c.index);
-        const OraclePredicate pred =
-            [&opts, &b, &scratch](const core::SimConfig &cfg) {
-                return runOracleKind(opts, b.oracle, cfg, scratch,
-                                     /*bisect=*/false);
-            };
+        const OraclePredicate pred = [&opts, &b](const core::SimConfig &cfg) {
+            return runOracleKind(opts, b.oracle, cfg, /*bisect=*/false);
+        };
         ShrinkOutcome s = shrinkConfig(opts, c.case_seed, b.signature, pred);
         b.shrink_overrides = std::move(s.overrides);
         b.shrink_runs = s.runs;
@@ -353,7 +336,6 @@ reduceBucket(const FuzzOptions &opts, const FuzzCaseResult &c,
     rf.oracle = b.oracle;
     rf.bug = opts.inject_bug;
     rf.fault = opts.inject_fault;
-    rf.corrupt_checkpoint_offset = opts.corrupt_checkpoint_offset;
     rf.signature = b.signature;
     rf.detail = b.detail;
     core::SimConfig shrunk;
@@ -384,38 +366,20 @@ runFuzz(const FuzzOptions &opts, std::ostream *log)
     rep.count = opts.count;
     rep.cases.resize(opts.count);
 
-    std::atomic<std::uint32_t> next{0};
     std::mutex log_mu;
-    const auto worker = [&]() {
-        for (;;) {
-            const std::uint32_t i = next.fetch_add(1);
-            if (i >= opts.count)
-                return;
-            FuzzCaseResult cr = runFuzzCase(opts, i);
-            if (log && !cr.passed()) {
-                const std::lock_guard<std::mutex> lock(log_mu);
-                for (const OracleVerdict &f : cr.failures) {
-                    *log << "dbsim-fuzz: case " << i << " seed 0x"
-                         << hex16(cr.case_seed) << " FAILED ["
-                         << f.signature << "]\n";
-                }
+    core::forEachIndex(opts.count, opts.jobs, [&](std::size_t i) {
+        FuzzCaseResult cr =
+            runFuzzCase(opts, static_cast<std::uint32_t>(i));
+        if (log && !cr.passed()) {
+            const std::lock_guard<std::mutex> lock(log_mu);
+            for (const OracleVerdict &f : cr.failures) {
+                *log << "dbsim-fuzz: case " << i << " seed 0x"
+                     << hex16(cr.case_seed) << " FAILED [" << f.signature
+                     << "]\n";
             }
-            rep.cases[i] = std::move(cr);
         }
-    };
-
-    const std::uint32_t jobs =
-        std::max<std::uint32_t>(1, std::min(opts.jobs, opts.count));
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (std::uint32_t t = 0; t < jobs; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
+        rep.cases[i] = std::move(cr);
+    });
 
     // Triage: bucket by verdict signature, in case-index order so the
     // report is independent of completion order (and of jobs).
@@ -466,7 +430,6 @@ renderFuzzReport(const FuzzOptions &opts, const FuzzReport &rep)
     w.key("injections").beginObject();
     w.kv("bug", protocolBugName(opts.inject_bug));
     w.kv("fault", artifactFaultName(opts.inject_fault));
-    w.kv("corrupt_checkpoint_offset", opts.corrupt_checkpoint_offset);
     w.endObject();
     w.kv("passed", std::uint64_t{rep.count - rep.failed_cases});
     w.kv("failed", std::uint64_t{rep.failed_cases});
@@ -534,7 +497,6 @@ renderRepro(const ReproFile &r)
     w.kv("oracle", oracleName(r.oracle));
     w.kv("bug", protocolBugName(r.bug));
     w.kv("fault", artifactFaultName(r.fault));
-    w.kv("corrupt_checkpoint_offset", r.corrupt_checkpoint_offset);
     w.kv("signature", r.signature);
     w.kv("config_signature", "0x" + hex16(r.config_signature));
     w.kv("detail", r.detail);
@@ -800,7 +762,6 @@ parseRepro(const std::string &json, ReproFile *out, std::string *err)
     if (r.space.min_instructions > r.space.max_instructions)
         return bad("space.min_instructions exceeds "
                    "space.max_instructions");
-    num("corrupt_checkpoint_offset", &r.corrupt_checkpoint_offset);
     for (const auto &[path, value] : mj.nums) {
         if (path.rfind("overrides.", 0) == 0)
             r.overrides[path.substr(10)] = value;
@@ -852,18 +813,14 @@ reproConfig(const ReproFile &r)
 }
 
 OracleVerdict
-replayRepro(const ReproFile &r, const std::string &scratch_dir)
+replayRepro(const ReproFile &r)
 {
     PanicThrowGuard guard;
     FuzzOptions opts;
     opts.space = r.space;
     opts.inject_bug = r.bug;
     opts.inject_fault = r.fault;
-    opts.corrupt_checkpoint_offset = r.corrupt_checkpoint_offset;
-    const core::SimConfig cfg = reproConfig(r);
-    const std::string scratch = scratch_dir + "/dbsim_fuzz_replay_" +
-                                hex16(r.config_seed) + ".ckpt";
-    return runOracleKind(opts, r.oracle, cfg, scratch, /*bisect=*/true);
+    return runOracleKind(opts, r.oracle, reproConfig(r), /*bisect=*/true);
 }
 
 namespace {
@@ -913,7 +870,7 @@ selfCheckConfig()
 } // namespace
 
 bool
-fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir)
+fuzzSelfCheck(std::ostream &log, const std::string &repro_dir)
 {
     PanicThrowGuard guard;
     bool all_ok = true;
@@ -983,14 +940,10 @@ fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir)
 
     // 4. Checkpoint round-trip: clean passes, a byte flip is caught.
     {
-        const std::string scratch =
-            scratch_dir + "/dbsim_fuzz_selfcheck.ckpt";
-        const OracleVerdict clean =
-            checkCheckpointRoundTrip(cfg, scratch, 0);
+        const OracleVerdict clean = checkCheckpointRoundTrip(cfg, 0);
         check("checkpoint round-trip clean", clean.ok,
               firstLine(clean.detail));
-        const OracleVerdict corrupt =
-            checkCheckpointRoundTrip(cfg, scratch, 1234);
+        const OracleVerdict corrupt = checkCheckpointRoundTrip(cfg, 1234);
         check("checkpoint byte-flip caught", !corrupt.ok,
               "round-trip oracle missed the corruption");
     }
@@ -1004,8 +957,7 @@ fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir)
         fo.inject_fault = ArtifactFault::BreakdownLeak;
         fo.oracle_checkpoint = false;
         fo.oracle_coherence = false;
-        fo.repro_dir = scratch_dir;
-        fo.scratch_dir = scratch_dir;
+        fo.repro_dir = repro_dir;
         fo.max_shrink_runs = 24;
         const FuzzReport fr = runFuzz(fo, nullptr);
         const bool caught = fr.buckets.size() == 1 &&
@@ -1027,7 +979,7 @@ fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir)
             if (!parseRepro(buf.str(), &rf, &err)) {
                 why = err;
             } else {
-                const OracleVerdict v = replayRepro(rf, scratch_dir);
+                const OracleVerdict v = replayRepro(rf);
                 replay_ok = !v.ok && v.signature == rf.signature;
                 if (!replay_ok)
                     why = v.ok ? "replay did not reproduce"
@@ -1045,7 +997,6 @@ fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir)
         fo.seed = 99;
         fo.count = 6;
         fo.space.max_instructions = 30'000;
-        fo.scratch_dir = scratch_dir;
         fo.jobs = 1;
         const FuzzReport r1 = runFuzz(fo, nullptr);
         const std::string render1 = renderFuzzReport(fo, r1);

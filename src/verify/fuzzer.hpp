@@ -19,12 +19,12 @@
  * injections": replayRepro() regenerates the exact config on any host
  * and re-runs the one oracle that failed.
  *
- * Injection knobs (inject_bug / inject_fault / corrupt_checkpoint
- * offset) exist so the oracle suite can be teeth-tested: a fuzzer whose
- * oracles have never caught a seeded bug is indistinguishable from one
- * that checks nothing.  fuzzSelfCheck() seeds all six ProtocolBugs,
- * all three artifact faults, and a checkpoint byte-flip, and demands
- * each is rediscovered.
+ * Injection knobs (inject_bug / inject_fault, and the round-trip
+ * oracle's corrupt_offset) exist so the oracle suite can be
+ * teeth-tested: a fuzzer whose oracles have never caught a seeded bug
+ * is indistinguishable from one that checks nothing.  fuzzSelfCheck()
+ * seeds all six ProtocolBugs, all three artifact faults, and a
+ * checkpoint byte-flip, and demands each is rediscovered.
  */
 
 #ifndef DBSIM_VERIFY_FUZZER_HPP
@@ -52,7 +52,6 @@ struct FuzzOptions
     core::FuzzSpace space;
 
     std::string repro_dir;       ///< write repro-<hash>.json here ("" = off)
-    std::string scratch_dir = ".";  ///< checkpoint scratch files
 
     bool oracle_conservation = true;
     bool oracle_determinism = true;
@@ -67,7 +66,6 @@ struct FuzzOptions
      *  it and mask the conservation verdict under triage). */
     ProtocolBug inject_bug = ProtocolBug::None;
     ArtifactFault inject_fault = ArtifactFault::None;
-    std::uint64_t corrupt_checkpoint_offset = 0; ///< nonzero = flip that byte
 
     bool shrink = true;              ///< shrink once per triage bucket
     std::uint32_t max_shrink_runs = 40; ///< predicate-evaluation budget
@@ -130,9 +128,10 @@ struct FuzzReport
 FuzzCaseResult runFuzzCase(const FuzzOptions &opts, std::uint32_t index);
 
 /**
- * Run the whole campaign across opts.jobs worker threads (atomic case
- * dispatch; results land by index), triage the failures, then shrink
- * each bucket's lowest-index case and write its repro per @p opts.
+ * Run the whole campaign across opts.jobs worker threads
+ * (core::forEachIndex; results land by index), triage the failures,
+ * then shrink each bucket's lowest-index case and write its repro per
+ * @p opts.
  * @p log, when non-null, receives
  * one progress line per failure and a summary (never stdout -- the
  * caller owns the stream).
@@ -184,7 +183,6 @@ struct ReproFile
     OracleKind oracle = OracleKind::Conservation;
     ProtocolBug bug = ProtocolBug::None;
     ArtifactFault fault = ArtifactFault::None;
-    std::uint64_t corrupt_checkpoint_offset = 0;
     std::string signature;  ///< bucket signature at capture time
     std::uint64_t config_signature = 0; ///< of the shrunk config
     std::string detail;     ///< first detail line at capture time
@@ -209,7 +207,7 @@ core::SimConfig reproConfig(const ReproFile &r);
  * ok == false and the recorded signature means "reproduced"; ok == true
  * means the underlying bug is gone.  Installs its own panic guard.
  */
-OracleVerdict replayRepro(const ReproFile &r, const std::string &scratch_dir);
+OracleVerdict replayRepro(const ReproFile &r);
 
 /** Name <-> enum helpers (CLI flags, repro files, tests). */
 bool oracleKindFromName(const std::string &name, OracleKind *out);
@@ -223,12 +221,13 @@ bool artifactFaultFromName(const std::string &name, ArtifactFault *out);
  *    the unfaulted artifacts must pass it;
  *  - a checkpoint byte-flip must trip the round-trip oracle, and the
  *    clean round-trip must pass;
- *  - a seeded-fault fuzz case must shrink, write a repro, and the
- *    reloaded repro must replay to the same bucket signature;
+ *  - a seeded-fault fuzz case must shrink, write a repro into
+ *    @p repro_dir (removed again), and the reloaded repro must replay
+ *    to the same bucket signature;
  *  - a small campaign must render byte-identically at jobs 1 and 4.
  * Logs one line per check to @p log; returns true iff all pass.
  */
-bool fuzzSelfCheck(std::ostream &log, const std::string &scratch_dir);
+bool fuzzSelfCheck(std::ostream &log, const std::string &repro_dir);
 
 } // namespace dbsim::verify
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/breakdown.hpp"
@@ -472,7 +470,6 @@ checkDeterminism(const Engine &eng, const core::SimConfig &cfg,
 
 OracleVerdict
 checkCheckpointRoundTrip(const core::SimConfig &cfg,
-                         const std::string &scratch_path,
                          std::uint64_t corrupt_offset)
 {
     // Re-run the config to its midpoint, checkpoint there, restore into
@@ -490,66 +487,47 @@ checkCheckpointRoundTrip(const core::SimConfig &cfg,
         return passVerdict(OracleKind::CheckpointRoundTrip,
                            "run too short to checkpoint mid-flight");
 
-    std::remove(scratch_path.c_str());
+    std::vector<std::uint8_t> bytes;
     try {
         core::SimConfig stop_cfg = cfg;
         stop_cfg.system.stop_at_cycle = ref.final_cycle / 2;
         core::Simulation stopper(stop_cfg);
         stopper.run();
-        stopper.system().saveCheckpoint(scratch_path);
+        bytes = stopper.system().checkpoint();
     } catch (const std::exception &e) {
-        std::remove(scratch_path.c_str());
         return failVerdict(OracleKind::CheckpointRoundTrip,
                            std::string("checkpointing run died: ") + e.what());
     }
 
-    if (corrupt_offset) {
-        // Seeded checkpoint corruption (teeth tests): flip one byte.
-        std::fstream f(scratch_path,
-                       std::ios::in | std::ios::out | std::ios::binary);
-        f.seekg(0, std::ios::end);
-        const std::streamoff size = f.tellg();
-        if (size > 0) {
-            const std::streamoff at =
-                static_cast<std::streamoff>(corrupt_offset) % size;
-            f.seekg(at);
-            char b = 0;
-            f.read(&b, 1);
-            b = static_cast<char>(b ^ 0x5a);
-            f.seekp(at);
-            f.write(&b, 1);
-        }
-    }
+    // Seeded checkpoint corruption (teeth tests): flip one byte.
+    if (corrupt_offset)
+        bytes[corrupt_offset % bytes.size()] ^= 0x5a;
 
-    OracleVerdict out = passVerdict(OracleKind::CheckpointRoundTrip);
     try {
         core::Simulation resumed(cfg);
-        if (!resumed.restoreFromCheckpoint(scratch_path)) {
-            out = failVerdict(
-                OracleKind::CheckpointRoundTrip,
-                "restore refused a checkpoint written moments earlier "
-                "(corrupt or incompatible file)");
-        } else {
-            const sim::RunResult r = resumed.run();
-            RunArtifacts got = collectArtifacts(resumed, cfg, r);
-            if (renderArtifacts(got) != renderArtifacts(ref)) {
-                out = failVerdict(
-                    OracleKind::CheckpointRoundTrip,
-                    "restored run's final artifacts differ from the "
-                    "uninterrupted run");
-            } else if (got.final_dump != ref.final_dump) {
-                out = failVerdict(
-                    OracleKind::CheckpointRoundTrip,
-                    "restored run's machine dump differs from the "
-                    "uninterrupted run");
-            }
+        resumed.prepare();
+        resumed.system().restore(bytes);
+        const sim::RunResult r = resumed.run();
+        RunArtifacts got = collectArtifacts(resumed, cfg, r);
+        if (renderArtifacts(got) != renderArtifacts(ref)) {
+            return failVerdict(OracleKind::CheckpointRoundTrip,
+                               "restored run's final artifacts differ from "
+                               "the uninterrupted run");
         }
+        if (got.final_dump != ref.final_dump) {
+            return failVerdict(OracleKind::CheckpointRoundTrip,
+                               "restored run's machine dump differs from "
+                               "the uninterrupted run");
+        }
+    } catch (const snap::SnapshotError &e) {
+        return failVerdict(OracleKind::CheckpointRoundTrip,
+                           std::string("restore refused the checkpoint: ") +
+                               e.what());
     } catch (const std::exception &e) {
-        out = failVerdict(OracleKind::CheckpointRoundTrip,
-                          std::string("restored run died: ") + e.what());
+        return failVerdict(OracleKind::CheckpointRoundTrip,
+                           std::string("restored run died: ") + e.what());
     }
-    std::remove(scratch_path.c_str());
-    return out;
+    return passVerdict(OracleKind::CheckpointRoundTrip);
 }
 
 OracleVerdict

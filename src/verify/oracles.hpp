@@ -211,14 +211,12 @@ OracleVerdict checkDeterminism(const Engine &eng, const core::SimConfig &cfg,
                                const RunArtifacts &first);
 
 /**
- * Checkpoint round-trip oracle.  @p scratch_path names the checkpoint
- * file to use (created and removed here).  When @p corrupt_offset is
- * nonzero the byte at that file offset (modulo file size) is flipped
- * after the save -- the seeded checkpoint-corruption bug for teeth
- * tests; the oracle must then fail with a refused restore.
+ * Checkpoint round-trip oracle.  When @p corrupt_offset is nonzero the
+ * checkpoint byte at that offset (modulo its size) is flipped before
+ * the restore -- the seeded checkpoint-corruption bug for teeth tests;
+ * the oracle must then fail with the restore's SnapshotError.
  */
 OracleVerdict checkCheckpointRoundTrip(const core::SimConfig &cfg,
-                                       const std::string &scratch_path,
                                        std::uint64_t corrupt_offset = 0);
 
 /** Coherence/consistency oracle: full run under the armed checker. */

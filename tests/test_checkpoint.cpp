@@ -13,10 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,12 +31,6 @@ using namespace dbsim;
 using core::SimConfig;
 using core::Simulation;
 using core::WorkloadKind;
-
-std::string
-tmpPath(const std::string &name)
-{
-    return testing::TempDir() + name;
-}
 
 SimConfig
 smallConfig(WorkloadKind kind, std::uint32_t nodes)
@@ -89,27 +79,27 @@ expectSameOutcome(const FullRun &a, const FullRun &b)
     EXPECT_EQ(a.dump, b.dump) << "machine-state dumps differ";
 }
 
-/** The bytes of the file at @p path. */
-std::vector<std::uint8_t>
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return {std::istreambuf_iterator<char>(in),
-            std::istreambuf_iterator<char>()};
-}
-
-/** Write checkpoint @p bytes to @p path with a valid FNV-1a trailer
- *  over everything before it. */
+/** Rewrite the FNV-1a trailer of checkpoint @p bytes over everything
+ *  before it. */
 void
-writeWithTrailer(const std::string &path, std::vector<std::uint8_t> bytes)
+resealTrailer(std::vector<std::uint8_t> &bytes)
 {
     const std::size_t body = bytes.size() - 8;
     const std::uint64_t trailer = snap::fnv1a(bytes.data(), body);
     for (int i = 0; i < 8; ++i)
         bytes[body + i] = static_cast<std::uint8_t>(trailer >> (8 * i));
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Restore @p bytes into @p sys; "" if accepted, else the error. */
+std::string
+restoreError(sim::System &sys, const std::vector<std::uint8_t> &bytes)
+{
+    try {
+        sys.restore(bytes);
+        return "";
+    } catch (const snap::SnapshotError &e) {
+        return e.what();
+    }
 }
 
 TEST(Snapshot, WriterReaderRoundTrip)
@@ -177,7 +167,6 @@ TEST(Snapshot, IdenticalStatesHashIdentically)
  */
 TEST(Checkpoint, RestoredRunMatchesUninterrupted)
 {
-    int case_id = 0;
     for (const WorkloadKind kind :
          {WorkloadKind::Oltp, WorkloadKind::Dss}) {
         for (const std::uint32_t nodes : {1u, 4u}) {
@@ -195,21 +184,19 @@ TEST(Checkpoint, RestoredRunMatchesUninterrupted)
             const Cycles final_cycle = ref.system().now();
             ASSERT_GT(final_cycle, 4u);
 
-            const std::string ckpt = tmpPath(
-                "dbsim_ckpt_" + std::to_string(case_id++) + ".ckpt");
-            std::remove(ckpt.c_str());
-
             // Interrupted run: stop mid-flight and checkpoint.
             SimConfig stop_cfg = base;
             stop_cfg.system.stop_at_cycle = final_cycle / 2;
             Simulation stopped(stop_cfg);
             stopped.run();
-            stopped.system().saveCheckpoint(ckpt);
+            const std::vector<std::uint8_t> ckpt =
+                stopped.system().checkpoint();
             EXPECT_LT(stopped.system().now(), final_cycle);
 
             // Fresh machine, restored, run to completion.
             Simulation resumed(base);
-            ASSERT_TRUE(resumed.restoreFromCheckpoint(ckpt));
+            resumed.prepare();
+            resumed.system().restore(ckpt);
             EXPECT_EQ(resumed.system().now(), stopped.system().now());
             FullRun b;
             b.result = resumed.run();
@@ -217,7 +204,6 @@ TEST(Checkpoint, RestoredRunMatchesUninterrupted)
             b.state_hash = resumed.system().stateHash();
 
             expectSameOutcome(a, b);
-            std::remove(ckpt.c_str());
         }
     }
 }
@@ -238,16 +224,15 @@ TEST(Checkpoint, RestoreWhileACoreIsSkippedMatchesUninterrupted)
     a.state_hash = ref.system().stateHash();
     const Cycles final_cycle = ref.system().now();
 
-    const std::string ckpt = tmpPath("dbsim_ckpt_skipped_core.ckpt");
+    std::vector<std::uint8_t> ckpt;
     bool skipped = false;
     for (Cycles stop = final_cycle / 2; stop < final_cycle && !skipped;
          stop += 101) {
-        std::remove(ckpt.c_str());
         SimConfig stop_cfg = base;
         stop_cfg.system.stop_at_cycle = stop;
         Simulation stopped(stop_cfg);
         stopped.run();
-        stopped.system().saveCheckpoint(ckpt);
+        ckpt = stopped.system().checkpoint();
         const sim::System &sys = stopped.system();
         for (std::uint32_t i = 0; i < sys.numNodes(); ++i)
             skipped |= !sys.core(i).due(sys.now());
@@ -255,7 +240,8 @@ TEST(Checkpoint, RestoreWhileACoreIsSkippedMatchesUninterrupted)
     ASSERT_TRUE(skipped) << "no stop cycle found with a core not due";
 
     Simulation resumed(base);
-    ASSERT_TRUE(resumed.restoreFromCheckpoint(ckpt));
+    resumed.prepare();
+    resumed.system().restore(ckpt);
     for (std::uint32_t i = 0; i < resumed.system().numNodes(); ++i)
         EXPECT_TRUE(resumed.system().core(i).due(resumed.system().now()));
     FullRun b;
@@ -263,75 +249,54 @@ TEST(Checkpoint, RestoreWhileACoreIsSkippedMatchesUninterrupted)
     b.dump = sim::machineStateDump(resumed.system());
     b.state_hash = resumed.system().stateHash();
     expectSameOutcome(a, b);
-    std::remove(ckpt.c_str());
 }
 
 /** A checkpoint must only restore into a structurally identical
  *  machine: node count, core model, placement, ... all signed. */
 TEST(Checkpoint, ConfigSignatureMismatchIsRejected)
 {
-    const std::string ckpt = tmpPath("dbsim_ckpt_mismatch.ckpt");
-    std::remove(ckpt.c_str());
-
     SimConfig one = smallConfig(WorkloadKind::Oltp, 1);
     one.system.stop_at_cycle = 500;
     Simulation a(one);
     a.run();
-    a.system().saveCheckpoint(ckpt);
 
     SimConfig two = smallConfig(WorkloadKind::Oltp, 2);
     Simulation b(two);
     b.prepare();
-    EXPECT_THROW(b.system().restoreCheckpoint(ckpt),
-                 snap::SnapshotError);
-    // The facade degrades gracefully: warn and start fresh.
-    EXPECT_FALSE(b.restoreFromCheckpoint(ckpt));
-    std::remove(ckpt.c_str());
+    EXPECT_NE(restoreError(b.system(), a.system().checkpoint())
+                  .find("config signature mismatch"),
+              std::string::npos);
 }
 
-/** A file written under another format version, with a valid integrity
+/** A checkpoint of another format version, with a valid integrity
  *  trailer, is refused by name: the version field is checked before
  *  any machine state is read. */
 TEST(Checkpoint, OtherVersionIsRejected)
 {
-    const std::string ckpt = tmpPath("dbsim_ckpt_version.ckpt");
-    std::remove(ckpt.c_str());
-
     SimConfig cfg = smallConfig(WorkloadKind::Oltp, 1);
     cfg.system.stop_at_cycle = 500;
     Simulation a(cfg);
     a.run();
-    a.system().saveCheckpoint(ckpt);
 
     // magic (8 bytes) | u32 version | ... | u64 FNV-1a trailer
-    std::vector<std::uint8_t> bytes = readFile(ckpt);
+    std::vector<std::uint8_t> bytes = a.system().checkpoint();
     ASSERT_GT(bytes.size(), 20u);
     for (int i = 0; i < 4; ++i)
         bytes[8 + i] = static_cast<std::uint8_t>(2u >> (8 * i));
-    writeWithTrailer(ckpt, bytes);
+    resealTrailer(bytes);
 
     Simulation b(cfg);
     b.prepare();
-    try {
-        b.system().restoreCheckpoint(ckpt);
-        ADD_FAILURE() << "a version-2 checkpoint was restored";
-    } catch (const snap::SnapshotError &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "unsupported version 2 (this build reads version 3)"),
-                  std::string::npos)
-            << e.what();
-    }
-    std::remove(ckpt.c_str());
+    EXPECT_NE(restoreError(b.system(), bytes)
+                  .find("unsupported version 2 (this build reads version 3)"),
+              std::string::npos);
 }
 
-/** A record whose op byte names no class, in a checkpoint file with a
+/** A record whose op byte names no class, in a checkpoint with a
  *  valid integrity trailer, is refused by name: in a trace source's ring
  *  and in a core's window alike. */
 TEST(Checkpoint, RecordOpNamingNoClassIsRejected)
 {
-    const std::string ckpt = tmpPath("dbsim_ckpt_bad_op.ckpt");
-    std::remove(ckpt.c_str());
-
     // Two DSS processes on one node; the machine is built directly so
     // the test keeps a handle on a trace source.
     const SimConfig cfg = core::makeScaledConfig(WorkloadKind::Dss, 1);
@@ -351,15 +316,14 @@ TEST(Checkpoint, RecordOpNamingNoClassIsRejected)
     trace::TraceSource *source = nullptr;
     const auto live = build(&source);
     live->run(30000, 0);
-    live->saveCheckpoint(ckpt);
-    const std::vector<std::uint8_t> file = readFile(ckpt);
+    const std::vector<std::uint8_t> file = live->checkpoint();
     const auto bytesOf = [](const auto &component) {
         snap::Writer w;
         component.saveState(w);
         return w.bytes();
     };
 
-    // Each component's bytes appear verbatim in the file.  Patch the op
+    // Each component's bytes appear verbatim in the checkpoint.  Patch the op
     // of the first record at @p record_at within them to 238, rewrite
     // the trailer, and restore into a fresh machine.
     const auto expectRejected = [&](const std::vector<std::uint8_t> &part,
@@ -374,16 +338,11 @@ TEST(Checkpoint, RecordOpNamingNoClassIsRejected)
             static_cast<std::size_t>(at - file.begin()) + record_at + 24;
         ASSERT_LT(bytes[op_at], trace::kNumOpClasses) << what;
         bytes[op_at] = 238;
-        writeWithTrailer(ckpt, bytes);
+        resealTrailer(bytes);
         const auto fresh = build(nullptr);
-        try {
-            fresh->restoreCheckpoint(ckpt);
-            ADD_FAILURE() << "restored a " << what << " with op 238";
-        } catch (const snap::SnapshotError &e) {
-            EXPECT_NE(std::string(e.what()).find("op names no class"),
-                      std::string::npos)
-                << what << ": " << e.what();
-        }
+        EXPECT_NE(restoreError(*fresh, bytes).find("op names no class"),
+                  std::string::npos)
+            << what;
     };
 
     // A source saves its ring's record count, then the records.
@@ -412,46 +371,31 @@ TEST(Checkpoint, RecordOpNamingNoClassIsRejected)
     ASSERT_GT(r.length(28), 0u) << "the window is empty";
     expectRejected(core_bytes, core_bytes.size() - r.remaining(),
                    "window record");
-    std::remove(ckpt.c_str());
 }
 
-/** A torn or corrupted checkpoint file fails the integrity trailer and
- *  is ignored (the item starts fresh rather than crashing). */
+/** A corrupted checkpoint fails the integrity trailer, and bytes
+ *  shorter than the header and trailer fail before any is read. */
 TEST(Checkpoint, CorruptFileIsRejected)
 {
-    const std::string ckpt = tmpPath("dbsim_ckpt_corrupt.ckpt");
-    std::remove(ckpt.c_str());
-
     SimConfig cfg = smallConfig(WorkloadKind::Dss, 1);
     cfg.system.stop_at_cycle = 500;
     Simulation a(cfg);
     a.run();
-    a.system().saveCheckpoint(ckpt);
+    std::vector<std::uint8_t> bytes = a.system().checkpoint();
+    ASSERT_GT(bytes.size(), 64u);
 
-    // Flip one byte in the middle of the file.
-    {
-        std::fstream f(ckpt, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        ASSERT_TRUE(f.is_open());
-        f.seekg(0, std::ios::end);
-        const std::streamoff size = f.tellg();
-        ASSERT_GT(size, 64);
-        f.seekp(size / 2);
-        char byte = 0;
-        f.seekg(size / 2);
-        f.read(&byte, 1);
-        byte = static_cast<char>(byte ^ 0x5a);
-        f.seekp(size / 2);
-        f.write(&byte, 1);
-    }
+    Simulation b(smallConfig(WorkloadKind::Dss, 1));
+    b.prepare();
 
-    SimConfig clean = smallConfig(WorkloadKind::Dss, 1);
-    Simulation b(clean);
-    EXPECT_FALSE(b.restoreFromCheckpoint(ckpt));
-    std::remove(ckpt.c_str());
+    // Flip one byte in the middle.
+    bytes[bytes.size() / 2] ^= 0x5a;
+    EXPECT_NE(restoreError(b.system(), bytes).find("integrity hash mismatch"),
+              std::string::npos);
 
-    // And a missing file is silently "no checkpoint yet".
-    EXPECT_FALSE(b.restoreFromCheckpoint(ckpt + ".does-not-exist"));
+    // magic (8) + version (4) + signature (8) + trailer (8) is the least.
+    bytes.resize(27);
+    EXPECT_NE(restoreError(b.system(), bytes).find("too short"),
+              std::string::npos);
 }
 
 /** The run loop polls an armed host deadline every 4096 iterations;

@@ -1135,7 +1135,12 @@ struct WakeCase
     core::WorkloadKind kind;
     ConsistencyModel model;
     bool out_of_order;
+    // gtest prints a param that has no PrintTo as its raw bytes, into
+    // the test name: name the two padding bytes so they are always zero
+    // and the names stay the same from build to build.
+    std::uint8_t padding[2] = {};
 };
+static_assert(sizeof(WakeCase) == 8, "WakeCase must have no unnamed padding");
 
 class WakeContract : public ::testing::TestWithParam<WakeCase>
 {

@@ -36,12 +36,6 @@ using namespace dbsim;
 using namespace dbsim::verify;
 using core::SimConfig;
 
-std::string
-tmpPath(const std::string &name)
-{
-    return testing::TempDir() + name;
-}
-
 SimConfig
 smallConfig()
 {
@@ -206,7 +200,6 @@ TEST(Oracles, CleanFuzzCasePassesAllOracles)
 {
     FuzzOptions opts;
     opts.seed = 3;
-    opts.scratch_dir = testing::TempDir();
     opts.shrink = false;
     opts.repro_dir.clear();
     opts.space.max_instructions = 30000;
@@ -244,13 +237,15 @@ TEST(Oracles, ArtifactFaultsTripConservation)
 TEST(Oracles, CheckpointRoundTripCleanPassesCorruptFails)
 {
     const SimConfig cfg = smallConfig();
-    const std::string scratch = tmpPath("fuzz_rt.ckpt");
-    const OracleVerdict clean = checkCheckpointRoundTrip(cfg, scratch, 0);
+    const OracleVerdict clean = checkCheckpointRoundTrip(cfg, 0);
     EXPECT_TRUE(clean.ok) << clean.detail;
-    const OracleVerdict corrupt =
-        checkCheckpointRoundTrip(cfg, scratch, 4321);
+    const OracleVerdict corrupt = checkCheckpointRoundTrip(cfg, 4321);
     EXPECT_FALSE(corrupt.ok)
         << "a flipped checkpoint byte must not round-trip";
+    EXPECT_NE(corrupt.detail.find("restore refused the checkpoint: "
+                                  "checkpoint: integrity hash mismatch"),
+              std::string::npos)
+        << corrupt.detail;
 }
 
 TEST(Oracles, DeterminismOracleAcceptsSerialEngine)
@@ -297,7 +292,6 @@ TEST(FuzzCampaign, ReportIsByteIdenticalAcrossJobCounts)
     FuzzOptions opts;
     opts.seed = 5;
     opts.count = 4;
-    opts.scratch_dir = testing::TempDir();
     opts.repro_dir.clear();
     opts.space.max_instructions = 30000;
 
@@ -327,7 +321,6 @@ TEST(FuzzCampaign, SeededFaultShrinksAndReplaysIdentically)
     opts.inject_fault = ArtifactFault::CounterSkew;
     opts.oracle_checkpoint = false;
     opts.oracle_coherence = false;
-    opts.scratch_dir = testing::TempDir();
     opts.repro_dir = testing::TempDir();
     opts.max_shrink_runs = 16;
     opts.space.max_instructions = 30000;
@@ -353,8 +346,8 @@ TEST(FuzzCampaign, SeededFaultShrinksAndReplaysIdentically)
     ASSERT_TRUE(parseRepro(body, &rf, &err)) << err;
     EXPECT_EQ(rf.fault, ArtifactFault::CounterSkew);
 
-    const OracleVerdict v1 = replayRepro(rf, testing::TempDir());
-    const OracleVerdict v2 = replayRepro(rf, testing::TempDir());
+    const OracleVerdict v1 = replayRepro(rf);
+    const OracleVerdict v2 = replayRepro(rf);
     EXPECT_FALSE(v1.ok);
     EXPECT_EQ(v1.signature, rf.signature);
     EXPECT_EQ(v1.signature, v2.signature);
@@ -377,7 +370,6 @@ TEST(Repro, RenderParseRoundTripIsLossless)
     rf.oracle = OracleKind::Determinism;
     rf.bug = ProtocolBug::StaleOwner;
     rf.fault = ArtifactFault::BreakdownLeak;
-    rf.corrupt_checkpoint_offset = 99;
     rf.signature = "determinism:re-run diverged at epoch #";
     rf.config_signature = 0x0123456789abcdefull;
     rf.detail = "line with \"quotes\"\nand a newline";
@@ -393,8 +385,6 @@ TEST(Repro, RenderParseRoundTripIsLossless)
     EXPECT_EQ(back.oracle, rf.oracle);
     EXPECT_EQ(back.bug, rf.bug);
     EXPECT_EQ(back.fault, rf.fault);
-    EXPECT_EQ(back.corrupt_checkpoint_offset,
-              rf.corrupt_checkpoint_offset);
     EXPECT_EQ(back.signature, rf.signature);
     EXPECT_EQ(back.config_signature, rf.config_signature);
     // The detail field round-trips through jsonEscape's \u00XX control
@@ -451,7 +441,6 @@ TEST(Shrink, SeededFaultShrinksTowardMinimalConfig)
     opts.oracle_checkpoint = false;
     opts.oracle_coherence = false;
     opts.oracle_determinism = false;
-    opts.scratch_dir = testing::TempDir();
     opts.repro_dir.clear();
     opts.max_shrink_runs = 24;
     opts.space.max_instructions = 30000;

@@ -14,9 +14,11 @@
  *    change to the RNG draw order changes it.
  *
  *  - CheckpointBytes: OLTP and DSS on 1 and 4 nodes run to a fixed
- *    stop_at_cycle past warm-up, with a short scheduling quantum; the
+ *    stop_at_cycle past warm-up, with a short scheduling quantum; one
  *    digest covers the machine's serialized state there and every epoch
- *    hash taken on the way.  A missed stall-accounting settle point
+ *    hash taken on the way, a second is the FNV-1a of the whole
+ *    checkpoint() (magic, version, config signature, state, epoch
+ *    bookkeeping and trailer).  A missed stall-accounting settle point
  *    changes a breakdown slice or run_cycles, and so the bytes.
  *
  * A deliberate behaviour change regenerates the constants, and so does
@@ -30,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/snapshot.hpp"
 #include "core/config.hpp"
@@ -152,12 +155,19 @@ TEST(GoldenTraceStream, DssFirstAndLastProcess)
 
 constexpr Cycles kStopCycle = 150'001;
 
+struct CheckpointDigests
+{
+    std::string state;      ///< stateHash() mixed with the epoch hashes
+    std::string checkpoint; ///< FNV-1a of checkpoint()
+};
+
 /**
  * Run @p kind on @p nodes nodes to kStopCycle and digest the machine
- * state there, together with the epoch hashes taken on the way.
+ * state there, together with the epoch hashes taken on the way, and
+ * the checkpoint taken there.
  */
-std::uint64_t
-checkpointDigest(WorkloadKind kind, std::uint32_t nodes)
+CheckpointDigests
+checkpointDigests(WorkloadKind kind, std::uint32_t nodes)
 {
     SimConfig cfg = core::makeScaledConfig(kind, nodes);
     cfg.total_instructions = 2'000'000;
@@ -183,23 +193,28 @@ checkpointDigest(WorkloadKind kind, std::uint32_t nodes)
         h = mix(h, e.epoch);
         h = mix(h, e.hash);
     }
-    return h;
+    const std::vector<std::uint8_t> bytes = sys.checkpoint();
+    return {hex(h), hex(snap::fnv1a(bytes.data(), bytes.size()))};
 }
 
 TEST(GoldenCheckpointBytes, OltpOneAndFourNodes)
 {
-    EXPECT_EQ(hex(checkpointDigest(WorkloadKind::Oltp, 1)),
-              "0x5cd02706fc069b49");
-    EXPECT_EQ(hex(checkpointDigest(WorkloadKind::Oltp, 4)),
-              "0x3fea6dc6271b41c3");
+    const CheckpointDigests one = checkpointDigests(WorkloadKind::Oltp, 1);
+    EXPECT_EQ(one.state, "0x5cd02706fc069b49");
+    EXPECT_EQ(one.checkpoint, "0xf89f82e0f2c465a2");
+    const CheckpointDigests four = checkpointDigests(WorkloadKind::Oltp, 4);
+    EXPECT_EQ(four.state, "0x3fea6dc6271b41c3");
+    EXPECT_EQ(four.checkpoint, "0xf3585e1008823487");
 }
 
 TEST(GoldenCheckpointBytes, DssOneAndFourNodes)
 {
-    EXPECT_EQ(hex(checkpointDigest(WorkloadKind::Dss, 1)),
-              "0x33194c2b382decc0");
-    EXPECT_EQ(hex(checkpointDigest(WorkloadKind::Dss, 4)),
-              "0x0fb9821afea0e45e");
+    const CheckpointDigests one = checkpointDigests(WorkloadKind::Dss, 1);
+    EXPECT_EQ(one.state, "0x33194c2b382decc0");
+    EXPECT_EQ(one.checkpoint, "0x2c753b48d239b2ef");
+    const CheckpointDigests four = checkpointDigests(WorkloadKind::Dss, 4);
+    EXPECT_EQ(four.state, "0x0fb9821afea0e45e");
+    EXPECT_EQ(four.checkpoint, "0x45fb57b6d3c479bf");
 }
 
 } // namespace

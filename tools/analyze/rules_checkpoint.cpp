@@ -2,15 +2,13 @@
  * @file
  * R5: checkpoint-purity.  The checkpoint/restore layer (DESIGN.md §5g)
  * demands that serialized machine state be byte-stable across processes
- * and runs: the bytes feed both the on-disk snapshot format and the
- * epoch FNV state hashes, so anything host-dependent in a serialization
+ * and runs: the bytes feed both checkpoint() and the epoch FNV
+ * state hashes, so anything host-dependent in a serialization
  * body silently breaks restore determinism and divergence bisection.
  *
  * The pass locates the *definitions* of the functions that construct
- * state bytes (saveState, serializeState, stateHash, configSignature --
- * saveCheckpoint is out of scope: it only writes already-serialized
- * bytes to disk, which legitimately needs the ofstream
- * reinterpret_cast idiom) and flags, inside their bodies only:
+ * state bytes (saveState, serializeState, stateHash, configSignature,
+ * checkpoint) and flags, inside their bodies only:
  *
  *   - reinterpret_cast: host pointer bits written into the stream
  *     (addresses vary run to run under ASLR);
@@ -35,6 +33,7 @@ serializerNames()
 {
     static const std::set<std::string> kNames = {
         "saveState", "serializeState", "stateHash", "configSignature",
+        "checkpoint",
     };
     return kNames;
 }

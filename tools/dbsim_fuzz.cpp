@@ -12,7 +12,7 @@
  *
  *   dbsim-fuzz --seed 1 --count 200 --jobs 4 --repro-dir repros
  *   dbsim-fuzz --replay repros/repro-0123456789abcdef.json
- *   dbsim-fuzz --self-check
+ *   dbsim-fuzz --self-check        # its seeded repro goes to --repro-dir
  *
  * Exit codes: 0 = corpus clean (or replay no longer reproduces),
  * 1 = failures found (or replay reproduced), 2 = bad flags / IO error.
@@ -42,7 +42,7 @@ usageError(const std::string &msg)
     std::cerr << "dbsim-fuzz: " << msg << "\n"
               << "usage: dbsim-fuzz [--seed N] [--count N] [--jobs N]\n"
               << "                  [--json FILE] [--repro-dir DIR]\n"
-              << "                  [--scratch-dir DIR] [--inject-bug NAME]\n"
+              << "                  [--inject-bug NAME]\n"
               << "                  [--inject-fault NAME] [--self-check]\n"
               << "                  [--replay FILE]\n";
     return 2;
@@ -87,8 +87,6 @@ main(int argc, char **argv)
                 json_path = value();
             else if (arg == "--repro-dir")
                 opts.repro_dir = value();
-            else if (arg == "--scratch-dir")
-                opts.scratch_dir = value();
             else if (arg == "--inject-bug") {
                 const std::string name = value();
                 if (!protocolBugFromName(name, &opts.inject_bug))
@@ -107,8 +105,17 @@ main(int argc, char **argv)
                 return usageError("unknown flag " + arg);
         }
 
+        // Repro files are a campaign's whole point on failure, and the
+        // self-check writes one too: make sure their directory exists
+        // rather than warning and dropping them at write time.
+        std::error_code ec;
+        std::filesystem::create_directories(opts.repro_dir, ec);
+        if (ec)
+            return usageError("cannot create repro dir " +
+                              opts.repro_dir + ": " + ec.message());
+
         if (self_check) {
-            const bool ok = fuzzSelfCheck(std::cout, opts.scratch_dir);
+            const bool ok = fuzzSelfCheck(std::cout, opts.repro_dir);
             return ok ? 0 : 1;
         }
 
@@ -128,7 +135,7 @@ main(int argc, char **argv)
                       << std::dec << ", " << rf.overrides.size()
                       << " overrides\n  recorded: [" << rf.signature
                       << "] " << rf.detail << "\n";
-            const OracleVerdict v = replayRepro(rf, opts.scratch_dir);
+            const OracleVerdict v = replayRepro(rf);
             if (v.ok) {
                 std::cout << "dbsim-fuzz: replay PASSED -- the recorded "
                              "failure no longer reproduces\n";
@@ -142,15 +149,6 @@ main(int argc, char **argv)
                           << v.dump_excerpt << "\n";
             return 1;
         }
-
-        // Repro files are the campaign's whole point on failure; make
-        // sure their directory exists rather than warning and dropping
-        // them at write time.
-        std::error_code ec;
-        std::filesystem::create_directories(opts.repro_dir, ec);
-        if (ec)
-            return usageError("cannot create repro dir " +
-                              opts.repro_dir + ": " + ec.message());
 
         std::cerr << "dbsim-fuzz: seed " << opts.seed << ", "
                   << opts.count << " configs, jobs " << opts.jobs
