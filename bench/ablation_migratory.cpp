@@ -8,7 +8,6 @@
  * adaptive migratory protocol (paper footnote 2) under RC and SC.
  *
  * Usage: ablation_migratory [--jobs N] [--json PATH]
- *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <iostream>

@@ -11,7 +11,6 @@
  * doubles the coherence granularity -- noted in EXPERIMENTS.md).
  *
  * Usage: ablation_streambuffer [--jobs N] [--json PATH]
- *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <cstdio>

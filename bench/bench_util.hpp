@@ -3,7 +3,7 @@
  * Shared harness for the figure-reproduction benchmarks.
  *
  * Every bench builds declarative SweepItem lists (one per figure
- * section), runs them through core::SweepRunner -- in parallel across
+ * section), runs them through core::runSweep -- in parallel across
  * host threads, deterministically -- and prints the same text reports
  * as before from the returned results.  The harness also owns the
  * flags every bench shares:
@@ -11,23 +11,21 @@
  *   --jobs N              bound the number of concurrent simulations
  *                         (default: DBSIM_JOBS, then hardware concurrency)
  *   --json PATH           write every section's results as machine-readable
- *                         JSON (schema dbsim-bench-v3)
- *   --on-failure MODE     abort (default) or collect: keep going past a
- *                         failed item and record it in the report
+ *                         JSON (schema dbsim-bench-v4)
  *
  * Any other argument must be one of the bench's own flags, or the bench
  * exits 2 naming it.
  *
+ * A failed item fails the bench: every item of its section still runs,
+ * then the lowest-index failure is rethrown and no report is written.
  * Exit codes: 0 clean; 1 JSON write failure; 2 config rejection;
- * 3 invariant failure; core::kSweepPartialFailureExit (4) when a
- * collect sweep finished with failed items in the report.
+ * 3 invariant failure.
  */
 
 #ifndef DBSIM_BENCH_BENCH_UTIL_HPP
 #define DBSIM_BENCH_BENCH_UTIL_HPP
 
 #include <algorithm>
-#include <exception>
 #include <initializer_list>
 #include <iostream>
 #include <string>
@@ -47,7 +45,6 @@ struct BenchOptions
 {
     unsigned jobs = 0;       ///< 0 = resolve via DBSIM_JOBS / hardware
     std::string json_path;   ///< empty = no JSON report
-    bool collect_failures = false; ///< --on-failure collect
     std::vector<std::string> rest; ///< bench-specific flags given
 
     bool
@@ -72,21 +69,12 @@ parseBenchArgs(int argc, char **argv,
 {
     BenchOptions opts;
     auto apply = [&](const std::string &flag, const std::string &v) {
-        if (flag == "--jobs") {
+        if (flag == "--jobs")
             opts.jobs = core::parseUnsigned<unsigned>(flag, v, 1);
-        } else if (flag == "--json") {
+        else // --json
             opts.json_path = v;
-        } else { // --on-failure
-            if (v != "abort" && v != "collect") {
-                throw ConfigError("cli.on-failure",
-                                  "--on-failure wants abort or collect, "
-                                  "got \"" +
-                                      v + "\"");
-            }
-            opts.collect_failures = v == "collect";
-        }
     };
-    const char *valued[] = {"--jobs", "--json", "--on-failure"};
+    const char *valued[] = {"--jobs", "--json"};
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         bool consumed = false;
@@ -118,80 +106,50 @@ parseBenchArgs(int argc, char **argv,
 }
 
 /**
- * One bench run: a SweepRunner plus the accumulated JSON report.
- * Sections call sweep(); main ends with `return ctx.finish();`.
+ * One bench run: the resolved job count plus the accumulated JSON
+ * report.  Sections call sweep(); main ends with `return ctx.finish();`.
  */
 class BenchContext
 {
   public:
     BenchContext(std::string bench_name, const BenchOptions &opts)
-        : json_path_(opts.json_path), runner_(opts.jobs)
+        : json_path_(opts.json_path)
     {
         report_.bench = std::move(bench_name);
-        report_.jobs = runner_.jobs();
-        const core::FailurePolicy policy =
-            opts.collect_failures ? core::FailurePolicy::collect()
-                                  : core::FailurePolicy::abort();
-        runner_.setFailurePolicy(policy);
-        report_.failure_policy = policy.describe();
+        report_.jobs = core::resolveJobs(opts.jobs);
     }
-
-    const core::SweepRunner &runner() const { return runner_; }
 
     /**
      * Run @p items (in parallel) and log them under @p section.  Returns
-     * the successful results in input order; under the collect policy a
-     * failed item is only recorded in the report, so the bench text
-     * output degrades gracefully.  Under the abort policy a failure is
-     * rethrown -- lowest index first -- after the section's other items
-     * finished.
+     * the results in input order; a failure is rethrown -- lowest index
+     * first -- after the section's other items finished.
      */
     std::vector<core::SweepResult>
     sweep(const std::string &section,
           const std::vector<core::SweepItem> &items)
     {
-        const core::SweepOutcome outcome = runner_.runChecked(items);
-        report_.add(section, outcome);
-
-        std::vector<core::SweepResult> ok;
-        for (const core::SweepItemOutcome &o : outcome.items) {
-            if (o.ok())
-                ok.push_back(o.result);
-            else if (!runner_.failurePolicy().isolating())
-                std::rethrow_exception(o.error);
-        }
-        return ok;
+        std::vector<core::SweepResult> results =
+            core::runSweep(items, report_.jobs);
+        report_.add(section, results);
+        return results;
     }
 
     /**
      * Write the JSON report if requested.  Returns the exit code: 1 when
      * the report could not be written (CI must fail loudly, never
-     * upload a stale file), core::kSweepPartialFailureExit when items
-     * failed under the collect policy, 0 otherwise.
+     * upload a stale file), 0 otherwise.
      */
     int
-    finish()
+    finish() const
     {
-        int code = 0;
-        if (report_.failures() > 0) {
-            std::cerr << "dbsim: sweep finished with "
-                      << report_.failures() << " failed item(s) of "
-                      << report_.entries.size() << " (policy "
-                      << report_.failure_policy << ")\n";
-            code = core::kSweepPartialFailureExit;
-        }
         if (!json_path_.empty() &&
-            !core::writeSweepJsonFile(json_path_, report_)) {
-            code = 1;
-        }
-        return code;
+            !core::writeSweepJsonFile(json_path_, report_))
+            return 1;
+        return 0;
     }
-
-    const core::SweepReport &report() const { return report_; }
 
   private:
     std::string json_path_;
-    core::SweepRunner runner_;
     core::SweepReport report_;
 };
 

@@ -14,7 +14,6 @@
  *
  * Usage: characterization [--sharing] [--oltp] [--dss]
  *                         [--jobs N] [--json PATH]
- *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <iostream>
@@ -34,12 +33,6 @@ characterizeOne(bench::BenchContext &ctx, core::WorkloadKind kind,
     const char *wname = core::workloadName(kind);
     const auto results =
         ctx.sweep(wname, {{wname, core::makeScaledConfig(kind)}});
-    if (results.empty()) {
-        // Failed under collect: the JSON report records the error.
-        std::cout << "(" << wname
-                  << ": no results to print)\n";
-        return;
-    }
     const core::SweepResult &res = results.front();
     const sim::RunResult &r = res.run;
     const core::Characterization &c = res.ch;

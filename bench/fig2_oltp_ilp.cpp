@@ -12,7 +12,6 @@
  *  (d)-(g) little read-miss overlap; occupancy driven by writes.
  *
  * Usage: fig2_oltp_ilp [--occupancy] [--jobs N] [--json PATH]
- *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include "ilp_figure.hpp"

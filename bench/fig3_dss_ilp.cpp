@@ -11,7 +11,6 @@
  *  (--funits) 16 ALUs + 16 AGUs give ~12% further improvement.
  *
  * Usage: fig3_dss_ilp [--occupancy] [--funits] [--jobs N] [--json PATH]
- *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <iostream>

@@ -9,7 +9,6 @@
  * window leaves dirty-miss latency as the dominant component.
  *
  * Usage: fig4_oltp_limits [--jobs N] [--json PATH]
- *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <iostream>

@@ -9,7 +9,6 @@
  * Bars are composition (percent of each system's own execution time).
  *
  * Usage: fig5_uni_vs_mp [--jobs N] [--json PATH]
- *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <iostream>

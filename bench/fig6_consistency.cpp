@@ -12,7 +12,6 @@
  * stall split into read and write components.
  *
  * Usage: fig6_consistency [--jobs N] [--json PATH]
- *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <cstdio>

@@ -17,7 +17,6 @@
  *     migratory read latency 40%); flush+prefetch ~12% cumulative.
  *
  * Usage: fig7_oltp_bottlenecks [--uni] [--jobs N] [--json PATH]
- *        [--on-failure abort|collect] (shared flags, bench_util.hpp)
  */
 
 #include <cstdio>

@@ -7,81 +7,17 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <mutex>
-#include <optional>
 #include <sstream>
 #include <thread>
-#include <utility>
 
-#include "common/errors.hpp"
 #include "common/log.hpp"
 #include "core/json_writer.hpp"
 #include "common/breakdown.hpp"
 
 namespace dbsim::core {
 
-namespace {
-
-/** Ceiling on the diagnostic dump text carried by a SweepFailure. */
-constexpr std::size_t kMaxDumpExcerpt = 4000;
-
-std::string
-truncated(std::string s)
-{
-    if (s.size() > kMaxDumpExcerpt) {
-        s.resize(kMaxDumpExcerpt);
-        s += "\n... [truncated]";
-    }
-    return s;
-}
-
-/** Split an error message into (first line, remainder). */
-std::pair<std::string, std::string>
-splitFirstLine(const std::string &msg)
-{
-    const std::size_t nl = msg.find('\n');
-    if (nl == std::string::npos)
-        return {msg, {}};
-    return {msg.substr(0, nl), msg.substr(nl + 1)};
-}
-
-} // namespace
-
-const char *
-failureKindName(FailureKind kind)
-{
-    switch (kind) {
-      case FailureKind::Config:
-        return "config";
-      case FailureKind::Invariant:
-        return "invariant";
-      case FailureKind::Exception:
-        return "exception";
-    }
-    return "unknown";
-}
-
-std::string
-FailurePolicy::describe() const
-{
-    return mode == Mode::Collect ? "collect" : "abort";
-}
-
-std::size_t
-SweepOutcome::failures() const
-{
-    std::size_t n = 0;
-    for (const auto &o : items)
-        n += o.ok() ? 0 : 1;
-    return n;
-}
-
-// ---------------------------------------------------------------------
-// SweepRunner
-// ---------------------------------------------------------------------
-
 unsigned
-SweepRunner::resolveJobs(unsigned cli_jobs)
+resolveJobs(unsigned cli_jobs)
 {
     unsigned resolved = 0;
     const char *source = "--jobs";
@@ -115,8 +51,6 @@ SweepRunner::resolveJobs(unsigned cli_jobs)
     }
     return resolved;
 }
-
-SweepRunner::SweepRunner(unsigned jobs) : jobs_(resolveJobs(jobs)) {}
 
 namespace {
 
@@ -174,81 +108,6 @@ runOne(const SweepItem &item)
     return out;
 }
 
-/** Run item @p index, capturing any exception as a structured failure. */
-SweepItemOutcome
-runIsolated(const SweepItem &item, std::size_t index)
-{
-    SweepItemOutcome out;
-    out.index = index;
-
-    FailureKind kind = FailureKind::Exception;
-    std::string what;
-    std::string excerpt;
-    try {
-        out.result = runOne(item);
-        return out;
-    } catch (const ConfigError &e) {
-        kind = FailureKind::Config;
-        what = e.what();
-        out.error = std::current_exception();
-    } catch (const SimInvariantError &e) {
-        // The panic path appends the crash-dump registry's text after
-        // the first line of the message; split it back apart.
-        kind = FailureKind::Invariant;
-        auto [head, rest] = splitFirstLine(e.what());
-        what = std::move(head);
-        excerpt = truncated(std::move(rest));
-        out.error = std::current_exception();
-    } catch (const std::exception &e) {
-        what = e.what();
-        out.error = std::current_exception();
-    } catch (...) {
-        what = "unknown exception";
-        out.error = std::current_exception();
-    }
-    out.status = SweepItemOutcome::Status::Failed;
-    out.failure.label = item.label.empty() ? describe(item.cfg) : item.label;
-    out.failure.index = index;
-    out.failure.kind = kind;
-    out.failure.what = std::move(what);
-    out.failure.crash_dump_excerpt = std::move(excerpt);
-    return out;
-}
-
-/**
- * Collects per-item outcomes from the worker pool: every slot write runs
- * under mu_, so outcomes land in input order whatever order the workers
- * finish in.
- */
-class SweepCollector
-{
-  public:
-    explicit SweepCollector(std::size_t n) { items_.resize(n); }
-
-    /** Deliver the outcome of input item @p i from a worker thread. */
-    void
-    deliver(std::size_t i, SweepItemOutcome outcome)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        items_[i] = std::move(outcome);
-    }
-
-    /** Take the collected outcomes (after the pool has joined). */
-    SweepOutcome
-    take()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        SweepOutcome out;
-        out.items = std::move(items_);
-        items_.clear();
-        return out;
-    }
-
-  private:
-    std::mutex mu_;
-    std::vector<SweepItemOutcome> items_;
-};
-
 } // namespace
 
 void
@@ -275,45 +134,27 @@ forEachIndex(std::size_t n, unsigned jobs,
         t.join();
 }
 
-SweepOutcome
-SweepRunner::runChecked(const std::vector<SweepItem> &items) const
-{
-    // Under the collect policy a DBSIM_PANIC anywhere in an item must
-    // surface as a catchable SimInvariantError, not a process abort.
-    // The guard is process-global; workers inherit it for the duration
-    // of the sweep.  Abort mode keeps the default semantics (a panic
-    // takes the process down unless a test installed its own guard).
-    std::optional<PanicThrowGuard> guard;
-    if (policy_.isolating())
-        guard.emplace();
-
-    SweepCollector collector(items.size());
-    forEachIndex(items.size(), jobs_, [&](std::size_t i) {
-        collector.deliver(i, runIsolated(items[i], i));
-    });
-    return collector.take();
-}
-
 std::vector<SweepResult>
-SweepRunner::run(const std::vector<SweepItem> &items) const
+runSweep(const std::vector<SweepItem> &items, unsigned jobs)
 {
-    // Always abort semantics, whatever policy the runner carries --
-    // callers that want isolation use runChecked().
-    SweepRunner aborting(*this);
-    aborting.policy_ = FailurePolicy::abort();
-    const SweepOutcome out = aborting.runChecked(items);
+    // Each worker writes only its own pre-sized slots, and forEachIndex
+    // joins before anything reads them.
+    std::vector<SweepResult> results(items.size());
+    std::vector<std::exception_ptr> errors(items.size());
+    forEachIndex(items.size(), jobs, [&](std::size_t i) {
+        try {
+            results[i] = runOne(items[i]);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    });
 
     // Deterministic error propagation: the lowest-index failure wins,
     // whatever order the workers happened to hit it in.
-    for (const auto &o : out.items) {
-        if (!o.ok() && o.error)
-            std::rethrow_exception(o.error);
+    for (const std::exception_ptr &e : errors) {
+        if (e)
+            std::rethrow_exception(e);
     }
-
-    std::vector<SweepResult> results;
-    results.reserve(out.items.size());
-    for (auto &o : out.items)
-        results.push_back(std::move(o.result));
     return results;
 }
 
@@ -325,33 +166,8 @@ void
 SweepReport::add(const std::string &section,
                  const std::vector<SweepResult> &results)
 {
-    for (const auto &r : results) {
-        Entry e;
-        e.section = section;
-        e.outcome.index = entries.size();
-        e.outcome.result = r;
-        entries.push_back(std::move(e));
-    }
-}
-
-void
-SweepReport::add(const std::string &section, const SweepOutcome &outcome)
-{
-    for (const auto &o : outcome.items) {
-        Entry e;
-        e.section = section;
-        e.outcome = o;
-        entries.push_back(std::move(e));
-    }
-}
-
-std::size_t
-SweepReport::failures() const
-{
-    std::size_t n = 0;
-    for (const auto &e : entries)
-        n += e.outcome.ok() ? 0 : 1;
-    return n;
+    for (std::size_t i = 0; i < results.size(); ++i)
+        entries.push_back({section, i, results[i]});
 }
 
 namespace {
@@ -426,25 +242,15 @@ writeResultBody(JsonWriter &w, const SweepResult &r)
 
 /** One report entry as a compact, single-line JSON object. */
 std::string
-entryJson(const std::string &section, const SweepItemOutcome &outcome)
+entryJson(const SweepReport::Entry &e)
 {
     std::ostringstream os;
     JsonWriter w(os, /*indent=*/0);
     w.beginObject();
-    w.kv("section", section);
-    w.kv("label", outcome.ok() ? outcome.result.label
-                               : outcome.failure.label);
-    w.kv("index", static_cast<std::uint64_t>(outcome.index));
-    w.kv("status", outcome.ok() ? "ok" : "failed");
-    if (outcome.ok()) {
-        writeResultBody(w, outcome.result);
-    } else {
-        w.key("error").beginObject();
-        w.kv("kind", failureKindName(outcome.failure.kind));
-        w.kv("what", outcome.failure.what);
-        w.kv("crash_dump_excerpt", outcome.failure.crash_dump_excerpt);
-        w.endObject();
-    }
+    w.kv("section", e.section);
+    w.kv("label", e.result.label);
+    w.kv("index", static_cast<std::uint64_t>(e.index));
+    writeResultBody(w, e.result);
     w.endObject();
     return os.str();
 }
@@ -456,15 +262,13 @@ writeSweepJson(std::ostream &os, const SweepReport &report)
 {
     JsonWriter w(os);
     w.beginObject();
-    w.kv("schema", "dbsim-bench-v3");
+    w.kv("schema", "dbsim-bench-v4");
     w.kv("bench", report.bench);
     w.kv("jobs", static_cast<std::uint64_t>(report.jobs));
-    w.kv("failure_policy", report.failure_policy);
     w.kv("items", static_cast<std::uint64_t>(report.entries.size()));
-    w.kv("failures", static_cast<std::uint64_t>(report.failures()));
     w.key("results").beginArray();
     for (const auto &e : report.entries)
-        w.rawValue(entryJson(e.section, e.outcome));
+        w.rawValue(entryJson(e));
     w.endArray();
     w.endObject();
     os << '\n';

@@ -1,10 +1,9 @@
 /**
  * @file
- * Parallel configuration-sweep runner, its per-item failure capture, and
- * the machine-readable report.
+ * Parallel configuration-sweep runner and the machine-readable report.
  *
  * Every figure bench replays the same workload through a list of
- * independent configurations.  SweepRunner executes such a list on a
+ * independent configurations.  runSweep() executes such a list on a
  * bounded pool of host threads -- one fully independent Simulation per
  * configuration -- and returns results in input order.
  *
@@ -18,11 +17,8 @@
  * process-global facilities (logging, the crash-dump registry) are
  * thread-safe and feedback-free.
  *
- * Failure semantics (DESIGN.md §5e): runChecked() isolates each item --
- * a panic (captured via PanicThrowGuard) or exception in item k becomes
- * a structured SweepFailure instead of killing the pool.  FailurePolicy
- * selects abort (rethrow the lowest-index failure once every item has
- * run) or collect (record the failure and keep going).
+ * Failure semantics (DESIGN.md §5e): every item runs, then the
+ * lowest-index exception is rethrown.
  */
 
 #ifndef DBSIM_CORE_SWEEP_HPP
@@ -30,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -98,78 +93,6 @@ struct SweepResult
     }
 };
 
-// ---------------------------------------------------------------------
-// Failure taxonomy
-// ---------------------------------------------------------------------
-
-/** Classification of a captured per-item failure. */
-enum class FailureKind : std::uint8_t {
-    Config,    ///< ConfigError: the configuration was rejected
-    Invariant, ///< SimInvariantError: DBSIM_PANIC / watchdog / checker
-    Exception, ///< any other exception
-};
-
-const char *failureKindName(FailureKind kind);
-
-/** A structured, per-item failure captured by the isolation layer. */
-struct SweepFailure
-{
-    std::string label;  ///< effective label of the failed item
-    std::size_t index = 0; ///< index within the item list
-    FailureKind kind = FailureKind::Exception;
-    std::string what;   ///< first line of the error message
-    std::string crash_dump_excerpt; ///< bounded diagnostic dump (may be empty)
-};
-
-/** What the runner does when an item fails. */
-struct FailurePolicy
-{
-    enum class Mode : std::uint8_t {
-        Abort,   ///< record, finish remaining items, caller rethrows
-        Collect, ///< record as SweepFailure, keep going
-    };
-
-    Mode mode = Mode::Abort;
-
-    static FailurePolicy abort() { return {}; }
-    static FailurePolicy collect() { return {Mode::Collect}; }
-
-    /** True when failures are captured instead of propagated. */
-    bool isolating() const { return mode != Mode::Abort; }
-
-    /** "abort" / "collect" (for reports and logs). */
-    std::string describe() const;
-};
-
-/** The outcome of one item under runChecked(). */
-struct SweepItemOutcome
-{
-    enum class Status : std::uint8_t { Ok, Failed };
-
-    Status status = Status::Ok;
-    std::size_t index = 0;  ///< index within the item list
-    SweepResult result;     ///< valid when ok()
-    SweepFailure failure;   ///< valid when !ok()
-    std::exception_ptr error; ///< the exception (abort-mode rethrow)
-
-    bool ok() const { return status == Status::Ok; }
-};
-
-/** All per-item outcomes of a runChecked() sweep, in input order. */
-struct SweepOutcome
-{
-    std::vector<SweepItemOutcome> items;
-
-    std::size_t failures() const;
-};
-
-/**
- * Exit code benches use for "the sweep finished, but some items failed
- * under the collect policy" -- distinct from config rejection (2),
- * invariant abort (3) and generic/IO failure (1).
- */
-inline constexpr int kSweepPartialFailureExit = 4;
-
 /**
  * Call @p fn(i) for every i in [0, n) on min(@p jobs, n) host threads;
  * with one thread, inline and in order.  Threads claim indices from one
@@ -180,97 +103,59 @@ inline constexpr int kSweepPartialFailureExit = 4;
 void forEachIndex(std::size_t n, unsigned jobs,
                   const std::function<void(std::size_t)> &fn);
 
+/** Hard ceiling on the resolved job count (see resolveJobs). */
+inline constexpr unsigned kMaxJobs = 4096;
+
 /**
- * Runs a list of configurations across a bounded pool of host threads.
+ * Resolve a job count: a nonzero @p cli_jobs wins; otherwise a valid
+ * positive DBSIM_JOBS environment value; otherwise the host's hardware
+ * concurrency (at least 1).  Invalid DBSIM_JOBS values warn and are
+ * ignored; values above kMaxJobs (from either source) warn and clamp --
+ * a fat-fingered DBSIM_JOBS must not spawn thousands of threads.
  */
-class SweepRunner
-{
-  public:
-    /** Hard ceiling on the resolved job count (see resolveJobs). */
-    static constexpr unsigned kMaxJobs = 4096;
+unsigned resolveJobs(unsigned cli_jobs);
 
-    /**
-     * @param jobs concurrent simulations; 0 resolves via resolveJobs(0)
-     *             (DBSIM_JOBS, then the host's hardware concurrency).
-     */
-    explicit SweepRunner(unsigned jobs = 0);
-
-    unsigned jobs() const { return jobs_; }
-
-    /** Failure handling for runChecked() (default: abort). */
-    void setFailurePolicy(FailurePolicy policy) { policy_ = policy; }
-    const FailurePolicy &failurePolicy() const { return policy_; }
-
-    /**
-     * Run every item; results come back in input order regardless of
-     * completion order.  If any configuration throws (e.g. ConfigError
-     * from validation), all remaining items still run, then the
-     * lowest-index exception is rethrown -- so error behavior is also
-     * independent of the job count.  (Equivalent to runChecked() under
-     * FailurePolicy::abort() plus the rethrow.)
-     */
-    std::vector<SweepResult> run(const std::vector<SweepItem> &items) const;
-
-    /**
-     * Fault-isolated run under the configured FailurePolicy: per-item
-     * outcomes in input order, failures captured as SweepFailure (with
-     * panics converted to exceptions via PanicThrowGuard while the
-     * collect policy is active).  Under FailurePolicy::abort() nothing
-     * is rethrown here either -- the caller owns propagation (see
-     * run()).
-     */
-    SweepOutcome runChecked(const std::vector<SweepItem> &items) const;
-
-    /**
-     * Resolve a job count: a nonzero @p cli_jobs wins; otherwise a valid
-     * positive DBSIM_JOBS environment value; otherwise the host's
-     * hardware concurrency (at least 1).  Invalid DBSIM_JOBS values
-     * warn and are ignored; values above kMaxJobs (from either source)
-     * warn and clamp -- a fat-fingered DBSIM_JOBS must not spawn
-     * thousands of threads.
-     */
-    static unsigned resolveJobs(unsigned cli_jobs);
-
-  private:
-    unsigned jobs_;
-    FailurePolicy policy_;
-};
+/**
+ * Run every item on min(@p jobs, items.size()) host threads; results
+ * come back in input order regardless of completion order.  If any
+ * configuration throws (e.g. ConfigError from validation), all
+ * remaining items still run, then the lowest-index exception is
+ * rethrown -- so error behavior is also independent of the job count.
+ * A DBSIM_PANIC keeps its process-wide behavior: it aborts unless the
+ * caller installed a PanicThrowGuard.
+ */
+std::vector<SweepResult> runSweep(const std::vector<SweepItem> &items,
+                                  unsigned jobs);
 
 // ---------------------------------------------------------------------
-// Report (schema dbsim-bench-v3)
+// Report (schema dbsim-bench-v4)
 // ---------------------------------------------------------------------
 
 /**
  * Accumulates sweep results across a bench's sections for the --json
- * report.  The emitted document is schema "dbsim-bench-v3": every
+ * report.  The emitted document is schema "dbsim-bench-v4": every
  * result is one compact, single-line entry object (section/label/
- * index/status, then the metrics, or an error object for failures).
+ * index, then the metrics).
  */
 struct SweepReport
 {
     std::string bench;  ///< e.g. "fig2_oltp_ilp"
     unsigned jobs = 1;
-    std::string failure_policy = "abort";
 
     struct Entry
     {
         std::string section;
-        SweepItemOutcome outcome;
+        std::size_t index = 0; ///< position within its section
+        SweepResult result;
     };
     std::vector<Entry> entries;
 
-    /** Append successful results (status ok). */
+    /** Append one section's results, indexed from 0 within it. */
     void add(const std::string &section,
              const std::vector<SweepResult> &results);
-
-    /** Append every outcome of a fault-isolated sweep. */
-    void add(const std::string &section, const SweepOutcome &outcome);
-
-    /** Number of failed entries accumulated so far. */
-    std::size_t failures() const;
 };
 
-/** Emit the full report as JSON (schema dbsim-bench-v3). */
+/** Emit the full report as JSON (schema dbsim-bench-v4). */
 void writeSweepJson(std::ostream &os, const SweepReport &report);
 
 /**

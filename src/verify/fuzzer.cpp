@@ -357,9 +357,9 @@ reduceBucket(const FuzzOptions &opts, const FuzzCaseResult &c,
 FuzzReport
 runFuzz(const FuzzOptions &opts, std::ostream *log)
 {
-    // One process-global guard covers every worker thread (the same
-    // idiom as SweepRunner::runChecked); the per-case guards nested
-    // under it save and restore the already-Throw behavior.
+    // One process-global guard covers every thread of the worker pool
+    // (core::forEachIndex); the per-case guards nested under it save
+    // and restore the already-Throw behavior.
     PanicThrowGuard guard;
     FuzzReport rep;
     rep.seed = opts.seed;

@@ -17,19 +17,26 @@ sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import compare_reports as cr  # noqa: E402
 
-# The shape of a bench report: host timings sit next to simulated
-# results in every sweep entry.
+# The shape of a bench report (schema dbsim-bench-v4): host timings sit
+# next to simulated results in every sweep entry.
 REPORT = {
-    "schema": "dbsim-bench-v1",
+    "schema": "dbsim-bench-v4",
+    "bench": "fig6_consistency",
+    "jobs": 4,
+    "items": 2,
     "results": [
-        {"config": "oltp-sc", "workload": "oltp", "nodes": 4,
+        {"section": "oltp", "label": "SC", "index": 0,
+         "config": "oltp-sc", "workload": "oltp", "nodes": 4,
          "cycles": 812345, "instructions": 2000000, "ipc": 0.6155,
          "wall_seconds": 1.25, "sim_instructions_per_host_second": 1.6e6,
+         "context_switches": 118,
          "breakdown": {"busy": 301234.5, "l2_hit": 1024.25},
          "coherence": {"l2_misses_total": 5120, "dirty_misses": 733}},
-        {"config": "dss-sc", "workload": "dss", "nodes": 4,
+        {"section": "dss", "label": "SC", "index": 0,
+         "config": "dss-sc", "workload": "dss", "nodes": 4,
          "cycles": 402000, "instructions": 2000000, "ipc": 1.2,
          "wall_seconds": 0.75, "sim_instructions_per_host_second": 2.7e6,
+         "context_switches": 40,
          "breakdown": {"busy": 500000.0, "l2_hit": 12.0},
          "coherence": {"l2_misses_total": 9000, "dirty_misses": 3}},
     ],

@@ -6,10 +6,10 @@
  * simulated statistics of a sweep are a pure function of the
  * configuration list, so running the same list with 1 job and with 8
  * jobs must produce bitwise-identical results.  Also covered: input
- * ordering, deterministic (lowest-index) error propagation, per-item
- * failure capture under the collect policy (DESIGN.md §5e), job-count
- * resolution, the bench harness (flags, exit codes), and the JSON
- * writer's escaping and structure checking.
+ * ordering, deterministic (lowest-index) error propagation of
+ * exceptions and panics (DESIGN.md §5e), job-count resolution, the
+ * bench harness (flags, exit codes), and the JSON writer's escaping and
+ * structure checking.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -135,7 +134,7 @@ TEST(JsonWriter, RejectsStructuralMisuse)
 }
 
 // ---------------------------------------------------------------------
-// SweepRunner
+// runSweep
 // ---------------------------------------------------------------------
 
 SimConfig
@@ -245,10 +244,8 @@ TEST(SweepRunner, ParallelRunIsBitwiseDeterministic)
     const auto items = determinismItems();
     ASSERT_GE(items.size(), 12u);
 
-    SweepRunner serial(1);
-    SweepRunner parallel(8);
-    const auto a = serial.run(items);
-    const auto b = parallel.run(items);
+    const auto a = runSweep(items, 1);
+    const auto b = runSweep(items, 8);
     ASSERT_EQ(a.size(), items.size());
     ASSERT_EQ(b.size(), items.size());
 
@@ -271,9 +268,8 @@ TEST(SweepRunner, LowestIndexErrorWinsUnderAnyJobCount)
     items[5].cfg.oltp.hash_buckets = 0;  // field "oltp.hash_buckets"
 
     for (const unsigned jobs : {1u, 8u}) {
-        SweepRunner runner(jobs);
         try {
-            runner.run(items);
+            runSweep(items, jobs);
             FAIL() << "expected ConfigError (jobs=" << jobs << ")";
         } catch (const ConfigError &e) {
             EXPECT_EQ(e.field(), "total_instructions")
@@ -283,155 +279,109 @@ TEST(SweepRunner, LowestIndexErrorWinsUnderAnyJobCount)
 }
 
 /**
- * Four small OLTP items; the item at each index in @p panic_windows
- * trips the forward-progress watchdog with that window (a 50- or
- * 60-cycle window is shorter than an OLTP L2 miss), the rest run
- * normally.
- */
-std::vector<SweepItem>
-watchdogItems(const std::vector<std::pair<std::size_t, std::uint64_t>>
-                  &panic_windows)
-{
-    std::vector<SweepItem> items;
-    for (int i = 0; i < 4; ++i)
-        items.push_back({"item" + std::to_string(i),
-                         quick(WorkloadKind::Oltp, 1)});
-    for (const auto &[index, window] : panic_windows)
-        items[index].cfg.system.watchdog_cycles = window;
-    return items;
-}
-
-/**
- * Check the collected record of a watchdog panic: it names the item,
- * is classified as an invariant failure, and carries exactly one
- * machine dump -- this item's: the machines of the items running
- * beside it are not its to read.
- */
-void
-expectWatchdogRecord(const SweepItemOutcome &o, std::size_t index,
-                     const std::string &label)
-{
-    ASSERT_FALSE(o.ok()) << "item " << index;
-    EXPECT_EQ(o.index, index);
-    EXPECT_EQ(o.failure.index, index);
-    EXPECT_EQ(o.failure.label, label);
-    EXPECT_EQ(o.failure.kind, FailureKind::Invariant);
-    EXPECT_NE(o.error, nullptr);
-    EXPECT_NE(o.failure.what.find("forward-progress watchdog"),
-              std::string::npos)
-        << o.failure.what;
-    const std::string &dump = o.failure.crash_dump_excerpt;
-    const std::size_t first = dump.find("=== crash dump");
-    EXPECT_NE(first, std::string::npos);
-    EXPECT_EQ(dump.find("=== crash dump", first + 1), std::string::npos)
-        << "record " << index << " carries another item's machine";
-    EXPECT_EQ(dump.find("panic:"), std::string::npos)
-        << "another item's panic leaked into record " << index;
-}
-
-/**
- * A real panic under the collect policy: item 1 trips the watchdog,
- * the others run normally.  The failure becomes a structured record,
- * and the survivors are exactly what an undisturbed run produces.  The
- * abort policy rethrows the same panic as an exception.
+ * One item's watchdog panic among healthy items: the sweep rethrows it
+ * as item 1's SimInvariantError, with its window and exactly one
+ * machine dump, and the same text under any job count.  The panic
+ * leaves no process state behind: the healthy items, swept again, give
+ * bitwise the results they gave before it.
  */
 TEST(SweepFaultTolerance, CollectIsolatesPanicAsStructuredFailure)
 {
-    const auto items = watchdogItems({{1, 50}});
-    const auto undisturbed =
-        SweepRunner(1).run({items[0], items[2], items[3]});
+    // A 50-cycle window is shorter than an OLTP L2 miss.
+    std::vector<SweepItem> items(4, {"item", quick(WorkloadKind::Oltp, 1)});
+    items[1].cfg.system.watchdog_cycles = 50;
+    const std::vector<SweepItem> healthy{items[0], items[2], items[3]};
+    const auto undisturbed = runSweep(healthy, 1);
 
-    SweepRunner runner(2);
-    runner.setFailurePolicy(FailurePolicy::collect());
-    const SweepOutcome out = runner.runChecked(items);
-    ASSERT_EQ(out.items.size(), 4u);
-    EXPECT_EQ(out.failures(), 1u);
-
-    expectWatchdogRecord(out.items[1], 1, items[1].label);
-    EXPECT_NE(out.items[1].failure.what.find("window=50"),
-              std::string::npos)
-        << out.items[1].failure.what;
-
-    ASSERT_TRUE(out.items[0].ok());
-    ASSERT_TRUE(out.items[2].ok());
-    ASSERT_TRUE(out.items[3].ok());
-    expectSameResult(out.items[0].result, undisturbed[0]);
-    expectSameResult(out.items[2].result, undisturbed[1]);
-    expectSameResult(out.items[3].result, undisturbed[2]);
-
-    // abort: the same panic, as an exception the test can see.
     PanicThrowGuard guard;
-    try {
-        SweepRunner(2).run(items);
-        FAIL() << "expected SimInvariantError";
-    } catch (const SimInvariantError &e) {
-        const std::string msg = e.what();
-        EXPECT_EQ(msg.substr(0, msg.find('\n')),
-                  out.items[1].failure.what);
+    std::string serial_msg;
+    for (const unsigned jobs : {1u, 2u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        std::string msg;
+        try {
+            runSweep(items, jobs);
+            FAIL() << "expected SimInvariantError";
+        } catch (const SimInvariantError &e) {
+            msg = e.what();
+        }
+        const std::string head = msg.substr(0, msg.find('\n'));
+        EXPECT_NE(head.find("forward-progress watchdog"), std::string::npos)
+            << head;
+        EXPECT_NE(head.find("window=50"), std::string::npos) << head;
+        const std::size_t first = msg.find("=== crash dump");
+        EXPECT_NE(first, std::string::npos);
+        EXPECT_EQ(msg.find("=== crash dump", first + 1), std::string::npos);
+        if (serial_msg.empty())
+            serial_msg = msg;
+        EXPECT_EQ(msg, serial_msg);
+    }
+
+    const auto after = runSweep(healthy, 2);
+    ASSERT_EQ(after.size(), undisturbed.size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+        SCOPED_TRACE("healthy item " + std::to_string(i));
+        expectSameResult(after[i], undisturbed[i]);
     }
 }
 
 /**
- * Two items panicking at once on different pool threads produce two
- * distinct, uncorrupted records -- the crash-dump registry and the
- * panic path are shared process state.  The records are deterministic
- * in the item, whatever ran beside it: jobs=4 reproduces the jobs=1
- * text exactly, and abort rethrows the lowest-index failure at both.
+ * Two items panicking at once on different pool threads: the sweep
+ * rethrows item 1's panic, the lowest index.  The crash-dump registry
+ * and the panic path are shared process state, yet the error carries
+ * exactly one machine dump -- item 1's: the machines of the items
+ * running beside it are not its to read.  The text is deterministic in
+ * the item, whatever ran beside it: jobs=4 rethrows exactly the jobs=1
+ * text.
  */
 TEST(SweepFaultTolerance, ConcurrentPanicsYieldDistinctRecords)
 {
-    const auto items = watchdogItems({{1, 50}, {3, 60}});
+    // A 50- or 60-cycle window is shorter than an OLTP L2 miss.
+    std::vector<SweepItem> items(4, {"item", quick(WorkloadKind::Oltp, 1)});
+    items[1].cfg.system.watchdog_cycles = 50;
+    items[3].cfg.system.watchdog_cycles = 60;
+    PanicThrowGuard guard;
 
-    std::vector<std::string> serial_what;
+    std::string serial_msg;
     for (const unsigned jobs : {1u, 4u}) {
         SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        SweepRunner runner(jobs);
-        runner.setFailurePolicy(FailurePolicy::collect());
-        const SweepOutcome out = runner.runChecked(items);
-        ASSERT_EQ(out.items.size(), 4u);
-        EXPECT_EQ(out.failures(), 2u);
-        EXPECT_TRUE(out.items[0].ok());
-        EXPECT_TRUE(out.items[2].ok());
-
-        std::vector<std::string> what;
-        for (const std::size_t i : {std::size_t{1}, std::size_t{3}}) {
-            expectWatchdogRecord(out.items[i], i, items[i].label);
-            what.push_back(out.items[i].failure.what);
-        }
-        EXPECT_NE(what[0].find("window=50"), std::string::npos) << what[0];
-        EXPECT_EQ(what[0].find("window=60"), std::string::npos)
-            << "record 1 contaminated by the other thread's panic";
-        EXPECT_NE(what[1].find("window=60"), std::string::npos) << what[1];
-        EXPECT_EQ(what[1].find("window=50"), std::string::npos)
-            << "record 3 contaminated by the other thread's panic";
-        if (serial_what.empty())
-            serial_what = what;
-        EXPECT_EQ(what, serial_what);
-
-        PanicThrowGuard guard;
+        std::string msg;
         try {
-            SweepRunner(jobs).run(items);
+            runSweep(items, jobs);
             FAIL() << "expected SimInvariantError";
         } catch (const SimInvariantError &e) {
-            const std::string msg = e.what();
-            EXPECT_EQ(msg.substr(0, msg.find('\n')), serial_what[0]);
+            msg = e.what();
         }
+        const std::string head = msg.substr(0, msg.find('\n'));
+        EXPECT_NE(head.find("forward-progress watchdog"), std::string::npos)
+            << head;
+        EXPECT_NE(msg.find("window=50"), std::string::npos) << head;
+        EXPECT_EQ(msg.find("window=60"), std::string::npos)
+            << "item 1's error contaminated by the other thread's panic";
+        EXPECT_EQ(msg.find("panic:", head.size()), std::string::npos)
+            << "another item's panic leaked into item 1's error";
+        const std::size_t first = msg.find("=== crash dump");
+        EXPECT_NE(first, std::string::npos);
+        EXPECT_EQ(msg.find("=== crash dump", first + 1), std::string::npos)
+            << "item 1's error carries another item's machine";
+        if (serial_msg.empty())
+            serial_msg = msg;
+        EXPECT_EQ(msg, serial_msg);
     }
 }
 
 TEST(SweepRunner, ResolveJobsPrecedence)
 {
-    EXPECT_EQ(SweepRunner::resolveJobs(5), 5u);
+    EXPECT_EQ(resolveJobs(5), 5u);
 
     ASSERT_EQ(setenv("DBSIM_JOBS", "3", 1), 0);
-    EXPECT_EQ(SweepRunner::resolveJobs(0), 3u);
-    EXPECT_EQ(SweepRunner::resolveJobs(2), 2u); // CLI wins over env
+    EXPECT_EQ(resolveJobs(0), 3u);
+    EXPECT_EQ(resolveJobs(2), 2u); // CLI wins over env
 
     ASSERT_EQ(setenv("DBSIM_JOBS", "banana", 1), 0);
-    EXPECT_GE(SweepRunner::resolveJobs(0), 1u); // warn + fall back
+    EXPECT_GE(resolveJobs(0), 1u); // warn + fall back
 
     ASSERT_EQ(unsetenv("DBSIM_JOBS"), 0);
-    EXPECT_GE(SweepRunner::resolveJobs(0), 1u);
+    EXPECT_GE(resolveJobs(0), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -469,33 +419,40 @@ balancedJson(const std::string &s)
 
 TEST(SweepReportJson, EmitsSchemaAndOneEntryPerResult)
 {
-    SweepRunner runner(2);
     const auto results =
-        runner.run({{"r0", quick(WorkloadKind::Oltp, 1)},
-                    {"r1", quick(WorkloadKind::Dss, 1)}});
+        runSweep({{"r0", quick(WorkloadKind::Oltp, 1)},
+                  {"r1", quick(WorkloadKind::Dss, 1)}},
+                 2);
 
     SweepReport report;
     report.bench = "test_bench";
-    report.jobs = runner.jobs();
+    report.jobs = 2;
     report.add("s1", results);
+    report.add("s2", {results[1]});
 
     std::ostringstream os;
     writeSweepJson(os, report);
     const std::string doc = os.str();
 
     EXPECT_TRUE(balancedJson(doc)) << doc;
-    EXPECT_NE(doc.find("\"schema\": \"dbsim-bench-v3\""),
+    EXPECT_NE(doc.find("\"schema\": \"dbsim-bench-v4\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"bench\": \"test_bench\""), std::string::npos);
-    // Result entries are compact single-line objects.
-    EXPECT_NE(doc.find("\"label\":\"r0\""), std::string::npos);
-    EXPECT_NE(doc.find("\"label\":\"r1\""), std::string::npos);
-    EXPECT_NE(doc.find("\"status\":\"ok\""), std::string::npos);
+    EXPECT_NE(doc.find("\"items\": 3"), std::string::npos);
+    // Result entries are compact single-line objects, indexed within
+    // their section.
+    EXPECT_NE(doc.find("{\"section\":\"s1\",\"label\":\"r0\",\"index\":0,"),
+              std::string::npos);
+    EXPECT_NE(doc.find("{\"section\":\"s1\",\"label\":\"r1\",\"index\":1,"),
+              std::string::npos);
+    EXPECT_NE(doc.find("{\"section\":\"s2\",\"label\":\"r1\",\"index\":0,"),
+              std::string::npos);
     EXPECT_NE(doc.find("\"sim_instructions_per_host_second\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"mshr_occupancy\""), std::string::npos);
     for (const char *gone :
-         {"item_timeout_sec", "attempts", "epoch_hashes", "checkpoint"})
+         {"item_timeout_sec", "attempts", "epoch_hashes", "checkpoint",
+          "status", "failure", "error"})
         EXPECT_EQ(doc.find(gone), std::string::npos) << gone;
     EXPECT_EQ(doc.back(), '\n');
 }
@@ -503,36 +460,18 @@ TEST(SweepReportJson, EmitsSchemaAndOneEntryPerResult)
 TEST(SweepRunner, ResolveJobsClampsAbsurdValues)
 {
     // CLI path: anything above kMaxJobs is clamped with a warning.
-    EXPECT_EQ(SweepRunner::resolveJobs(100000), SweepRunner::kMaxJobs);
-    EXPECT_EQ(SweepRunner::resolveJobs(SweepRunner::kMaxJobs),
-              SweepRunner::kMaxJobs);
+    EXPECT_EQ(resolveJobs(100000), kMaxJobs);
+    EXPECT_EQ(resolveJobs(kMaxJobs), kMaxJobs);
 
     // Env path: same clamp.
     ASSERT_EQ(setenv("DBSIM_JOBS", "999999999", 1), 0);
-    EXPECT_EQ(SweepRunner::resolveJobs(0), SweepRunner::kMaxJobs);
+    EXPECT_EQ(resolveJobs(0), kMaxJobs);
     ASSERT_EQ(unsetenv("DBSIM_JOBS"), 0);
 }
 
 // ---------------------------------------------------------------------
-// Failure policy and the bench harness: flags and exit codes
+// The bench harness: flags and exit codes
 // ---------------------------------------------------------------------
-
-TEST(FailurePolicy, DescribeAndIsolating)
-{
-    EXPECT_EQ(FailurePolicy::abort().describe(), "abort");
-    EXPECT_EQ(FailurePolicy::collect().describe(), "collect");
-    EXPECT_FALSE(FailurePolicy::abort().isolating());
-    EXPECT_TRUE(FailurePolicy::collect().isolating());
-}
-
-TEST(SweepFaultTolerance, AbortModeRunCarriesLegacySemantics)
-{
-    std::vector<SweepItem> items(3, {"ok", quick(WorkloadKind::Oltp, 1)});
-    items[0].cfg.total_instructions = 0;
-
-    SweepRunner runner(2); // default policy: abort
-    EXPECT_THROW(runner.run(items), ConfigError);
-}
 
 bench::BenchOptions
 parse(std::vector<std::string> args)
@@ -548,19 +487,15 @@ parse(std::vector<std::string> args)
 
 TEST(BenchArgs, ParsesSharedFlagsInBothForms)
 {
-    const auto opts = parse({"--jobs", "3", "--json=out.json",
-                             "--on-failure", "collect", "--sharing"});
+    const auto opts = parse({"--jobs", "3", "--json=out.json", "--sharing"});
     EXPECT_EQ(opts.jobs, 3u);
     EXPECT_EQ(opts.json_path, "out.json");
-    EXPECT_TRUE(opts.collect_failures);
     ASSERT_EQ(opts.rest.size(), 1u);
     EXPECT_TRUE(opts.has("--sharing"));
 
-    const auto eq = parse({"--jobs=2", "--json", "r.json",
-                           "--on-failure=abort"});
+    const auto eq = parse({"--jobs=2", "--json", "r.json"});
     EXPECT_EQ(eq.jobs, 2u);
     EXPECT_EQ(eq.json_path, "r.json");
-    EXPECT_FALSE(eq.collect_failures);
     EXPECT_TRUE(eq.rest.empty());
 }
 
@@ -569,9 +504,20 @@ TEST(BenchArgs, RejectsBadValues)
     EXPECT_THROW(parse({"--jobs", "0"}), ConfigError);
     EXPECT_THROW(parse({"--jobs", "banana"}), ConfigError);
     EXPECT_THROW(parse({"--jobs", "-1"}), ConfigError);
-    EXPECT_THROW(parse({"--on-failure", "maybe"}), ConfigError);
     EXPECT_THROW(parse({"--json"}), ConfigError); // missing value
     EXPECT_THROW(parse({"--unii"}), ConfigError);  // not a flag of the bench
+    // There is one failure mode, so no flag chooses one.
+    for (const std::string gone : {"--on-failure", "--on-failure=collect"}) {
+        try {
+            parse({gone, "collect"});
+            FAIL() << gone << " was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("unknown flag \"" + gone +
+                                                 "\""),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(CliArgs, ParseUnsignedTakesDigitsOnly)
@@ -615,21 +561,6 @@ TEST(BenchHarness, UnwritableReportYieldsExitOne)
     bench::BenchContext ctx("ft_exit1", opts);
     ctx.sweep("s", {{"i0", quick(WorkloadKind::Oltp, 1)}});
     EXPECT_EQ(ctx.finish(), 1);
-}
-
-TEST(BenchHarness, CollectedFailureYieldsPartialFailureExit)
-{
-    bench::BenchOptions opts;
-    opts.collect_failures = true;
-    bench::BenchContext ctx("ft_exit4", opts);
-    std::vector<SweepItem> items(2, {"i", quick(WorkloadKind::Oltp, 1)});
-    items[0].cfg.total_instructions = 0; // config rejection, collected
-    const auto ok = ctx.sweep("s", items);
-    EXPECT_EQ(ok.size(), 1u);
-    ASSERT_EQ(ctx.report().entries.size(), 2u);
-    EXPECT_EQ(ctx.report().entries[0].outcome.failure.kind,
-              FailureKind::Config);
-    EXPECT_EQ(ctx.finish(), kSweepPartialFailureExit);
 }
 
 } // namespace

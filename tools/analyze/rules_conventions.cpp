@@ -163,8 +163,7 @@ checkCatchSwallow(const SourceFile &f, std::vector<RawFinding> &out)
             if (tk.kind == Tok::Ident &&
                 (tk.text == "throw" || tk.text == "current_exception" ||
                  tk.text == "rethrow_exception" ||
-                 tk.text == "SweepFailure" || tk.text == "DBSIM_PANIC" ||
-                 tk.text == "DBSIM_FATAL"))
+                 tk.text == "DBSIM_PANIC" || tk.text == "DBSIM_FATAL"))
                 handled = true;
         }
         if (handled)

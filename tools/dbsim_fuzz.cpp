@@ -32,6 +32,7 @@
 
 #include "common/errors.hpp"
 #include "core/cli_guard.hpp"
+#include "core/sweep.hpp"
 #include "verify/fuzzer.hpp"
 
 namespace {
@@ -82,7 +83,8 @@ main(int argc, char **argv)
             else if (arg == "--count")
                 opts.count = parseUnsigned<std::uint32_t>(arg, value());
             else if (arg == "--jobs")
-                opts.jobs = parseUnsigned<std::uint32_t>(arg, value(), 1);
+                opts.jobs = parseUnsigned<std::uint32_t>(arg, value(), 1,
+                                                         core::kMaxJobs);
             else if (arg == "--json")
                 json_path = value();
             else if (arg == "--repro-dir")
