@@ -16,26 +16,6 @@ namespace dbsim::verify {
 
 namespace {
 
-std::string
-firstLine(const std::string &s)
-{
-    const std::size_t nl = s.find('\n');
-    return nl == std::string::npos ? s : s.substr(0, nl);
-}
-
-std::string
-firstLines(const std::string &s, std::size_t n)
-{
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        pos = s.find('\n', pos);
-        if (pos == std::string::npos)
-            return s;
-        ++pos;
-    }
-    return s.substr(0, pos);
-}
-
 std::uint64_t
 splitmix64(std::uint64_t x)
 {

@@ -13,9 +13,6 @@
 
 namespace dbsim::verify {
 
-namespace {
-
-/** First line of @p s (the whole string if single-line). */
 std::string
 firstLine(const std::string &s)
 {
@@ -23,7 +20,6 @@ firstLine(const std::string &s)
     return nl == std::string::npos ? s : s.substr(0, nl);
 }
 
-/** First @p n lines of @p s (crash-dump excerpts). */
 std::string
 firstLines(const std::string &s, std::size_t n)
 {
@@ -36,8 +32,6 @@ firstLines(const std::string &s, std::size_t n)
     }
     return s.substr(0, pos);
 }
-
-} // namespace
 
 /**
  * Triage-bucket key: oracle name + the first detail line with digit

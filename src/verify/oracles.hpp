@@ -197,6 +197,12 @@ void applyArtifactFault(RunArtifacts &a, ArtifactFault f);
  *  signature stability. */
 std::string oracleBucketSignature(OracleKind k, const std::string &detail);
 
+/** First line of @p s (the whole string if single-line). */
+std::string firstLine(const std::string &s);
+
+/** First @p n lines of @p s (crash-dump excerpts). */
+std::string firstLines(const std::string &s, std::size_t n);
+
 /** Construct a failing verdict with the canonical bucket signature. */
 OracleVerdict makeFailVerdict(OracleKind k, const std::string &detail,
                               const std::string &dump_excerpt = {});

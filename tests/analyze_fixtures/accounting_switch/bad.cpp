@@ -1,4 +1,5 @@
-// Seeded violation: the switch misses Cat::Upgrade and has no default.
+// Seeded violation: the switch misses Cat::Upgrade and has no default,
+// so the project's -Werror=switch must refuse to compile it.
 #include "cat.hpp"
 
 int

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tests of tools/compare_reports.py: the field-exact comparison of two
 dbsim-bench JSON reports, which ignores only the two host-timing
-fields."""
+fields and the job count."""
 
 import contextlib
 import copy
@@ -80,6 +80,14 @@ class Compare(unittest.TestCase):
         for entry in changed["results"]:
             entry["wall_seconds"] *= 3
             entry["sim_instructions_per_host_second"] /= 3
+        code, out = self.run_main(REPORT, changed)
+        self.assertEqual(code, 0, out)
+
+    def test_job_count_is_ignored(self):
+        # A --jobs 1 run and a --jobs 4 run of a bench report the same
+        # results.
+        changed = copy.deepcopy(REPORT)
+        changed["jobs"] = 1
         code, out = self.run_main(REPORT, changed)
         self.assertEqual(code, 0, out)
 

@@ -3,10 +3,11 @@
 
 Asserts that two runs of a bench simulated the same thing, e.g. before
 and after an engine change that must not move any statistic.
-Host-timing fields (wall_seconds, sim_instructions_per_host_second) are
-scrubbed before comparing -- they legitimately differ between runs; all
-simulated results (cycles, instructions, IPC, breakdowns, miss rates,
-coherence counters) must match exactly.
+Host-timing fields (wall_seconds, sim_instructions_per_host_second) and
+the worker count (jobs) are scrubbed before comparing -- they
+legitimately differ between runs, and a run's results do not depend on
+its --jobs; all simulated results (cycles, instructions, IPC,
+breakdowns, miss rates, coherence counters) must match exactly.
 
 Usage: compare_reports.py REFERENCE.json CANDIDATE.json
 Exit status 0 when equivalent, 1 with a per-path diff otherwise.
@@ -16,7 +17,7 @@ import argparse
 import json
 import sys
 
-IGNORED = ("sim_instructions_per_host_second", "wall_seconds")
+IGNORED = ("sim_instructions_per_host_second", "wall_seconds", "jobs")
 
 
 def scrub(node, ignored):
