@@ -1,6 +1,7 @@
 #include "core/config_gen.hpp"
 
 #include <initializer_list>
+#include <type_traits>
 
 #include "common/snapshot.hpp"
 #include "cpu/consistency.hpp"
@@ -269,132 +270,172 @@ simConfigSignature(const SimConfig &cfg)
     return w.hash();
 }
 
+namespace {
+
+/** The values of @p xs below @p cur: a knob's shrink candidates. */
+std::vector<std::uint64_t>
+below(std::initializer_list<std::uint64_t> xs, std::uint64_t cur)
+{
+    std::vector<std::uint64_t> out;
+    for (const std::uint64_t x : xs)
+        if (x < cur)
+            out.push_back(x);
+    return out;
+}
+
+void
+setProcsPerCpu(SimConfig &cfg, std::uint32_t ppc)
+{
+    if (cfg.workload == WorkloadKind::Oltp)
+        cfg.oltp.num_procs = ppc * cfg.system.num_nodes;
+    else
+        cfg.dss.num_procs = ppc * cfg.system.num_nodes;
+}
+
+/**
+ * A knob reached by @p field (`[](auto &c) -> auto & { return ...; }`):
+ * it takes any value from @p floor up, cast to the field's type (so a
+ * bool reads "nonzero"), and shrinks to @p floor.
+ */
+template <typename Field>
+ConfigOverride
+knob(const char *key, std::uint64_t floor, Field field)
+{
+    return {key,
+            [floor, field](SimConfig &cfg, std::uint64_t v) {
+                if (v < floor)
+                    return false;
+                auto &f = field(cfg);
+                f = static_cast<std::remove_reference_t<decltype(f)>>(v);
+                return true;
+            },
+            [floor, field](const SimConfig &cfg, const FuzzSpace &) {
+                return below({floor}, field(cfg));
+            }};
+}
+
+} // namespace
+
+const std::vector<ConfigOverride> &
+configOverrides()
+{
+    // Shrink order: structural reductions first (node count, run
+    // length), then feature knock-outs from most to least exotic.
+    static const std::vector<ConfigOverride> kCatalog = {
+        {"num_nodes",
+         [](SimConfig &cfg, std::uint64_t v) {
+             if (v == 0)
+                 return false;
+             const std::uint32_t ppc = cfg.procsPerCpu();
+             cfg.system.num_nodes = static_cast<std::uint32_t>(v);
+             setProcsPerCpu(cfg, ppc);
+             return true;
+         },
+         [](const SimConfig &cfg, const FuzzSpace &) {
+             return below({1, 2, 4}, cfg.system.num_nodes);
+         }},
+        {"total_instructions",
+         [](SimConfig &cfg, std::uint64_t v) {
+             cfg.total_instructions = v;
+             if (cfg.warmup_instructions >= v)
+                 cfg.warmup_instructions = v / 8;
+             return true;
+         },
+         [](const SimConfig &cfg, const FuzzSpace &space) {
+             return below({space.min_instructions}, cfg.total_instructions);
+         }},
+        knob("warmup_instructions", 0,
+             [](auto &c) -> auto & { return c.warmup_instructions; }),
+        {"procs_per_cpu",
+         [](SimConfig &cfg, std::uint64_t v) {
+             if (v == 0)
+                 return false;
+             setProcsPerCpu(cfg, static_cast<std::uint32_t>(v));
+             return true;
+         },
+         [](const SimConfig &cfg, const FuzzSpace &) {
+             return below({1, 2}, cfg.procsPerCpu());
+         }},
+        knob("stream_buffer_entries", 0, [](auto &c) -> auto & {
+            return c.system.node.stream_buffer_entries;
+        }),
+        knob("hint_prefetch", 0,
+             [](auto &c) -> auto & { return c.hint_prefetch; }),
+        knob("hint_flush", 0, [](auto &c) -> auto & { return c.hint_flush; }),
+        knob("adaptive_migratory", 0, [](auto &c) -> auto & {
+            return c.system.fabric.adaptive_migratory;
+        }),
+        knob("flush_invalidates", 0, [](auto &c) -> auto & {
+            return c.system.fabric.flush_invalidates;
+        }),
+        {"migratory_read_factor_x100",
+         [](SimConfig &cfg, std::uint64_t v) {
+             if (v == 0)
+                 return false;
+             cfg.system.fabric.migratory_read_factor =
+                 static_cast<double>(v) / 100.0;
+             return true;
+         },
+         [](const SimConfig &cfg, const FuzzSpace &) {
+             // Factor 1.0 turns migratory reads off.
+             return cfg.system.fabric.migratory_read_factor != 1.0
+                        ? std::vector<std::uint64_t>{100}
+                        : std::vector<std::uint64_t>{};
+         }},
+        knob("spec_loads", 0,
+             [](auto &c) -> auto & { return c.system.core.cons.spec_loads; }),
+        knob("hw_prefetch", 0,
+             [](auto &c) -> auto & { return c.system.core.cons.hw_prefetch; }),
+        knob("out_of_order", 0,
+             [](auto &c) -> auto & { return c.system.core.out_of_order; }),
+        {"model",
+         [](SimConfig &cfg, std::uint64_t v) {
+             if (v > 2)
+                 return false;
+             cfg.system.core.model = static_cast<cpu::ConsistencyModel>(v);
+             return true;
+         },
+         [](const SimConfig &cfg, const FuzzSpace &) {
+             return below({0},
+                          static_cast<std::uint64_t>(cfg.system.core.model));
+         }},
+        {"issue_width",
+         [](SimConfig &cfg, std::uint64_t v) {
+             if (v == 0)
+                 return false;
+             cfg.system.core.issue_width = static_cast<std::uint32_t>(v);
+             if (cfg.system.core.window_size < cfg.system.core.issue_width)
+                 cfg.system.core.window_size = cfg.system.core.issue_width;
+             return true;
+         },
+         [](const SimConfig &cfg, const FuzzSpace &) {
+             return below({1}, cfg.system.core.issue_width);
+         }},
+        knob("l1d_mshrs", 1,
+             [](auto &c) -> auto & { return c.system.node.l1d.mshrs; }),
+        // An observation knob: it changes what the oracles see, not
+        // what the machine does, so shrinking it could only mask a
+        // finding.
+        {"state_hash_interval",
+         [](SimConfig &cfg, std::uint64_t v) {
+             cfg.system.state_hash_interval = v;
+             return true;
+         },
+         [](const SimConfig &, const FuzzSpace &) {
+             return std::vector<std::uint64_t>{};
+         }},
+    };
+    return kCatalog;
+}
+
 bool
 applyConfigOverride(SimConfig &cfg, const std::string &key,
                     std::uint64_t value)
 {
-    const std::uint32_t v32 = static_cast<std::uint32_t>(value);
-    if (key == "num_nodes") {
-        if (value == 0)
-            return false;
-        const std::uint32_t ppc = cfg.procsPerCpu();
-        cfg.system.num_nodes = v32;
-        if (cfg.workload == WorkloadKind::Oltp)
-            cfg.oltp.num_procs = ppc * v32;
-        else
-            cfg.dss.num_procs = ppc * v32;
-        return true;
-    }
-    if (key == "procs_per_cpu") {
-        if (value == 0)
-            return false;
-        if (cfg.workload == WorkloadKind::Oltp)
-            cfg.oltp.num_procs = v32 * cfg.system.num_nodes;
-        else
-            cfg.dss.num_procs = v32 * cfg.system.num_nodes;
-        return true;
-    }
-    if (key == "total_instructions") {
-        cfg.total_instructions = value;
-        if (cfg.warmup_instructions >= value)
-            cfg.warmup_instructions = value / 8;
-        return true;
-    }
-    if (key == "warmup_instructions") {
-        cfg.warmup_instructions = value;
-        return true;
-    }
-    if (key == "stream_buffer_entries") {
-        cfg.system.node.stream_buffer_entries = v32;
-        return true;
-    }
-    if (key == "hint_prefetch") {
-        cfg.hint_prefetch = value != 0;
-        return true;
-    }
-    if (key == "hint_flush") {
-        cfg.hint_flush = value != 0;
-        return true;
-    }
-    if (key == "spec_loads") {
-        cfg.system.core.cons.spec_loads = value != 0;
-        return true;
-    }
-    if (key == "hw_prefetch") {
-        cfg.system.core.cons.hw_prefetch = value != 0;
-        return true;
-    }
-    if (key == "adaptive_migratory") {
-        cfg.system.fabric.adaptive_migratory = value != 0;
-        return true;
-    }
-    if (key == "flush_invalidates") {
-        cfg.system.fabric.flush_invalidates = value != 0;
-        return true;
-    }
-    if (key == "out_of_order") {
-        cfg.system.core.out_of_order = value != 0;
-        return true;
-    }
-    if (key == "model") {
-        if (value > 2)
-            return false;
-        cfg.system.core.model = static_cast<cpu::ConsistencyModel>(value);
-        return true;
-    }
-    if (key == "issue_width") {
-        if (value == 0)
-            return false;
-        cfg.system.core.issue_width = v32;
-        if (cfg.system.core.window_size < v32)
-            cfg.system.core.window_size = v32;
-        return true;
-    }
-    if (key == "l1d_mshrs") {
-        if (value == 0)
-            return false;
-        cfg.system.node.l1d.mshrs = v32;
-        return true;
-    }
-    if (key == "state_hash_interval") {
-        cfg.system.state_hash_interval = value;
-        return true;
-    }
-    if (key == "migratory_read_factor_x100") {
-        if (value == 0)
-            return false;
-        cfg.system.fabric.migratory_read_factor =
-            static_cast<double>(value) / 100.0;
-        return true;
-    }
+    for (const ConfigOverride &o : configOverrides())
+        if (key == o.key)
+            return o.apply(cfg, value);
     return false;
-}
-
-const std::vector<std::string> &
-configOverrideKeys()
-{
-    // Shrink order: structural reductions first (node count, run
-    // length), then feature knock-outs from most to least exotic.
-    static const std::vector<std::string> kKeys = {
-        "num_nodes",
-        "total_instructions",
-        "warmup_instructions",
-        "procs_per_cpu",
-        "stream_buffer_entries",
-        "hint_prefetch",
-        "hint_flush",
-        "adaptive_migratory",
-        "flush_invalidates",
-        "migratory_read_factor_x100",
-        "spec_loads",
-        "hw_prefetch",
-        "out_of_order",
-        "model",
-        "issue_width",
-        "l1d_mshrs",
-        "state_hash_interval",
-    };
-    return kKeys;
 }
 
 } // namespace dbsim::core

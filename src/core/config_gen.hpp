@@ -4,20 +4,23 @@
  * (DESIGN.md §5i), plus the two pieces of plumbing the fuzz layer's
  * repro files are built from:
  *
- *  - simConfigSignature(): a pure FNV-1a hash over every *semantic*
- *    field of a SimConfig (machine geometry, workload shape, run
- *    budgets) in a fixed serialization order.  Unlike
- *    System::configSignature() it needs no machine to be built, so the
- *    fuzzer can fingerprint thousands of generated configs cheaply.
- *    Host observation knobs (checkpoint paths/intervals, stop_at_cycle,
- *    check_coherence, state_hash_interval, watchdog) are excluded: two
- *    configs that simulate identically hash identically.
+ *  - simConfigSignature(): a pure FNV-1a hash over the semantic fields
+ *    of a SimConfig (machine geometry, workload shape, run budgets) in
+ *    a fixed serialization order.  Unlike System::configSignature() it
+ *    needs no machine to be built, so the fuzzer can fingerprint
+ *    thousands of generated configs cheaply.  Host observation knobs
+ *    (checkpoint paths/intervals, stop_at_cycle, check_coherence,
+ *    state_hash_interval, watchdog) are excluded: two configs that
+ *    simulate identically hash identically.  The core's functional-unit
+ *    (`fu.*`) and branch-predictor (`bp.*`) parameters are left out
+ *    too; the generator never varies them.
  *
- *  - the flat override catalog (applyConfigOverride): every shrinking
- *    transformation and every repro-file delta is expressed as a
- *    (key, u64 value) pair from this catalog, so a repro file is just
- *    "generator seed + sorted override list" and replays bit-exactly
- *    on any host.
+ *  - the override catalog (configOverrides()): one table whose rows
+ *    name a knob, apply a u64 value to it, and list the smaller values
+ *    the shrinker tries.  Every shrinking transformation and every
+ *    repro-file delta is a (key, u64 value) pair from this table, so a
+ *    repro file is just "generator seed + sorted override list" and
+ *    replays bit-exactly on any host.
  *
  * randomSimConfig() draws every knob from the caller's Rng in a fixed
  * order, so one u64 seed determines the whole configuration.  The
@@ -29,6 +32,7 @@
 #define DBSIM_CORE_CONFIG_GEN_HPP
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,17 +67,29 @@ SimConfig randomSimConfig(Rng &rng, const FuzzSpace &space = {});
 std::uint64_t simConfigSignature(const SimConfig &cfg);
 
 /**
- * Apply one named override to @p cfg.  Returns false (config untouched)
- * for an unknown key.  "num_nodes" and "procs_per_cpu" preserve the
- * other half of the process-placement product so the result stays
- * valid.  The caller re-validates after applying a batch: an override
- * combination that fails validate() is simply rejected by the shrinker.
+ * One row of the override catalog.  @c apply returns false (config
+ * untouched) for a value out of the knob's range; @c shrink lists the
+ * values below the config's current one, most aggressive first (empty
+ * when the knob is minimal or is never shrunk).  The caller
+ * re-validates after applying a batch: an override combination that
+ * fails validate() is simply rejected by the shrinker.
  */
+struct ConfigOverride
+{
+    const char *key;
+    std::function<bool(SimConfig &cfg, std::uint64_t value)> apply;
+    std::function<std::vector<std::uint64_t>(const SimConfig &cfg,
+                                             const FuzzSpace &space)>
+        shrink;
+};
+
+/** The override catalog, in the order the shrinker tries the keys. */
+const std::vector<ConfigOverride> &configOverrides();
+
+/** Apply the catalog row named @p key; false for an unknown key or a
+ *  value out of range. */
 bool applyConfigOverride(SimConfig &cfg, const std::string &key,
                          std::uint64_t value);
-
-/** The full override catalog, in the order the shrinker tries them. */
-const std::vector<std::string> &configOverrideKeys();
 
 } // namespace dbsim::core
 

@@ -119,12 +119,4 @@ Simulation::characterize() const
     return c;
 }
 
-std::vector<Addr>
-Simulation::hotLocks() const
-{
-    if (oltp_)
-        return oltp_->hotLatches();
-    return {};
-}
-
 } // namespace dbsim::core

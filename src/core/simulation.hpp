@@ -9,7 +9,6 @@
 #define DBSIM_CORE_SIMULATION_HPP
 
 #include <memory>
-#include <vector>
 
 #include "core/config.hpp"
 #include "sim/system.hpp"
@@ -59,9 +58,6 @@ class Simulation
 
     /** Aggregate miss-rate / predictor characterization. */
     Characterization characterize() const;
-
-    /** Per-node hot-lock addresses (OLTP only; for hint studies). */
-    std::vector<Addr> hotLocks() const;
 
     const SimConfig &config() const { return cfg_; }
 

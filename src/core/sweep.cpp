@@ -1,16 +1,16 @@
 #include "core/sweep.hpp"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
+#include "common/errors.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "core/json_writer.hpp"
 #include "common/breakdown.hpp"
 
@@ -24,17 +24,14 @@ resolveJobs(unsigned cli_jobs)
     if (cli_jobs > 0) {
         resolved = cli_jobs;
     } else if (const char *env = std::getenv("DBSIM_JOBS"); env && *env) {
-        errno = 0;
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && errno != ERANGE && v > 0 &&
-            std::strchr(env, '-') == nullptr) {
+        try {
+            const std::uint64_t v = parseUnsigned("DBSIM_JOBS", env, 1);
             // Clamp before the unsigned narrowing: a huge DBSIM_JOBS
             // must not wrap into a small (or zero) thread count.
             resolved = v > kMaxJobs ? kMaxJobs + 1
                                     : static_cast<unsigned>(v);
             source = "DBSIM_JOBS";
-        } else {
+        } catch (const ConfigError &) {
             DBSIM_WARN("DBSIM_JOBS=\"", env,
                        "\" is not a positive integer; ignoring it");
         }

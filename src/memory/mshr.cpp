@@ -130,14 +130,4 @@ MshrFile::doneTimeOf(Addr block) const
                  : entries_[static_cast<std::size_t>(i)].done;
 }
 
-void
-MshrFile::extend(Addr block, Cycles done)
-{
-    const int i = findIdx(block);
-    if (i >= 0) {
-        auto &e = entries_[static_cast<std::size_t>(i)];
-        e.done = std::max(e.done, done);
-    }
-}
-
 } // namespace dbsim::mem

@@ -101,9 +101,6 @@ class MshrFile
      */
     void drain(Cycles now);
 
-    /** Upgrade the recorded fill time (e.g. a write joining a read miss). */
-    void extend(Addr block, Cycles done);
-
     /** Earliest fill time among outstanding entries (kNever if empty). */
     Cycles earliestDone() const;
 

@@ -1,12 +1,12 @@
 #include "sim/diagnostics.hpp"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
+#include "common/errors.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "sim/system.hpp"
 
 namespace dbsim::sim {
@@ -73,17 +73,14 @@ cyclesFromEnv(const char *name)
     const char *s = std::getenv(name);
     if (!s || !*s)
         return 0;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE ||
-        std::strchr(s, '-') != nullptr) {
+    try {
+        return parseUnsigned<Cycles>(name, s);
+    } catch (const ConfigError &) {
         DBSIM_WARN(name, "=\"", s,
                    "\" is not a valid cycle count (expected a nonnegative "
                    "decimal integer); ignoring it");
         return 0;
     }
-    return static_cast<Cycles>(v);
 }
 
 namespace {

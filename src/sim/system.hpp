@@ -206,12 +206,6 @@ class System : public cpu::CoreEnvIf
      *  version, of another config signature, or carry trailing bytes. */
     void restore(const std::vector<std::uint8_t> &bytes);
 
-    /** Epoch hash samples recorded so far (see state_hash_interval). */
-    const std::vector<EpochHash> &epochHashes() const
-    {
-        return epoch_hashes_;
-    }
-
     /**
      * Attach a protocol mutator to the coherence fabric (tests and the
      * dbsim-diverge bisector only; nullptr detaches).  Caller owns the

@@ -1,12 +1,16 @@
 #include "verify/fuzzer.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <sstream>
 
 #include "common/errors.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "common/snapshot.hpp"
 #include "core/json_writer.hpp"
 #include "core/sweep.hpp"
@@ -97,60 +101,6 @@ runOracleKind(const FuzzOptions &opts, OracleKind k,
                 static_cast<int>(k));
 }
 
-/**
- * Reduction candidates for one override key, given the current config.
- * Only strictly "smaller" values are proposed (most aggressive first);
- * an empty list means the key is already minimal.  state_hash_interval
- * is never shrunk: it changes what the oracles observe, not what the
- * machine does, so reducing it can only mask a finding.
- */
-std::vector<std::uint64_t>
-shrinkCandidates(const std::string &key, const core::SimConfig &cfg,
-                 const core::FuzzSpace &space)
-{
-    std::vector<std::uint64_t> out;
-    const auto lessThan = [&out](std::initializer_list<std::uint64_t> xs,
-                                 std::uint64_t cur) {
-        for (const std::uint64_t x : xs)
-            if (x < cur)
-                out.push_back(x);
-    };
-    if (key == "num_nodes")
-        lessThan({1, 2, 4}, cfg.system.num_nodes);
-    else if (key == "total_instructions")
-        lessThan({space.min_instructions}, cfg.total_instructions);
-    else if (key == "warmup_instructions")
-        lessThan({0}, cfg.warmup_instructions);
-    else if (key == "procs_per_cpu")
-        lessThan({1, 2}, cfg.procsPerCpu());
-    else if (key == "stream_buffer_entries")
-        lessThan({0}, cfg.system.node.stream_buffer_entries);
-    else if (key == "hint_prefetch")
-        lessThan({0}, cfg.hint_prefetch ? 1 : 0);
-    else if (key == "hint_flush")
-        lessThan({0}, cfg.hint_flush ? 1 : 0);
-    else if (key == "adaptive_migratory")
-        lessThan({0}, cfg.system.fabric.adaptive_migratory ? 1 : 0);
-    else if (key == "flush_invalidates")
-        lessThan({0}, cfg.system.fabric.flush_invalidates ? 1 : 0);
-    else if (key == "migratory_read_factor_x100") {
-        if (cfg.system.fabric.migratory_read_factor != 1.0)
-            out.push_back(100); // factor 1.0 = migratory reads off
-    } else if (key == "spec_loads")
-        lessThan({0}, cfg.system.core.cons.spec_loads ? 1 : 0);
-    else if (key == "hw_prefetch")
-        lessThan({0}, cfg.system.core.cons.hw_prefetch ? 1 : 0);
-    else if (key == "out_of_order")
-        lessThan({0}, cfg.system.core.out_of_order ? 1 : 0);
-    else if (key == "model")
-        lessThan({0}, static_cast<std::uint64_t>(cfg.system.core.model));
-    else if (key == "issue_width")
-        lessThan({1}, cfg.system.core.issue_width);
-    else if (key == "l1d_mshrs")
-        lessThan({1}, cfg.system.node.l1d.mshrs);
-    return out;
-}
-
 /** Regenerate case config from seed + overrides; false if invalid. */
 bool
 regenerate(const FuzzOptions &opts, std::uint64_t case_seed,
@@ -169,6 +119,8 @@ regenerate(const FuzzOptions &opts, std::uint64_t case_seed,
     }
     return true;
 }
+
+constexpr const char *kReproSchema = "dbsim-fuzz-repro-v2";
 
 std::string
 hex16(std::uint64_t v)
@@ -206,13 +158,12 @@ shrinkConfig(const FuzzOptions &opts, std::uint64_t case_seed,
         return out; // the unshrunk case must regenerate; give up
     std::uint64_t best_sig = core::simConfigSignature(best);
 
-    for (const std::string &key : core::configOverrideKeys()) {
-        for (const std::uint64_t cand :
-             shrinkCandidates(key, best, opts.space)) {
+    for (const core::ConfigOverride &o : core::configOverrides()) {
+        for (const std::uint64_t cand : o.shrink(best, opts.space)) {
             if (out.runs >= opts.max_shrink_runs)
                 return out;
             std::map<std::string, std::uint64_t> trial = out.overrides;
-            trial[key] = cand;
+            trial[o.key] = cand;
             core::SimConfig cfg;
             if (!regenerate(opts, case_seed, trial, &cfg))
                 continue; // invalid combination: reject, try next
@@ -461,27 +412,18 @@ std::string
 renderRepro(const ReproFile &r)
 {
     std::ostringstream os;
-    core::JsonWriter w(os, 2);
-    w.beginObject();
-    w.kv("schema", "dbsim-fuzz-repro-v1");
-    w.kv("config_seed", r.config_seed);
-    w.key("space").beginObject();
-    w.kv("max_nodes", r.space.max_nodes);
-    w.kv("min_instructions", r.space.min_instructions);
-    w.kv("max_instructions", r.space.max_instructions);
-    w.endObject();
-    w.key("overrides").beginObject();
+    os << kReproSchema << "\nconfig_seed " << r.config_seed
+       << "\nspace.max_nodes " << r.space.max_nodes
+       << "\nspace.min_instructions " << r.space.min_instructions
+       << "\nspace.max_instructions " << r.space.max_instructions << '\n';
     for (const auto &[key, value] : r.overrides)
-        w.kv(key, value);
-    w.endObject();
-    w.kv("oracle", oracleName(r.oracle));
-    w.kv("bug", protocolBugName(r.bug));
-    w.kv("fault", artifactFaultName(r.fault));
-    w.kv("signature", r.signature);
-    w.kv("config_signature", "0x" + hex16(r.config_signature));
-    w.kv("detail", r.detail);
-    w.endObject();
-    os << '\n';
+        os << "override." << key << ' ' << value << '\n';
+    os << "oracle " << oracleName(r.oracle)
+       << "\nbug " << protocolBugName(r.bug)
+       << "\nfault " << artifactFaultName(r.fault)
+       << "\nsignature " << firstLine(r.signature)
+       << "\nconfig_signature 0x" << hex16(r.config_signature)
+       << "\ndetail " << firstLine(r.detail) << '\n';
     return os.str();
 }
 
@@ -491,179 +433,8 @@ reproFileName(const ReproFile &r)
     const std::string body = renderRepro(r);
     const std::uint64_t h = snap::fnv1a(
         reinterpret_cast<const std::uint8_t *>(body.data()), body.size());
-    return "repro-" + hex16(h) + ".json";
+    return "repro-" + hex16(h) + ".txt";
 }
-
-namespace {
-
-/**
- * Strict parser for the exact subset renderRepro() emits: an object of
- * string keys mapping to unsigned integers, strings, or one nested
- * object level of the same shape.  Results land in two dotted-path
- * maps ("space.max_nodes" -> 8, "overrides.num_nodes" -> 1, ...).
- */
-struct MiniJson
-{
-    std::map<std::string, std::uint64_t> nums;
-    std::map<std::string, std::string> strs;
-
-    const char *p = nullptr;
-    const char *end = nullptr;
-    std::string error;
-
-    bool
-    fail(const std::string &why)
-    {
-        if (error.empty())
-            error = why;
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (p != end &&
-               (*p == ' ' || *p == '\n' || *p == '\r' || *p == '\t'))
-            ++p;
-    }
-
-    bool
-    expect(char c)
-    {
-        skipWs();
-        if (p == end || *p != c)
-            return fail(std::string("expected '") + c + "'");
-        ++p;
-        return true;
-    }
-
-    bool
-    parseString(std::string *out)
-    {
-        skipWs();
-        if (p == end || *p != '"')
-            return fail("expected string");
-        ++p;
-        out->clear();
-        while (p != end && *p != '"') {
-            char c = *p++;
-            if (c != '\\') {
-                *out += c;
-                continue;
-            }
-            if (p == end)
-                return fail("dangling escape");
-            c = *p++;
-            switch (c) {
-              case '"': *out += '"'; break;
-              case '\\': *out += '\\'; break;
-              case '/': *out += '/'; break;
-              case 'b': *out += '\b'; break;
-              case 'f': *out += '\f'; break;
-              case 'n': *out += '\n'; break;
-              case 'r': *out += '\r'; break;
-              case 't': *out += '\t'; break;
-              case 'u': {
-                if (end - p < 4)
-                    return fail("short \\u escape");
-                unsigned v = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = *p++;
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape");
-                }
-                // The writer only \u-escapes control characters, which
-                // fit one byte; anything wider degrades to '?'.
-                *out += v < 0x100 ? static_cast<char>(v) : '?';
-                break;
-              }
-              default:
-                return fail("unknown escape");
-            }
-        }
-        if (p == end)
-            return fail("unterminated string");
-        ++p; // closing quote
-        return true;
-    }
-
-    bool
-    parseValue(const std::string &path, int depth)
-    {
-        skipWs();
-        if (p == end)
-            return fail("unexpected end of input");
-        if (*p == '"') {
-            std::string s;
-            if (!parseString(&s))
-                return false;
-            strs[path] = std::move(s);
-            return true;
-        }
-        if (*p == '{') {
-            if (depth >= 2)
-                return fail("object nested too deep");
-            return parseObject(path + ".", depth + 1);
-        }
-        if (*p >= '0' && *p <= '9') {
-            std::uint64_t v = 0;
-            while (p != end && *p >= '0' && *p <= '9')
-                v = v * 10 + static_cast<std::uint64_t>(*p++ - '0');
-            nums[path] = v;
-            return true;
-        }
-        return fail("unsupported value type");
-    }
-
-    bool
-    parseObject(const std::string &prefix, int depth)
-    {
-        if (!expect('{'))
-            return false;
-        skipWs();
-        if (p != end && *p == '}') {
-            ++p;
-            return true;
-        }
-        for (;;) {
-            std::string key;
-            if (!parseString(&key))
-                return false;
-            if (!expect(':'))
-                return false;
-            if (!parseValue(prefix + key, depth))
-                return false;
-            skipWs();
-            if (p != end && *p == ',') {
-                ++p;
-                continue;
-            }
-            return expect('}');
-        }
-    }
-
-    bool
-    parse(const std::string &json)
-    {
-        p = json.data();
-        end = json.data() + json.size();
-        if (!parseObject("", 0))
-            return false;
-        skipWs();
-        if (p != end)
-            return fail("trailing garbage after document");
-        return true;
-    }
-};
-
-} // namespace
 
 bool
 oracleKindFromName(const std::string &name, OracleKind *out)
@@ -695,85 +466,89 @@ artifactFaultFromName(const std::string &name, ArtifactFault *out)
 }
 
 bool
-parseRepro(const std::string &json, ReproFile *out, std::string *err)
+parseRepro(const std::string &text, ReproFile *out, std::string *err)
 {
     const auto bad = [err](const std::string &why) {
         if (err)
             *err = why;
         return false;
     };
-    MiniJson mj;
-    if (!mj.parse(json))
-        return bad("malformed repro JSON: " + mj.error);
-
-    const auto str = [&mj](const std::string &k) -> const std::string * {
-        const auto it = mj.strs.find(k);
-        return it == mj.strs.end() ? nullptr : &it->second;
-    };
-    const auto num = [&mj](const std::string &k,
-                           std::uint64_t *v) -> bool {
-        const auto it = mj.nums.find(k);
-        if (it == mj.nums.end())
-            return false;
-        *v = it->second;
-        return true;
-    };
-
-    const std::string *schema = str("schema");
-    if (!schema || *schema != "dbsim-fuzz-repro-v1")
-        return bad("not a dbsim-fuzz-repro-v1 document");
+    std::istringstream in(text);
+    std::string line;
+    if (!std::getline(in, line) || line != kReproSchema)
+        return bad(std::string("not a ") + kReproSchema + " file");
 
     ReproFile r;
-    std::uint64_t v = 0;
-    if (!num("config_seed", &r.config_seed))
-        return bad("missing config_seed");
-    if (num("space.max_nodes", &v)) {
-        // The node-count draw doubles up to max_nodes: an unbounded
-        // value would wrap its loop counter and never end.
-        if (v < 1 || v > 32)
-            return bad("space.max_nodes " + std::to_string(v) +
-                       " is outside [1, 32]");
-        r.space.max_nodes = static_cast<std::uint32_t>(v);
+    std::set<std::string> seen;
+    for (int n = 2; std::getline(in, line); ++n) {
+        const std::size_t space = line.find(' ');
+        const std::string key = line.substr(0, space);
+        const std::string value =
+            space == std::string::npos ? "" : line.substr(space + 1);
+        const std::string at = "line " + std::to_string(n) + ": ";
+        if (!seen.insert(key).second)
+            return bad(at + "repeated key " + key);
+        try {
+            if (key == "config_seed") {
+                r.config_seed = parseUnsigned(key, value);
+            } else if (key == "space.max_nodes") {
+                const std::uint64_t v = parseUnsigned(key, value);
+                // The node-count draw doubles up to max_nodes: an
+                // unbounded value would wrap its loop counter and never
+                // end.
+                if (v < 1 || v > 32)
+                    return bad(at + "space.max_nodes " + std::to_string(v) +
+                               " is outside [1, 32]");
+                r.space.max_nodes = static_cast<std::uint32_t>(v);
+            } else if (key == "space.min_instructions") {
+                r.space.min_instructions = parseUnsigned(key, value);
+            } else if (key == "space.max_instructions") {
+                r.space.max_instructions = parseUnsigned(key, value);
+            } else if (key.rfind("override.", 0) == 0) {
+                const std::string name = key.substr(9);
+                if (std::ranges::none_of(
+                        core::configOverrides(),
+                        [&name](const core::ConfigOverride &o) {
+                            return name == o.key;
+                        }))
+                    return bad(at + "unknown override " + name);
+                r.overrides[name] = parseUnsigned(key, value);
+            } else if (key == "oracle") {
+                if (!oracleKindFromName(value, &r.oracle))
+                    return bad(at + "unknown oracle name: " + value);
+            } else if (key == "bug") {
+                if (!protocolBugFromName(value, &r.bug))
+                    return bad(at + "unknown bug name: " + value);
+            } else if (key == "fault") {
+                if (!artifactFaultFromName(value, &r.fault))
+                    return bad(at + "unknown fault name: " + value);
+            } else if (key == "signature") {
+                r.signature = value;
+            } else if (key == "config_signature") {
+                const char *end = value.data() + value.size();
+                if (value.size() != 18 || value.rfind("0x", 0) != 0 ||
+                    std::from_chars(value.data() + 2, end,
+                                    r.config_signature, 16)
+                            .ptr != end)
+                    return bad(at + "config_signature wants 0x and 16 hex "
+                                    "digits, got \"" + value + "\"");
+            } else if (key == "detail") {
+                r.detail = value;
+            } else {
+                return bad(at + "unknown key \"" + key + "\"");
+            }
+        } catch (const ConfigError &) {
+            return bad(at + key + " wants a decimal integer, got \"" +
+                       value + "\"");
+        }
     }
-    if (num("space.min_instructions", &v))
-        r.space.min_instructions = v;
-    if (num("space.max_instructions", &v))
-        r.space.max_instructions = v;
+    if (!seen.count("config_seed"))
+        return bad("missing config_seed");
+    if (!seen.count("oracle"))
+        return bad("missing oracle");
     if (r.space.min_instructions > r.space.max_instructions)
         return bad("space.min_instructions exceeds "
                    "space.max_instructions");
-    for (const auto &[path, value] : mj.nums) {
-        if (path.rfind("overrides.", 0) == 0)
-            r.overrides[path.substr(10)] = value;
-    }
-    const std::string *oracle = str("oracle");
-    if (!oracle || !oracleKindFromName(*oracle, &r.oracle))
-        return bad("missing or unknown oracle");
-    if (const std::string *bug = str("bug")) {
-        if (!protocolBugFromName(*bug, &r.bug))
-            return bad("unknown bug name: " + *bug);
-    }
-    if (const std::string *fault = str("fault")) {
-        if (!artifactFaultFromName(*fault, &r.fault))
-            return bad("unknown fault name: " + *fault);
-    }
-    if (const std::string *sig = str("signature"))
-        r.signature = *sig;
-    if (const std::string *detail = str("detail"))
-        r.detail = *detail;
-    if (const std::string *cs = str("config_signature")) {
-        // "0x" + 16 hex digits; tolerate absence (informational field).
-        std::uint64_t h = 0;
-        for (std::size_t i = 2; i < cs->size(); ++i) {
-            const char c = (*cs)[i];
-            h <<= 4;
-            if (c >= '0' && c <= '9')
-                h |= static_cast<std::uint64_t>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                h |= static_cast<std::uint64_t>(c - 'a' + 10);
-        }
-        r.config_signature = h;
-    }
     *out = std::move(r);
     return true;
 }
@@ -785,8 +560,9 @@ reproConfig(const ReproFile &r)
     core::SimConfig cfg = core::randomSimConfig(rng, r.space);
     for (const auto &[key, value] : r.overrides) {
         if (!core::applyConfigOverride(cfg, key, value))
-            throw ConfigError("overrides." + key,
-                              "unknown override key in repro file");
+            throw ConfigError("override." + key,
+                              "the override catalog refuses value " +
+                                  std::to_string(value));
     }
     cfg.validate();
     return cfg;

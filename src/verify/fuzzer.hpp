@@ -12,12 +12,12 @@
  *
  * Failures are triaged into buckets by OracleVerdict::signature.  Each
  * bucket's lowest-index case is greedily shrunk once (delta-removal
- * over the flat override catalog: each candidate override is kept iff
- * the same bucket signature still fails) and emitted as one replayable
- * repro-<hash>.json file.  A repro
- * file is just "generator seed + sorted override list + oracle +
- * injections": replayRepro() regenerates the exact config on any host
- * and re-runs the one oracle that failed.
+ * over the rows of the override table, core::configOverrides(): each
+ * candidate override is kept iff the same bucket signature still
+ * fails) and emitted as one replayable repro-<hash>.txt file of
+ * `key value` lines.  A repro file is just "generator seed + sorted
+ * override list + oracle + injections": replayRepro() regenerates the
+ * exact config on any host and re-runs the one oracle that failed.
  *
  * Injection knobs (inject_bug / inject_fault, and the round-trip
  * oracle's corrupt_offset) exist so the oracle suite can be
@@ -51,7 +51,7 @@ struct FuzzOptions
     std::uint32_t jobs = 1;      ///< worker threads (report-invariant)
     core::FuzzSpace space;
 
-    std::string repro_dir;       ///< write repro-<hash>.json here ("" = off)
+    std::string repro_dir;       ///< write repro-<hash>.txt here ("" = off)
 
     bool oracle_conservation = true;
     bool oracle_determinism = true;
@@ -158,8 +158,8 @@ struct ShrinkOutcome
 
 /**
  * Greedy delta-removal shrink (the model checker's idiom, lifted to
- * configs): walk the override catalog in order; for each key, try its
- * reduction candidates (node count to 1, budgets to the space minimum,
+ * configs): walk the override table in row order; for each row, try its
+ * shrink candidates (node count to 1, budgets to the space minimum,
  * feature knock-outs to 0, ...) against the config regenerated from
  * @p case_seed plus the overrides kept so far.  A candidate is kept iff
  * the config still validates, actually changes the signature, and
@@ -188,15 +188,27 @@ struct ReproFile
     std::string detail;     ///< first detail line at capture time
 };
 
-/** Canonical JSON render (schema dbsim-fuzz-repro-v1). */
+/**
+ * Render schema dbsim-fuzz-repro-v2: the line "dbsim-fuzz-repro-v2",
+ * then one `key value` line each for config_seed, space.max_nodes,
+ * space.min_instructions, space.max_instructions, override.<key> (one
+ * per override), oracle, bug, fault, signature, config_signature
+ * ("0x" + 16 hex digits) and detail.  Signature and detail are written
+ * as their first lines, so no value needs escaping.
+ */
 std::string renderRepro(const ReproFile &r);
 
-/** "repro-<16-hex-fnv>.json" -- content-addressed, collision-stable. */
+/** "repro-<16-hex-fnv>.txt" -- content-addressed, collision-stable. */
 std::string reproFileName(const ReproFile &r);
 
-/** Parse a renderRepro() document (tiny strict subset parser).
- *  Returns false with *err set on malformed input. */
-bool parseRepro(const std::string &json, ReproFile *out, std::string *err);
+/**
+ * Parse a renderRepro() file.  Returns false with *err set for another
+ * schema, an unknown or repeated key, an unknown name or override, a
+ * malformed number or config_signature, a missing config_seed or
+ * oracle, max_nodes outside [1, 32], or min_instructions above
+ * max_instructions.
+ */
+bool parseRepro(const std::string &text, ReproFile *out, std::string *err);
 
 /** Regenerate the repro's config: seed -> randomSimConfig -> overrides
  *  -> validate().  Throws ConfigError if the file is inconsistent. */

@@ -19,10 +19,13 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
@@ -108,11 +111,11 @@ TEST(ConfigGen, SignatureIgnoresObservationKnobsOnly)
 
 TEST(ConfigGen, EveryCatalogKeyAppliesAndUnknownKeyIsRejected)
 {
-    for (const std::string &key : core::configOverrideKeys()) {
+    for (const core::ConfigOverride &o : core::configOverrides()) {
         Rng rng(11);
         SimConfig cfg = core::randomSimConfig(rng);
-        EXPECT_TRUE(core::applyConfigOverride(cfg, key, 1))
-            << "catalog key '" << key << "' must be applicable";
+        EXPECT_TRUE(core::applyConfigOverride(cfg, o.key, 1))
+            << "catalog key '" << o.key << "' must be applicable";
     }
     Rng rng(11);
     SimConfig cfg = core::randomSimConfig(rng);
@@ -372,7 +375,7 @@ TEST(Repro, RenderParseRoundTripIsLossless)
     rf.fault = ArtifactFault::BreakdownLeak;
     rf.signature = "determinism:re-run diverged at epoch #";
     rf.config_signature = 0x0123456789abcdefull;
-    rf.detail = "line with \"quotes\"\nand a newline";
+    rf.detail = "line with \"quotes\", spaces and a {brace}";
 
     ReproFile back;
     std::string err;
@@ -387,23 +390,56 @@ TEST(Repro, RenderParseRoundTripIsLossless)
     EXPECT_EQ(back.fault, rf.fault);
     EXPECT_EQ(back.signature, rf.signature);
     EXPECT_EQ(back.config_signature, rf.config_signature);
-    // The detail field round-trips through jsonEscape's \u00XX control
-    // escapes as well as plain ones.
     EXPECT_EQ(back.detail, rf.detail);
     // Content-addressed names are stable.
     EXPECT_EQ(reproFileName(rf), reproFileName(rf));
+    EXPECT_EQ(reproFileName(rf).rfind(".txt"),
+              reproFileName(rf).size() - 4);
+
+    // A value is one line: a multi-line detail is written as its first.
+    rf.detail += "\nsecond line";
+    ASSERT_TRUE(parseRepro(renderRepro(rf), &back, &err)) << err;
+    EXPECT_EQ(back.detail, "line with \"quotes\", spaces and a {brace}");
 }
 
 TEST(Repro, ParserRejectsGarbage)
 {
-    ReproFile rf;
+    const std::string head = "dbsim-fuzz-repro-v2\n";
+    const std::string seed = "config_seed 1\n";
+    const std::string oracle = "oracle conservation\n";
+    ReproFile minimal;
     std::string err;
-    EXPECT_FALSE(parseRepro("", &rf, &err));
-    EXPECT_FALSE(parseRepro("{\"schema\":\"wrong\"}", &rf, &err));
-    EXPECT_FALSE(parseRepro("{\"config_seed\":1", &rf, &err));
-    EXPECT_FALSE(
-        parseRepro("{\"schema\":\"dbsim-fuzz-repro-v1\"}", &rf, &err))
-        << "config_seed is mandatory";
+    ASSERT_TRUE(parseRepro(head + seed + oracle, &minimal, &err)) << err;
+    // Each input is refused, and the message names why.
+    const std::pair<std::string, std::string> cases[] = {
+        {"", "not a dbsim-fuzz-repro-v2 file"},
+        {"wrong\n" + seed + oracle, "not a dbsim-fuzz-repro-v2 file"},
+        {"{\n  \"schema\": \"dbsim-fuzz-repro-v1\",\n"
+         "  \"config_seed\": 1,\n  \"oracle\": \"conservation\"\n}\n",
+         "not a dbsim-fuzz-repro-v2 file"},
+        {head + seed + oracle + "colour blue\n",
+         "line 4: unknown key \"colour\""},
+        {head + seed + oracle + "config_seed 2\n",
+         "line 4: repeated key config_seed"},
+        {head + "config_seed 8x\n" + oracle,
+         "line 2: config_seed wants a decimal integer, got \"8x\""},
+        {head + seed + oracle + "config_signature 0xzz\n",
+         "line 4: config_signature wants 0x and 16 hex digits"},
+        {head + seed + oracle + "override.no_such_knob 1\n",
+         "line 4: unknown override no_such_knob"},
+        {head + seed + "oracle telepathy\n",
+         "line 3: unknown oracle name: telepathy"},
+        {head + seed + oracle + "bug gremlin\n",
+         "line 4: unknown bug name: gremlin"},
+        {head + oracle, "missing config_seed"},
+        {head + seed + "detail no oracle line\n", "missing oracle"},
+    };
+    for (const auto &[text, why] : cases) {
+        ReproFile rf;
+        EXPECT_FALSE(parseRepro(text, &rf, &err)) << text;
+        EXPECT_NE(err.find(why), std::string::npos)
+            << "input:\n" << text << "error: " << err;
+    }
 }
 
 TEST(Repro, ParserRejectsASpaceOutsideItsBounds)
@@ -448,10 +484,31 @@ TEST(Shrink, SeededFaultShrinksTowardMinimalConfig)
     const FuzzReport r = runFuzz(opts, nullptr);
     ASSERT_EQ(r.buckets.size(), 1u);
     const TriageBucket &b = r.buckets.front();
-    EXPECT_FALSE(b.shrink_overrides.empty())
-        << "shrinker kept no reduction on a config-independent fault";
-    EXPECT_GT(b.shrink_runs, 0u);
-    EXPECT_LE(b.shrink_runs, opts.max_shrink_runs);
+    // Every run the shrinker spent kept a reduction, in row order of
+    // the override table.
+    const std::vector<std::pair<std::string, std::uint64_t>> kept = {
+        {"total_instructions", 20000}, {"warmup_instructions", 0},
+        {"procs_per_cpu", 1},          {"spec_loads", 0},
+        {"hw_prefetch", 0},            {"model", 0},
+        {"issue_width", 1},            {"l1d_mshrs", 1},
+    };
+    EXPECT_EQ(b.shrink_overrides,
+              (std::map<std::string, std::uint64_t>(kept.begin(),
+                                                    kept.end())));
+    EXPECT_EQ(b.shrink_runs, 8u);
+
+    // A budget of k runs keeps the first k of those reductions, which
+    // pins the row order, not only the final set.
+    for (std::uint32_t k = 1; k < kept.size(); ++k) {
+        opts.max_shrink_runs = k;
+        const FuzzReport rk = runFuzz(opts, nullptr);
+        ASSERT_EQ(rk.buckets.size(), 1u);
+        EXPECT_EQ(rk.buckets.front().shrink_overrides,
+                  (std::map<std::string, std::uint64_t>(kept.begin(),
+                                                        kept.begin() + k)))
+            << "budget " << k;
+        EXPECT_EQ(rk.buckets.front().shrink_runs, k);
+    }
 
     // The shrunk config regenerates and still validates.
     ReproFile rf;

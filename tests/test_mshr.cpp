@@ -74,26 +74,6 @@ TEST(Mshr, WriteJoiningReadCountsAsRead)
     EXPECT_TRUE(m.outstandingRead(0x100));
 }
 
-TEST(Mshr, ExtendPushesFillTime)
-{
-    MshrFile m(2);
-    ASSERT_TRUE(m.allocate(0x200, true, 0, 50));
-    m.extend(0x200, 90);
-    m.drain(60);
-    EXPECT_TRUE(m.outstanding(0x200));
-    m.drain(90);
-    EXPECT_FALSE(m.outstanding(0x200));
-}
-
-TEST(Mshr, ExtendNeverShortens)
-{
-    MshrFile m(2);
-    ASSERT_TRUE(m.allocate(0x200, true, 0, 80));
-    m.extend(0x200, 40);
-    m.drain(50);
-    EXPECT_TRUE(m.outstanding(0x200));
-}
-
 TEST(Mshr, OccupancyTracksAllAndReads)
 {
     MshrFile m(4);

@@ -191,16 +191,6 @@ TEST(Simulation, MigratoryDominatesDirtyReads)
     EXPECT_GT(ms.dirtyReadFraction(), 0.5); // paper: 0.79
 }
 
-TEST(Simulation, HotLocksExposedForOltpOnly)
-{
-    Simulation oltp(quick(WorkloadKind::Oltp));
-    (void)oltp.run();
-    EXPECT_FALSE(oltp.hotLocks().empty());
-    Simulation dss(quick(WorkloadKind::Dss));
-    (void)dss.run();
-    EXPECT_TRUE(dss.hotLocks().empty());
-}
-
 TEST(Simulation, PaperScaleConfigConstructs)
 {
     // Construction and description only (running 200M instructions is

@@ -7,11 +7,12 @@
  * runs each through the invariant-oracle suite (conservation,
  * determinism, checkpoint round-trip, coherence; plus the differential
  * harness when a mutant is injected).  Failures are triaged into
- * buckets; each bucket is shrunk once and written as one replayable
- * repro-<hash>.json file.
+ * buckets; each bucket is shrunk over the one override table
+ * (core::configOverrides()) and written as one replayable
+ * repro-<hash>.txt file of `key value` lines (dbsim-fuzz-repro-v2).
  *
  *   dbsim-fuzz --seed 1 --count 200 --jobs 4 --repro-dir repros
- *   dbsim-fuzz --replay repros/repro-0123456789abcdef.json
+ *   dbsim-fuzz --replay repros/repro-0123456789abcdef.txt
  *   dbsim-fuzz --self-check        # its seeded repro goes to --repro-dir
  *
  * Exit codes: 0 = corpus clean (or replay no longer reproduces),
